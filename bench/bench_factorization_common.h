@@ -1,6 +1,6 @@
-// Shared random-basis generator for the factorization benches
+// Shared random-basis generators for the factorization benches
 // (bench_micro_factorization and the BM_* kernels in bench_micro): one
-// definition so eta and LU are always measured on the *same* matrices.
+// definition so every kernel is measured on the *same* matrices.
 #ifndef PRIVSAN_BENCH_BENCH_FACTORIZATION_COMMON_H_
 #define PRIVSAN_BENCH_BENCH_FACTORIZATION_COMMON_H_
 
@@ -40,17 +40,13 @@ inline lp::SparseMatrix MakeBasisBenchMatrix(Rng& rng, int m, int extra,
   return lp::SparseMatrix(m, 2 * m + extra, std::move(triplets));
 }
 
-// A simplex-shaped basis for the hyper-sparse kernel: mostly slack (unit)
-// columns with a sparse structural minority, which is what warm simplex
-// bases actually look like — and the regime where a Gilbert–Peierls reach
-// touches a handful of rows instead of all m. A uniformly random basis is
-// the wrong fixture for that path: its L/U dependency graph percolates, so
-// every solve's reach is ~m and the sparse kernel (correctly) falls back
-// dense. Off-diagonal counts are per *column* (`nnz_per_column` expected
-// entries), not a density of m, so the dependency graph stays below the
-// percolation threshold at every bench scale; entering columns (m..) get
-// the same shape as the structural basis columns.
-inline lp::SparseMatrix MakeHypersparseBenchMatrix(Rng& rng, int m, int extra,
+// A simplex-shaped basis: mostly slack (unit) columns with a sparse
+// structural minority, which is what warm simplex bases actually look
+// like. Off-diagonal counts are per *column* (`nnz_per_column` expected
+// entries), not a density of m, so the factors stay sparse at every bench
+// scale; entering columns (m..) get the same shape as the structural
+// basis columns.
+inline lp::SparseMatrix MakeSlackHeavyBenchMatrix(Rng& rng, int m, int extra,
                                                    double structural_fraction,
                                                    double nnz_per_column) {
   const double p = nnz_per_column / static_cast<double>(m);

@@ -11,7 +11,6 @@
 #include "core/spe.h"
 #include "bench_factorization_common.h"
 #include "log/preprocess.h"
-#include "lp/eta_file.h"
 #include "lp/lu_factorization.h"
 #include "lp/sparse_matrix.h"
 #include "rng/alias_table.h"
@@ -106,7 +105,7 @@ void BM_OumpSolve(benchmark::State& state) {
 BENCHMARK(BM_OumpSolve);
 
 // ---- Basis factorization kernels (see bench_micro_factorization for the
-// ---- JSON-reported eta-vs-LU fill sweep gated in CI). ----------------------
+// ---- JSON-reported LU fill sweep gated in CI). -----------------------------
 
 template <typename Rep>
 void RunRefactorize(benchmark::State& state, Rep rep) {
@@ -138,20 +137,10 @@ void RunFtran(benchmark::State& state, Rep rep) {
   }
 }
 
-void BM_EtaRefactorize(benchmark::State& state) {
-  RunRefactorize(state, lp::EtaFile(100, 8.0));
-}
-BENCHMARK(BM_EtaRefactorize)->Arg(100)->Arg(400);
-
 void BM_LuRefactorize(benchmark::State& state) {
   RunRefactorize(state, lp::LuFactorization(100, 8.0));
 }
 BENCHMARK(BM_LuRefactorize)->Arg(100)->Arg(400);
-
-void BM_EtaFtran(benchmark::State& state) {
-  RunFtran(state, lp::EtaFile(100, 8.0));
-}
-BENCHMARK(BM_EtaFtran)->Arg(100)->Arg(400);
 
 void BM_LuFtran(benchmark::State& state) {
   RunFtran(state, lp::LuFactorization(100, 8.0));

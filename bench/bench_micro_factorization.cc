@@ -1,9 +1,7 @@
 // Factorization microbench: the basis-kernel primitives under the simplex
-// — Refactorize, FTRAN, BTRAN — for the Markowitz LU against the
-// product-form eta file (and, at small sizes, the dense inverse oracle),
-// on random sparse bases of growing density ("growing fill" is exactly the
-// regime the LU was built for: the eta file's product-form fill compounds
-// with density, the LU's Markowitz ordering contains it).
+// — Refactorize, FTRAN, BTRAN — for the Markowitz LU (and, at small sizes,
+// the dense inverse oracle), on random sparse bases of growing density
+// ("growing fill" is exactly the regime the Markowitz ordering contains).
 //
 // Per (m, density, kind) record:
 //   refactor_seconds      one Refactorize of the basis
@@ -11,36 +9,30 @@
 //   btran_seconds         one BTRAN, ditto
 //   ftran_updated_seconds one FTRAN after `updates` simplex pivots
 //   nnz                   factor nonzeros right after Refactorize
-//   updated_nnz           factor + update-eta nonzeros after the pivots
+//   updated_nnz           factor + update nonzeros after the pivots
 //
 // Emits BENCH_micro_factorization.json; CI diffs it against the committed
 // small-scale baseline (tools/check_bench_regression.py), so a fill
 // regression in the LU (nnz) or a kernel slowdown fails the build.
 //
-// The update-run section measures the update schemes head to head: K
-// consecutive simplex-shaped Update() calls (K growing to 50), then FTRAN,
-// for Forrest–Tomlin (ft) vs product-form LU updates (pfi) vs the eta file
-// (eta). Per record it emits
+// The update-run section measures the Forrest–Tomlin update (mode "ft"):
+// K consecutive simplex-shaped Update() calls (K growing to 50), then
+// FTRAN. Per record it emits
 //   u_nnz           update-file growth: nonzeros added on top of the fresh
-//                   factorization by the K updates (FT: U fill + row-eta
-//                   terms, minus deleted columns; PFI/eta: eta entries)
+//                   factorization by the K updates (U fill + row-eta
+//                   terms, minus deleted columns)
 //   update_run_len  updates the default refactorization policy (growth
 //                   limit 8x) would have sustained before refactorizing
-// CI gates u_nnz (lower is better) and update_run_len (higher is better):
-// FT's whole point is u_nnz growing slower than the PFI eta count and the
-// runs stretching further. `--update=ft|pfi|eta` restricts the section to
-// one scheme (the CI smoke job runs --update=ft for a quick signal before
-// the full sweep).
+// CI gates u_nnz (lower is better) and update_run_len (higher is better).
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "bench_factorization_common.h"
-#include "lp/eta_file.h"
+#include "lp/basis_rep.h"
 #include "lp/lu_factorization.h"
 #include "lp/sparse_matrix.h"
 #include "rng/random.h"
@@ -49,9 +41,7 @@
 using namespace privsan;
 using lp::BasisRep;
 using lp::DenseBasis;
-using lp::EtaFile;
 using lp::LuFactorization;
-using lp::LuUpdateKind;
 using lp::SparseEntry;
 using lp::SparseMatrix;
 
@@ -67,17 +57,13 @@ struct KernelTimes {
   int updates_applied = 0;
 };
 
-size_t Nonzeros(const BasisRep& rep, const EtaFile* eta,
-                const LuFactorization* lu) {
-  if (eta != nullptr) return eta->eta_nonzeros();
-  if (lu != nullptr) return lu->total_nonzeros();
-  (void)rep;
-  return 0;
+// Fill of the LU (nullptr for the dense oracle, whose m^2 is not fill).
+size_t Nonzeros(const LuFactorization* lu) {
+  return lu != nullptr ? lu->total_nonzeros() : 0;
 }
 
-KernelTimes Measure(BasisRep& rep, const EtaFile* eta,
-                    const LuFactorization* lu, const SparseMatrix& A, int m,
-                    int updates, Rng& rng) {
+KernelTimes Measure(BasisRep& rep, const LuFactorization* lu,
+                    const SparseMatrix& A, int m, int updates, Rng& rng) {
   KernelTimes times;
   std::vector<int> basis(m);
   for (int i = 0; i < m; ++i) basis[i] = i;
@@ -90,7 +76,7 @@ KernelTimes Measure(BasisRep& rep, const EtaFile* eta,
     }
     times.refactor_seconds = timer.ElapsedSeconds();
   }
-  times.nnz = Nonzeros(rep, eta, lu);
+  times.nnz = Nonzeros(lu);
 
   // Solve timings, averaged over distinct random vectors so no
   // factorization path gets to cache one solve.
@@ -138,7 +124,7 @@ KernelTimes Measure(BasisRep& rep, const EtaFile* eta,
     basis[slot] = entering;
     ++times.updates_applied;
   }
-  times.updated_nnz = Nonzeros(rep, eta, lu);
+  times.updated_nnz = Nonzeros(lu);
   {
     WallTimer timer;
     double sink = 0.0;
@@ -177,24 +163,15 @@ void Report(bench::JsonReport& report, const std::string& label,
 }
 
 // One update run: Refactorize, apply up to `k_updates` simplex-shaped
-// pivots (pattern-seeded, through the hyper-sparse entry points so the run
-// measures the production kernel), FTRAN. `run_len` is where the default
-// growth policy (8x the fresh nonzeros) would have refactorized; the run
-// itself continues to k_updates so every scheme's fill is compared over
-// the same pivots.
+// pivots, FTRAN. `run_len` is where the default growth policy (8x the
+// fresh nonzeros) would have refactorized; the run itself continues to
+// k_updates so the fill is always measured over the same pivots.
 struct UpdateRunTimes {
   double update_seconds = 0.0;  // total across the run
   double ftran_updated_seconds = 0.0;
   int64_t u_nnz = 0;  // nonzeros the run added on top of the fresh factors
   int updates_applied = 0;
   int run_len = 0;
-  // Hyper-sparse kernel health over the run's solves: mean nonzeros of a
-  // unit-vector BTRAN image (the simplex's pivot-row rho solve), the mean
-  // reach fraction, and the share of pattern-driven solves that stayed
-  // sparse end to end. Zero for representations without a sparse kernel.
-  double rho_nnz = 0.0;
-  double reach_fraction = 0.0;
-  double sparse_hit_rate = 0.0;
 };
 
 UpdateRunTimes MeasureUpdateRun(BasisRep& rep, size_t fresh_nnz,
@@ -202,22 +179,18 @@ UpdateRunTimes MeasureUpdateRun(BasisRep& rep, size_t fresh_nnz,
                                 Rng& rng) {
   UpdateRunTimes times;
   const double growth_limit = 8.0 * static_cast<double>(fresh_nnz);
-  lp::SparseVector w;
-  w.Reset(m);
+  std::vector<double> w(m);
   WallTimer update_timer;
   for (int k = 0; k < k_updates; ++k) {
     const int entering = m + k;
-    w.Clear();
-    for (const SparseEntry& e : A.Column(entering)) {
-      w.values[e.index] = e.value;
-      w.pattern.push_back(e.index);
-    }
-    rep.FtranSparse(w);
+    std::fill(w.begin(), w.end(), 0.0);
+    for (const SparseEntry& e : A.Column(entering)) w[e.index] = e.value;
+    rep.Ftran(w);
     int slot = 0;
     for (int i = 1; i < m; ++i) {
-      if (std::abs(w.values[i]) > std::abs(w.values[slot])) slot = i;
+      if (std::abs(w[i]) > std::abs(w[slot])) slot = i;
     }
-    if (!rep.UpdateSparse(w, slot, 1e-9)) break;
+    if (!rep.Update(w, slot, 1e-9)) break;
     ++times.updates_applied;
     if (static_cast<double>(rep.nonzeros()) <= growth_limit) {
       times.run_len = times.updates_applied;
@@ -228,35 +201,6 @@ UpdateRunTimes MeasureUpdateRun(BasisRep& rep, size_t fresh_nnz,
                 static_cast<int64_t>(fresh_nnz);
 
   const int reps = 50;
-  {
-    // rho solves: BTRAN of unit vectors, the shape the dual simplex's
-    // pivot-row computation feeds the kernel.
-    lp::SparseVector rho;
-    rho.Reset(m);
-    int64_t nnz_sum = 0;
-    for (int r = 0; r < reps; ++r) {
-      rho.Clear();
-      const int slot = static_cast<int>(rng.NextBounded(
-          static_cast<uint64_t>(m)));
-      rho.values[slot] = 1.0;
-      rho.pattern.push_back(slot);
-      rep.BtranSparse(rho);
-      if (rho.pattern_valid) {
-        for (int i : rho.pattern) nnz_sum += rho.values[i] != 0.0 ? 1 : 0;
-      } else {
-        for (double v : rho.values) nnz_sum += v != 0.0 ? 1 : 0;
-      }
-    }
-    times.rho_nnz = static_cast<double>(nnz_sum) / reps;
-  }
-  const BasisRep::KernelStats ks = rep.kernel_stats();
-  if (ks.sparse_solves > 0) {
-    times.reach_fraction =
-        ks.reach_fraction_sum / static_cast<double>(ks.sparse_solves);
-    times.sparse_hit_rate = static_cast<double>(ks.sparse_hits) /
-                            static_cast<double>(ks.sparse_solves);
-  }
-
   WallTimer timer;
   double sink = 0.0;
   for (int r = 0; r < reps; ++r) {
@@ -281,40 +225,18 @@ void ReportUpdateRun(bench::JsonReport& report, const std::string& label,
       .Add("update_seconds", times.update_seconds)
       .Add("ftran_updated_seconds", times.ftran_updated_seconds)
       .Add("u_nnz", times.u_nnz)
-      .Add("update_run_len", static_cast<int64_t>(times.run_len))
-      .Add("rho_nnz", times.rho_nnz)
-      .Add("reach_fraction", times.reach_fraction)
-      .Add("sparse_hit_rate", times.sparse_hit_rate);
+      .Add("update_run_len", static_cast<int64_t>(times.run_len));
   report.Add(std::move(record));
   std::cout << "  " << label << " " << kind << ": " << times.updates_applied
             << " updates in " << bench::Shorten(times.update_seconds * 1e3)
             << " ms, ftran " << bench::Shorten(times.ftran_updated_seconds * 1e6)
             << " us, +" << times.u_nnz << " nnz, run_len " << times.run_len
-            << ", rho_nnz " << bench::Shorten(times.rho_nnz)
-            << ", reach " << bench::Shorten(times.reach_fraction, 3)
-            << ", sparse_hit " << bench::Shorten(times.sparse_hit_rate, 2)
             << "\n";
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // --update=ft|pfi|eta restricts the update-run section to one scheme.
-  // --hypersparse=0 disables the Gilbert–Peierls reach in the LU modes
-  // (the record structure stays identical — CI diffs the two outputs).
-  std::string update_filter;
-  bool hypersparse = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--update=", 9) == 0) {
-      update_filter = argv[i] + 9;
-    } else if (std::strcmp(argv[i], "--hypersparse=0") == 0) {
-      hypersparse = false;
-    } else if (std::strcmp(argv[i], "--hypersparse=1") == 0) {
-      hypersparse = true;
-    }
-  }
-  const double hs_threshold = hypersparse ? 0.1 : 0.0;
-
+int main() {
   bench::JsonReport report("micro_factorization");
   const std::string scale = bench::BenchScaleName();
   const int m = scale == "full" ? 1000 : scale == "medium" ? 400 : 120;
@@ -331,69 +253,45 @@ int main(int argc, char** argv) {
 
     {
       Rng solve_rng(7);
-      EtaFile eta(/*max_updates=*/updates + 1, /*growth_limit=*/1e9);
-      Report(report, label, "eta", m, density,
-             Measure(eta, &eta, nullptr, A, m, updates, solve_rng));
-    }
-    {
-      Rng solve_rng(7);
       LuFactorization lu(updates + 1, 1e9);
       Report(report, label, "lu", m, density,
-             Measure(lu, nullptr, &lu, A, m, updates, solve_rng));
+             Measure(lu, &lu, A, m, updates, solve_rng));
     }
     if (m <= 200) {
       // The dense oracle is O(m^3) to refactorize; only worth timing small.
       Rng solve_rng(7);
       DenseBasis dense(updates + 1);
       Report(report, label, "dense", m, density,
-             Measure(dense, nullptr, nullptr, A, m, updates, solve_rng));
+             Measure(dense, nullptr, A, m, updates, solve_rng));
     }
   }
 
-  // --- Update runs: FT vs PFI vs eta over growing K. -----------------------
+  // --- Update runs over growing K. -----------------------------------------
   const int max_k = 50;
   std::cout << "== update runs (m = " << m << ", K up to " << max_k
             << ") ==\n";
   {
     Rng rng(4321);
-    // Simplex-shaped basis (see MakeHypersparseBenchMatrix): the update
-    // run drives the hyper-sparse FtranSparse/UpdateSparse path, and a
-    // uniformly random basis would force it dense on every solve.
+    // Simplex-shaped basis (see MakeSlackHeavyBenchMatrix): mostly slack
+    // columns, like the bases the simplex actually updates.
     const SparseMatrix A =
-        bench::MakeHypersparseBenchMatrix(rng, m, max_k,
-                                          /*structural_fraction=*/0.25,
-                                          /*nnz_per_column=*/3.0);
+        bench::MakeSlackHeavyBenchMatrix(rng, m, max_k,
+                                         /*structural_fraction=*/0.25,
+                                         /*nnz_per_column=*/3.0);
     for (int k_updates : {10, 25, max_k}) {
       const std::string label = "m" + std::to_string(m) + "_k" +
                                 std::to_string(k_updates);
       std::vector<int> basis(m);
-      auto run = [&](const std::string& kind, BasisRep& rep) {
-        if (!update_filter.empty() && update_filter != kind) return;
-        for (int i = 0; i < m; ++i) basis[i] = i;
-        if (!rep.Refactorize(A, basis)) {
-          std::cerr << "# unexpected singular bench basis\n";
-          return;
-        }
-        Rng solve_rng(7);
-        ReportUpdateRun(
-            report, label, kind, m,
-            MeasureUpdateRun(rep, rep.nonzeros(), A, m, k_updates,
-                             solve_rng));
-      };
-      {
-        LuFactorization ft(max_k + 1, 1e9, 0.1, LuUpdateKind::kForrestTomlin,
-                           hs_threshold);
-        run("ft", ft);
+      for (int i = 0; i < m; ++i) basis[i] = i;
+      LuFactorization ft(max_k + 1, 1e9);
+      if (!ft.Refactorize(A, basis)) {
+        std::cerr << "# unexpected singular bench basis\n";
+        continue;
       }
-      {
-        LuFactorization pfi(max_k + 1, 1e9, 0.1, LuUpdateKind::kProductForm,
-                            hs_threshold);
-        run("pfi", pfi);
-      }
-      {
-        EtaFile eta(max_k + 1, 1e9);
-        run("eta", eta);
-      }
+      Rng solve_rng(7);
+      ReportUpdateRun(report, label, "ft", m,
+                      MeasureUpdateRun(ft, ft.nonzeros(), A, m, k_updates,
+                                       solve_rng));
     }
   }
   return 0;

@@ -517,17 +517,6 @@ Result<SweepResult> SanitizerSession::SweepBudgets(
     result.factor_nnz = std::max(result.factor_nnz, cell->stats.factor_nnz);
     result.max_update_run =
         std::max(result.max_update_run, cell->stats.max_update_run);
-    const double reach_sum =
-        result.mean_reach_fraction *
-            static_cast<double>(result.sparse_solves) +
-        cell->stats.mean_reach_fraction *
-            static_cast<double>(cell->stats.sparse_solves);
-    result.sparse_solves += cell->stats.sparse_solves;
-    result.sparse_ftran_hits += cell->stats.sparse_ftran_hits;
-    result.mean_reach_fraction =
-        result.sparse_solves > 0
-            ? reach_sum / static_cast<double>(result.sparse_solves)
-            : 0.0;
     result.cells.push_back(std::move(*cell));
   }
   s.fump_min_support = saved_support;
@@ -566,6 +555,7 @@ Result<SanitizeReport> SanitizerSession::Sanitize(
   SanitizeReport report;
   report.preprocessed_input = s.log;
   report.preprocess_stats = s.stats;
+  report.stats = solution.stats;
   report.optimal_counts = std::move(solution.x);
 
   // Optional end-to-end Laplace noise on the counts (§4.2).

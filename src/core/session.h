@@ -126,6 +126,9 @@ struct SanitizeReport {
   std::vector<uint64_t> optimal_counts;
   uint64_t output_size = 0;  // sum of optimal_counts
   AuditReport audit;
+  // Solver effort of the UMP solve whose counts were released (for F-UMP
+  // not the λ lookup, as in Solve).
+  UmpStats stats;
   double solve_seconds = 0.0;
 };
 
@@ -154,12 +157,6 @@ struct SweepResult {
   // refactorizations, maxed across cells (UmpStats carries them per cell).
   size_t factor_nnz = 0;
   int max_update_run = 0;
-  // Hyper-sparse kernel health summed/averaged across cells: pattern-driven
-  // FTRAN/BTRAN calls, end-to-end sparse hits, and the solve-count-weighted
-  // mean reach fraction (UmpStats carries the per-cell figures).
-  uint64_t sparse_solves = 0;
-  uint64_t sparse_ftran_hits = 0;
-  double mean_reach_fraction = 0.0;
   double wall_seconds = 0.0;
 };
 

@@ -54,16 +54,6 @@ void FillLpStats(const lp::LpSolution& lp, UmpStats* stats) {
   // problem size, so the worst solve is the meaningful one.
   stats->factor_nnz = std::max(stats->factor_nnz, lp.factor_nnz);
   stats->max_update_run = std::max(stats->max_update_run, lp.max_update_run);
-  // Sparse-kernel counters add; the mean reach re-weights by solve count.
-  const double reach_sum =
-      stats->mean_reach_fraction * static_cast<double>(stats->sparse_solves) +
-      lp.mean_reach_fraction * static_cast<double>(lp.sparse_solves);
-  stats->sparse_solves += lp.sparse_solves;
-  stats->sparse_ftran_hits += lp.sparse_ftran_hits;
-  stats->mean_reach_fraction =
-      stats->sparse_solves > 0
-          ? reach_sum / static_cast<double>(stats->sparse_solves)
-          : 0.0;
 }
 
 // Appends one <= row per DP constraint (rhs rebound per query) and records

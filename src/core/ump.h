@@ -142,13 +142,6 @@ struct UmpStats {
   // Longest run of basis updates between refactorizations across all LP
   // solves — how far apart the Forrest–Tomlin scheme pushes them.
   int max_update_run = 0;
-  // Hyper-sparse kernel health across all LP solves: pattern-driven
-  // FTRAN/BTRAN calls, how many stayed on the Gilbert–Peierls kernel end
-  // to end, and the mean fraction of rows a solve reached (weighted by
-  // solve count; 0.0 when the sparse path never ran).
-  uint64_t sparse_solves = 0;
-  uint64_t sparse_ftran_hits = 0;
-  double mean_reach_fraction = 0.0;
   double wall_seconds = 0.0;
 };
 

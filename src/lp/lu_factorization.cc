@@ -325,87 +325,20 @@ bool LuFactorization::Refactorize(const SparseMatrix& A,
   urows_ = std::move(urows);
   row_pos_.assign(m, -1);
   for (int k = 0; k < m; ++k) row_pos_[urows_[k].pivot_row] = k;
-  // L adjacency for the Gilbert–Peierls reach. Multiplier rows are always
-  // eliminated after the step that scatters into them, so both maps
-  // describe a DAG the symbolic pass can walk without cycle detection.
-  l_step_of_row_.assign(m, -1);
-  l_row_steps_.assign(m, {});
-  for (int k = 0; k < m; ++k) {
-    l_step_of_row_[lsteps_[k].pivot_row] = k;
-    for (const SparseEntry& e : lsteps_[k].multipliers) {
-      l_row_steps_[e.index].push_back(k);
-    }
-  }
-  mark_.assign(m, 0);
-  mark_epoch_ = 0;
-  reach_.clear();
   ft_etas_.clear();
   l_nnz_ = l_nnz;
   fresh_u_nnz_ = u_nnz;
   u_nnz_ = u_nnz;
   ft_nnz_ = 0;
-  updates_seq_.Clear();
   updates_ = 0;
   uhat_.assign(m, 0.0);
-  uhat_pat_.clear();
   spike_.assign(m, 0.0);
   for (int s : {0, 1}) {
-    ftran_partial_[s].values.clear();
-    ftran_partial_[s].pattern.clear();
-    ftran_partial_[s].pattern_valid = false;
-    ftran_result_[s].values.clear();
-    ftran_result_[s].pattern.clear();
-    ftran_result_[s].pattern_valid = false;
+    ftran_partial_[s].clear();
+    ftran_result_[s].clear();
   }
   basis = std::move(new_basis);
   return true;
-}
-
-size_t LuFactorization::ReachBound() const {
-  return static_cast<size_t>(hypersparse_threshold_ *
-                             static_cast<double>(m_));
-}
-
-void LuFactorization::StoreMemo(SparseVector& memo,
-                                const std::vector<double>& x,
-                                bool sparse) const {
-  if (!sparse) {
-    memo.values = x;
-    memo.pattern.clear();
-    memo.pattern_valid = false;
-    return;
-  }
-  // Pattern-restricted copy: re-zero whatever the slot held, then write
-  // the current reach. A slot last written densely has no trustworthy
-  // pattern, so it gets one full clear before rejoining the sparse regime.
-  if (memo.values.size() != x.size()) {
-    memo.values.assign(x.size(), 0.0);
-  } else if (memo.pattern_valid) {
-    for (int i : memo.pattern) memo.values[i] = 0.0;
-  } else {
-    std::fill(memo.values.begin(), memo.values.end(), 0.0);
-  }
-  memo.pattern.assign(reach_.begin(), reach_.end());
-  for (int i : reach_) memo.values[i] = x[i];
-  memo.pattern_valid = true;
-}
-
-bool LuFactorization::MemoMatches(const SparseVector& memo,
-                                  const std::vector<double>& w,
-                                  const std::vector<int>* w_pattern) {
-  if (memo.values.size() != w.size()) return false;  // consumed or stale
-  if (memo.pattern_valid && w_pattern != nullptr) {
-    // Outside both patterns both vectors are exactly zero, so equality
-    // over the union of patterns is equality everywhere.
-    for (int i : *w_pattern) {
-      if (memo.values[i] != w[i]) return false;
-    }
-    for (int i : memo.pattern) {
-      if (memo.values[i] != w[i]) return false;
-    }
-    return true;
-  }
-  return memo.values == w;
 }
 
 void LuFactorization::Ftran(std::vector<double>& v) const {
@@ -423,13 +356,10 @@ void LuFactorization::Ftran(std::vector<double>& v) const {
     for (const SparseEntry& e : eta.terms) s -= e.value * v[e.index];
     v[eta.row] = s;
   }
-  // Memo for UpdateForrestTomlin: v right here is the partial image U^-1
-  // still owes — exactly the û a pivot on this column would spike in.
-  const bool memo = update_kind_ == LuUpdateKind::kForrestTomlin;
-  if (memo) {
-    ftran_slot_ ^= 1;
-    StoreMemo(ftran_partial_[ftran_slot_], v, /*sparse=*/false);
-  }
+  // Memo for Update: v right here is the partial image U^-1 still owes —
+  // exactly the û a pivot on this column would spike in.
+  ftran_slot_ ^= 1;
+  ftran_partial_[ftran_slot_] = v;
   // U: back-substitute in reverse of the current step order (Forrest–Tomlin
   // updates reorder the rows but keep them triangular in that order).
   for (auto it = urows_.rbegin(); it != urows_.rend(); ++it) {
@@ -437,13 +367,10 @@ void LuFactorization::Ftran(std::vector<double>& v) const {
     for (const SparseEntry& e : it->entries) s -= e.value * v[e.index];
     v[it->pivot_row] = s / it->pivot;
   }
-  if (memo) StoreMemo(ftran_result_[ftran_slot_], v, /*sparse=*/false);
-  // Product-form updates on top.
-  updates_seq_.Ftran(v);
+  ftran_result_[ftran_slot_] = v;
 }
 
 void LuFactorization::Btran(std::vector<double>& v) const {
-  updates_seq_.Btran(v);
   // U^T: forward-substitute in the current step order.
   for (const URow& urow : urows_) {
     const double y = v[urow.pivot_row] / urow.pivot;
@@ -465,291 +392,6 @@ void LuFactorization::Btran(std::vector<double>& v) const {
   }
 }
 
-// Gilbert–Peierls FTRAN. Each factor half runs (1) a symbolic reach: from
-// the pattern's rows, walk the half's static dependency edges, marking
-// every row the numeric pass could write (the worklist doubles as the
-// accumulated pattern; marks make membership O(1)); then (2) a numeric
-// pass: the reach sorted into the dense kernel's application order, each
-// reached row updated by exactly the dense formula. Rows outside the
-// reach provably see only zero-valued inputs, so the dense kernel either
-// skips them (its own t == 0 guards) or writes them a zero whose sign may
-// differ — the single tolerated divergence. A reach that outgrows
-// hypersparse_threshold * m abandons the pattern: the remaining halves
-// run the dense loops and the call reports reach fraction 1.
-void LuFactorization::FtranSparse(SparseVector& v) const {
-  if (!v.pattern_valid) {
-    Ftran(v.values);
-    return;
-  }
-  ++kstats_.sparse_solves;
-  std::vector<double>& x = v.values;
-  if (SparseDormant()) {
-    Ftran(x);  // stores the FT memos itself
-    v.pattern.clear();
-    v.pattern_valid = false;
-    kstats_.reach_fraction_sum += 1.0;
-    return;
-  }
-  const size_t bound = ReachBound();
-  const bool memo = update_kind_ == LuUpdateKind::kForrestTomlin;
-
-  // --- L: reach down the multiplier DAG (edges go to later steps). ------
-  ++mark_epoch_;
-  reach_.clear();
-  for (int r : v.pattern) {
-    if (x[r] != 0.0) Visit(r);
-  }
-  for (size_t i = 0; i < reach_.size() && reach_.size() <= bound; ++i) {
-    for (const SparseEntry& e :
-         lsteps_[l_step_of_row_[reach_[i]]].multipliers) {
-      Visit(e.index);
-    }
-  }
-  if (reach_.size() > bound) {
-    // Nothing numeric has run yet — the whole solve goes dense.
-    Ftran(x);
-    v.pattern.clear();
-    v.pattern_valid = false;
-    kstats_.reach_fraction_sum += 1.0;
-    ++sparse_miss_streak_;
-    return;
-  }
-  std::sort(reach_.begin(), reach_.end(), [this](int a, int b) {
-    return l_step_of_row_[a] < l_step_of_row_[b];
-  });
-  for (int r : reach_) {
-    const double t = x[r];
-    if (t == 0.0) continue;
-    for (const SparseEntry& e : lsteps_[l_step_of_row_[r]].multipliers) {
-      x[e.index] -= e.value * t;
-    }
-  }
-
-  // Forrest–Tomlin row etas in append order. A run whose pivot row is
-  // outside the pattern and whose terms are all numerically absent can
-  // only write a zero — skip it without touching the pattern.
-  for (const RowEta& eta : ft_etas_) {
-    double s = x[eta.row];
-    bool touched = Marked(eta.row);
-    for (const SparseEntry& e : eta.terms) {
-      if (x[e.index] != 0.0) touched = true;
-      s -= e.value * x[e.index];
-    }
-    if (!touched) continue;
-    x[eta.row] = s;
-    Visit(eta.row);
-  }
-
-  if (memo) {
-    ftran_slot_ ^= 1;
-    StoreMemo(ftran_partial_[ftran_slot_], x, /*sparse=*/true);
-  }
-
-  // --- U: reach up the column occupancy (edges go to earlier positions).
-  // u_col_rows_ may list stale rows; spuriously reached rows just compute
-  // the same zero the dense pass would.
-  for (size_t i = 0; i < reach_.size() && reach_.size() <= bound; ++i) {
-    for (int pr : u_col_rows_[reach_[i]]) Visit(pr);
-  }
-  if (reach_.size() > bound) {
-    for (auto it = urows_.rbegin(); it != urows_.rend(); ++it) {
-      double s = x[it->pivot_row];
-      for (const SparseEntry& e : it->entries) s -= e.value * x[e.index];
-      x[it->pivot_row] = s / it->pivot;
-    }
-    if (memo) StoreMemo(ftran_result_[ftran_slot_], x, /*sparse=*/false);
-    updates_seq_.Ftran(x);
-    v.pattern.clear();
-    v.pattern_valid = false;
-    kstats_.reach_fraction_sum += 1.0;
-    ++sparse_miss_streak_;
-    return;
-  }
-  std::sort(reach_.begin(), reach_.end(), [this](int a, int b) {
-    return row_pos_[a] > row_pos_[b];
-  });
-  for (int r : reach_) {
-    const URow& row = urows_[row_pos_[r]];
-    double s = x[r];
-    for (const SparseEntry& e : row.entries) s -= e.value * x[e.index];
-    x[r] = s / row.pivot;
-  }
-  if (memo) StoreMemo(ftran_result_[ftran_slot_], x, /*sparse=*/true);
-
-  // Product-form updates (kProductForm only): the dense loop already
-  // skips absent pivots; just record the fill they scatter.
-  for (const Eta& eta : updates_seq_.etas()) {
-    const double t = x[eta.slot];
-    if (t == 0.0) continue;
-    const double scaled = t / eta.pivot;
-    x[eta.slot] = scaled;
-    for (const SparseEntry& e : eta.off) {
-      x[e.index] -= e.value * scaled;
-      Visit(e.index);
-    }
-  }
-
-  std::sort(reach_.begin(), reach_.end());
-  v.pattern.assign(reach_.begin(), reach_.end());
-  ++kstats_.sparse_hits;
-  sparse_miss_streak_ = 0;
-  kstats_.reach_fraction_sum +=
-      m_ > 0 ? static_cast<double>(reach_.size()) / m_ : 0.0;
-}
-
-// Gilbert–Peierls BTRAN: same scheme, transposed halves in reverse order.
-void LuFactorization::BtranSparse(SparseVector& v) const {
-  if (!v.pattern_valid) {
-    Btran(v.values);
-    return;
-  }
-  ++kstats_.sparse_solves;
-  std::vector<double>& x = v.values;
-  if (SparseDormant()) {
-    Btran(x);
-    v.pattern.clear();
-    v.pattern_valid = false;
-    kstats_.reach_fraction_sum += 1.0;
-    return;
-  }
-  const size_t bound = ReachBound();
-
-  ++mark_epoch_;
-  reach_.clear();
-  for (int r : v.pattern) {
-    if (x[r] != 0.0) Visit(r);
-  }
-
-  // Product-form updates transposed, reversed. The dense gather writes
-  // every slot unconditionally; one whose slot and terms are all
-  // numerically absent can only write a zero — skip it.
-  {
-    const auto etas = updates_seq_.etas();
-    for (auto it = etas.rbegin(); it != etas.rend(); ++it) {
-      double s = x[it->slot];
-      bool touched = Marked(it->slot);
-      for (const SparseEntry& e : it->off) {
-        if (x[e.index] != 0.0) touched = true;
-        s -= e.value * x[e.index];
-      }
-      if (!touched) continue;
-      x[it->slot] = s / it->pivot;
-      Visit(it->slot);
-    }
-  }
-
-  // --- Uᵀ: forward-substitute; a row's nonzero scatters into its own
-  // entries (later positions), so the reach follows the live row data.
-  for (size_t i = 0; i < reach_.size() && reach_.size() <= bound; ++i) {
-    for (const SparseEntry& e : urows_[row_pos_[reach_[i]]].entries) {
-      Visit(e.index);
-    }
-  }
-  if (reach_.size() > bound) {
-    for (const URow& urow : urows_) {
-      const double y = x[urow.pivot_row] / urow.pivot;
-      x[urow.pivot_row] = y;
-      if (y == 0.0) continue;
-      for (const SparseEntry& e : urow.entries) x[e.index] -= e.value * y;
-    }
-    for (auto it = ft_etas_.rbegin(); it != ft_etas_.rend(); ++it) {
-      const double t = x[it->row];
-      if (t == 0.0) continue;
-      for (const SparseEntry& e : it->terms) x[e.index] -= e.value * t;
-    }
-    for (auto it = lsteps_.rbegin(); it != lsteps_.rend(); ++it) {
-      double s = x[it->pivot_row];
-      for (const SparseEntry& e : it->multipliers) s -= e.value * x[e.index];
-      x[it->pivot_row] = s;
-    }
-    v.pattern.clear();
-    v.pattern_valid = false;
-    kstats_.reach_fraction_sum += 1.0;
-    ++sparse_miss_streak_;
-    return;
-  }
-  std::sort(reach_.begin(), reach_.end(), [this](int a, int b) {
-    return row_pos_[a] < row_pos_[b];
-  });
-  for (int r : reach_) {
-    const URow& row = urows_[row_pos_[r]];
-    const double y = x[r] / row.pivot;
-    x[r] = y;
-    if (y == 0.0) continue;
-    for (const SparseEntry& e : row.entries) x[e.index] -= e.value * y;
-  }
-
-  // FT row etas transposed, reversed — the dense loop already skips
-  // absent pivot rows; record the scattered fill.
-  for (auto it = ft_etas_.rbegin(); it != ft_etas_.rend(); ++it) {
-    const double t = x[it->row];
-    if (t == 0.0) continue;
-    for (const SparseEntry& e : it->terms) {
-      x[e.index] -= e.value * t;
-      Visit(e.index);
-    }
-  }
-
-  // --- Lᵀ: a nonzero row feeds every step that carries it as a
-  // multiplier (all earlier than the row's own step).
-  for (size_t i = 0; i < reach_.size() && reach_.size() <= bound; ++i) {
-    for (int s : l_row_steps_[reach_[i]]) Visit(lsteps_[s].pivot_row);
-  }
-  if (reach_.size() > bound) {
-    for (auto it = lsteps_.rbegin(); it != lsteps_.rend(); ++it) {
-      double s = x[it->pivot_row];
-      for (const SparseEntry& e : it->multipliers) s -= e.value * x[e.index];
-      x[it->pivot_row] = s;
-    }
-    v.pattern.clear();
-    v.pattern_valid = false;
-    kstats_.reach_fraction_sum += 1.0;
-    ++sparse_miss_streak_;
-    return;
-  }
-  std::sort(reach_.begin(), reach_.end(), [this](int a, int b) {
-    return l_step_of_row_[a] > l_step_of_row_[b];
-  });
-  for (int r : reach_) {
-    const LStep& step = lsteps_[l_step_of_row_[r]];
-    double s = x[r];
-    for (const SparseEntry& e : step.multipliers) s -= e.value * x[e.index];
-    x[r] = s;
-  }
-
-  std::sort(reach_.begin(), reach_.end());
-  v.pattern.assign(reach_.begin(), reach_.end());
-  ++kstats_.sparse_hits;
-  sparse_miss_streak_ = 0;
-  kstats_.reach_fraction_sum +=
-      m_ > 0 ? static_cast<double>(reach_.size()) / m_ : 0.0;
-}
-
-bool LuFactorization::Update(const std::vector<double>& w, int slot,
-                             double pivot_tol) {
-  if (std::abs(w[slot]) <= pivot_tol) return false;
-  if (update_kind_ == LuUpdateKind::kForrestTomlin) {
-    return UpdateForrestTomlin(w, nullptr, slot, pivot_tol);
-  }
-  updates_seq_.Append(w, slot);
-  ++updates_;
-  return true;
-}
-
-bool LuFactorization::UpdateSparse(const SparseVector& w, int slot,
-                                   double pivot_tol) {
-  if (std::abs(w.values[slot]) <= pivot_tol) return false;
-  if (update_kind_ == LuUpdateKind::kForrestTomlin) {
-    return UpdateForrestTomlin(
-        w.values, w.pattern_valid ? &w.pattern : nullptr, slot, pivot_tol);
-  }
-  // Product form is the oracle path; its eta harvest is a dense scan and
-  // stays one.
-  updates_seq_.Append(w.values, slot);
-  ++updates_;
-  return true;
-}
-
 // Forrest–Tomlin: replace the column of U in basis slot `slot` by the
 // entering column's partial FTRAN image û = U w (recovered from the full
 // image `w` by one sparse row-wise product — exact, since the solver's w is
@@ -760,9 +402,9 @@ bool LuFactorization::UpdateSparse(const SparseVector& w, int slot,
 // eta applied with L. Elimination writes only scratch until d is known, so
 // a too-small d rejects with the factors untouched and the caller
 // refactorizes cleanly.
-bool LuFactorization::UpdateForrestTomlin(const std::vector<double>& w,
-                                          const std::vector<int>* w_pattern,
-                                          int slot, double pivot_tol) {
+bool LuFactorization::Update(const std::vector<double>& w, int slot,
+                             double pivot_tol) {
+  if (std::abs(w[slot]) <= pivot_tol) return false;
   const int n = static_cast<int>(urows_.size());
   const int t = row_pos_[slot];
   PRIVSAN_CHECK(t >= 0 && t < n);
@@ -773,27 +415,17 @@ bool LuFactorization::UpdateForrestTomlin(const std::vector<double>& w,
   // delta) still leaves w's image in the other memo slot. No match in
   // either slot recovers û = U w by one row-wise product (exact: w is
   // B^-1 a_q under the current factors, so U w is the image after L and
-  // the row etas). uhat_ is all-zeros on entry; uhat_sparse tells the
-  // spread and the exit cleanup whether uhat_pat_ bounds its nonzeros.
+  // the row etas). Either way every entry of uhat_ is rewritten here.
   int hit = -1;
   for (int s : {ftran_slot_, ftran_slot_ ^ 1}) {
-    if (MemoMatches(ftran_result_[s], w, w_pattern)) {
+    if (ftran_result_[s] == w) {
       hit = s;
       break;
     }
   }
-  bool uhat_sparse = false;
   if (hit >= 0) {
-    uhat_.swap(ftran_partial_[hit].values);
-    uhat_pat_.swap(ftran_partial_[hit].pattern);
-    uhat_sparse = ftran_partial_[hit].pattern_valid;
-    // The partial slot now holds the old uhat_ — all zeros — so an empty
-    // valid pattern keeps its invariant and the next sparse store cheap.
-    ftran_partial_[hit].pattern.clear();
-    ftran_partial_[hit].pattern_valid = true;
-    ftran_result_[hit].values.clear();  // memo consumed
-    ftran_result_[hit].pattern.clear();
-    ftran_result_[hit].pattern_valid = false;
+    uhat_.swap(ftran_partial_[hit]);
+    ftran_result_[hit].clear();  // memo consumed
   } else {
     for (int k = 0; k < n; ++k) {
       const URow& row = urows_[k];
@@ -802,15 +434,6 @@ bool LuFactorization::UpdateForrestTomlin(const std::vector<double>& w,
       uhat_[row.pivot_row] = s;
     }
   }
-  // Restores the all-zeros invariant; every return below runs through it.
-  auto clear_uhat = [&] {
-    if (uhat_sparse) {
-      for (int pr : uhat_pat_) uhat_[pr] = 0.0;
-    } else {
-      std::fill(uhat_.begin(), uhat_.end(), 0.0);
-    }
-    uhat_pat_.clear();
-  };
 
   // Eliminate the leaving row's spike against the rows at later positions,
   // in position order (spike entries and their fill only ever sit in
@@ -839,10 +462,7 @@ bool LuFactorization::UpdateForrestTomlin(const std::vector<double>& w,
   }
   for (int idx : spike_touched) spike_[idx] = 0.0;
 
-  if (std::abs(d) <= pivot_tol) {
-    clear_uhat();
-    return false;  // nothing mutated
-  }
+  if (std::abs(d) <= pivot_tol) return false;  // nothing mutated
 
   // Commit. Drop the leaving column's entries from the earlier rows — the
   // occupancy list names them directly (validated: it may carry rows whose
@@ -867,35 +487,19 @@ bool LuFactorization::UpdateForrestTomlin(const std::vector<double>& w,
   for (int k = t; k < n - 1; ++k) row_pos_[urows_[k].pivot_row] = k;
 
   // Append the new row (bare diagonal — the spike eliminated away) and
-  // spread the entering column û over the surviving rows. A memoized
-  // sparse û spreads over its pattern only — each surviving row gains at
-  // most one entry either way, appended at its end, so the factors come
-  // out identical to the dense spread.
+  // spread the entering column û over the surviving rows.
   urows_.push_back(URow{slot, d, {}});
   row_pos_[slot] = n - 1;
   ++u_nnz_;
-  if (uhat_sparse) {
-    for (int pr : uhat_pat_) {
-      if (pr == slot) continue;
-      const double val = uhat_[pr];
-      if (val != 0.0) {
-        urows_[row_pos_[pr]].entries.push_back(SparseEntry{slot, val});
-        u_col_rows_[slot].push_back(pr);
-        ++u_nnz_;
-      }
-    }
-  } else {
-    for (int k = 0; k < n - 1; ++k) {
-      const int pr = urows_[k].pivot_row;
-      const double val = uhat_[pr];
-      if (val != 0.0) {
-        urows_[k].entries.push_back(SparseEntry{slot, val});
-        u_col_rows_[slot].push_back(pr);
-        ++u_nnz_;
-      }
+  for (int k = 0; k < n - 1; ++k) {
+    const int pr = urows_[k].pivot_row;
+    const double val = uhat_[pr];
+    if (val != 0.0) {
+      urows_[k].entries.push_back(SparseEntry{slot, val});
+      u_col_rows_[slot].push_back(pr);
+      ++u_nnz_;
     }
   }
-  clear_uhat();
 
   if (!terms.empty()) {
     ft_nnz_ += terms.size();

@@ -1,13 +1,5 @@
-// Sparse LU basis factorization with Markowitz pivot ordering.
-//
-// The eta file (lp/eta_file.h) is a product form of the inverse: every
-// factorization eta carries the *whole* transformed column, above and below
-// the pivot, and its static column ordering (ascending nonzero count)
-// ignores what elimination does to the rows. On the dense "bumps" the UMP
-// bases grow into at scale, that fill compounds — FTRAN/BTRAN cost is the
-// eta-file nonzero count, so fill is time.
-//
-// LuFactorization replaces it with a right-looking sparse LU:
+// Sparse LU basis factorization with Markowitz pivot ordering and
+// Forrest–Tomlin updates — the production BasisRep (lp/basis_rep.h).
 //
 //   * Markowitz pivot ordering — each elimination step picks the pivot
 //     (i, j) minimizing the fill bound (r_i - 1)(c_j - 1) over the active
@@ -18,35 +10,22 @@
 //   * threshold partial pivoting — a pivot must also satisfy
 //     |a_ij| >= markowitz_threshold * max_k |a_kj|, trading a bounded
 //     amount of stability for the freedom to chase sparsity,
-//   * simplex updates on top of the factors, in one of two forms
-//     (LuUpdateKind):
-//       - kForrestTomlin (default): the entering column's partial image
-//         û = U w replaces its column of U; the leaving row of U becomes a
-//         row spike that is eliminated against the later U rows, the
-//         multipliers recorded as one *row eta* applied with L. U stays
-//         upper triangular (in the maintained step order) and as sparse as
-//         the data allows across long pivot runs — per-update cost and
-//         growth are both fill-proportional.
-//       - kProductForm: each pivot appends one whole-column eta applied
-//         after the factors (the eta file's update rule). Retained as the
-//         test oracle and fallback.
+//   * Forrest–Tomlin updates — the entering column's partial image
+//     û = U w replaces its column of U; the leaving row of U becomes a row
+//     spike that is eliminated against the later U rows, the multipliers
+//     recorded as one *row eta* applied with L. U stays upper triangular
+//     (in the maintained step order) and as sparse as the data allows
+//     across long pivot runs — per-update cost and growth are both
+//     fill-proportional.
 //
 // Solves (B = P^T L U with the permutations carried in the step order):
 //   FTRAN  v := B^-1 v :  forward-apply the L multipliers in elimination
 //                         order, then the Forrest–Tomlin row etas in
-//                         append order, back-substitute U in the current
-//                         step order, then the product-form etas;
-//   BTRAN  v := B^-T v :  product-form etas reversed, forward-substitute
-//                         U^T, the FT row etas transposed in reverse, then
-//                         the L multipliers transposed in reverse.
-//
-// When the right-hand side carries a nonzero pattern (SparseVector), the
-// FtranSparse/BtranSparse overrides run each of those four halves
-// hyper-sparsely (Gilbert–Peierls): a symbolic reach over the static
-// factor graphs finds the entries the solve can touch, the numeric pass
-// applies only those, and the cost of a near-unit rho is the fill it
-// creates, not m. See the member documentation below for the bit-identity
-// contract with the dense kernels.
+//                         append order, then back-substitute U in the
+//                         current step order;
+//   BTRAN  v := B^-T v :  forward-substitute U^T, the FT row etas
+//                         transposed in reverse, then the L multipliers
+//                         transposed in reverse.
 //
 // Shares the BasisRep failure contract: a singular Refactorize() leaves
 // the previous factorization and `basis` untouched and reports the
@@ -59,67 +38,35 @@
 #define PRIVSAN_LP_LU_FACTORIZATION_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
-#include "lp/eta_file.h"
+#include "lp/basis_rep.h"
 #include "lp/sparse_matrix.h"
 
 namespace privsan {
 namespace lp {
 
-// How simplex pivots are folded into an existing LU factorization.
-enum class LuUpdateKind {
-  kForrestTomlin,  // update U in place + one row eta per pivot (default)
-  kProductForm,    // whole-column eta per pivot (oracle / fallback)
-};
-
 class LuFactorization : public BasisRep {
  public:
-  // `max_updates` / `growth_limit`: the refactorization policy, as in
-  // EtaFile (growth is measured as total nonzeros — factors, update fill,
-  // and eta entries — against the fresh factors). `markowitz_threshold` in
-  // (0, 1]: larger is more stable, smaller is sparser; 0.1 is the textbook
-  // default. `hypersparse_threshold`: FtranSparse/BtranSparse abandon the
-  // Gilbert–Peierls reach for a dense factor pass once the reach set grows
-  // past this fraction of m (0 disables the sparse kernel entirely).
+  // `max_updates` / `growth_limit`: the refactorization policy — fire after
+  // max_updates pivots, or once the total nonzeros (factors, FT update
+  // fill, and row-eta terms) exceed growth_limit x the fresh factors.
+  // `markowitz_threshold` in (0, 1]: larger is more stable, smaller is
+  // sparser; 0.1 is the textbook default.
   LuFactorization(int max_updates, double growth_limit,
-                  double markowitz_threshold = 0.1,
-                  LuUpdateKind update_kind = LuUpdateKind::kForrestTomlin,
-                  double hypersparse_threshold = 0.1)
+                  double markowitz_threshold = 0.1)
       : max_updates_(max_updates),
         growth_limit_(growth_limit),
-        markowitz_threshold_(markowitz_threshold),
-        hypersparse_threshold_(hypersparse_threshold),
-        update_kind_(update_kind) {}
+        markowitz_threshold_(markowitz_threshold) {}
 
   bool Refactorize(const SparseMatrix& A, std::vector<int>& basis) override;
   void Ftran(std::vector<double>& v) const override;
   void Btran(std::vector<double>& v) const override;
   bool Update(const std::vector<double>& w, int slot,
               double pivot_tol) override;
-  // Gilbert–Peierls hyper-sparse solves: a symbolic reach pass over the
-  // static factor dependency graphs (seeded by v's nonzero pattern) finds
-  // every entry the solve can touch, then the numeric pass applies exactly
-  // the dense kernel's updates restricted to that reach, in the dense
-  // kernel's order — results match Ftran/Btran bit for bit (the only
-  // permitted divergence is the sign of exact zeros, which operator==
-  // ignores). Falls back per factor half once the reach exceeds
-  // hypersparse_threshold * m; the pattern is invalidated from that point
-  // on and the call counts as a miss in kernel_stats().
-  void FtranSparse(SparseVector& v) const override;
-  void BtranSparse(SparseVector& v) const override;
-  // Forrest–Tomlin update that exploits w's pattern: the memo comparison,
-  // û recovery, and the spread of û over the surviving U rows all run over
-  // the pattern instead of m. Bit-identical to Update(w.values, ...).
-  bool UpdateSparse(const SparseVector& w, int slot,
-                    double pivot_tol) override;
-  KernelStats kernel_stats() const override { return kstats_; }
   int updates_since_refactor() const override { return updates_; }
   bool ShouldRefactor() const override;
   size_t nonzeros() const override { return total_nonzeros(); }
-
-  LuUpdateKind update_kind() const { return update_kind_; }
 
   // Nonzeros of the fresh L + U factors (the fill the Markowitz ordering
   // minimizes; excludes any update bookkeeping).
@@ -127,11 +74,9 @@ class LuFactorization : public BasisRep {
   // Current nonzeros of U alone, including Forrest–Tomlin update fill —
   // the quantity whose growth the FT update is built to contain.
   size_t u_nonzeros() const { return u_nnz_; }
-  // Everything FTRAN/BTRAN actually traverse: L, current U, FT row etas,
-  // and product-form update etas.
-  size_t total_nonzeros() const {
-    return l_nnz_ + u_nnz_ + ft_nnz_ + updates_seq_.nonzeros();
-  }
+  // Everything FTRAN/BTRAN actually traverse: L, current U, and the FT
+  // row etas.
+  size_t total_nonzeros() const { return l_nnz_ + u_nnz_ + ft_nnz_; }
 
  private:
   // One elimination step's L column: v[row] -= multiplier * v[pivot_row].
@@ -155,59 +100,11 @@ class LuFactorization : public BasisRep {
     std::vector<SparseEntry> terms;  // (pivot_row of eliminating U row, r)
   };
 
-  // `w_pattern` non-null: the caller vouches that every nonzero of w is
-  // listed in it (sorted, duplicate-free) and everything outside is +0.0.
-  bool UpdateForrestTomlin(const std::vector<double>& w,
-                           const std::vector<int>* w_pattern, int slot,
-                           double pivot_tol);
-
-  // Reach-set ceiling for the sparse solves (hypersparse_threshold * m).
-  size_t ReachBound() const;
-  // Adaptive hyper-sparsity detection: after kSparseDormancyMisses
-  // consecutive density fallbacks the symbolic pass is suspended — a
-  // basis whose dependency graph percolates caps out on every solve, and
-  // walking ReachBound() edges just to discover that again is the one way
-  // the sparse kernel can *lose* to the dense one. Suspended solves go
-  // straight dense (still counted as misses in kernel_stats()), except
-  // every kSparseProbeInterval-th, which re-probes so a basis drifting
-  // back into hyper-sparsity (e.g. after bound flips empty the work
-  // vectors) reactivates the kernel. Any hit resets the streak.
-  bool SparseDormant() const {
-    if (sparse_miss_streak_ < kSparseDormancyMisses) return false;
-    return ++dormant_clock_ % kSparseProbeInterval != 0;
-  }
-  // True when `i` was marked in the current reach epoch.
-  bool Marked(int i) const { return mark_[i] == mark_epoch_; }
-  // Marks `i` and appends it to the reach list if not already present.
-  void Visit(int i) const {
-    if (mark_[i] != mark_epoch_) {
-      mark_[i] = mark_epoch_;
-      reach_.push_back(i);
-    }
-  }
-  // Stores `x` restricted to `pattern` into a memo slot in O(|patterns|),
-  // or the whole vector when `sparse` is false.
-  void StoreMemo(SparseVector& memo, const std::vector<double>& x,
-                 bool sparse) const;
-  // Whether memo (a previous FTRAN result) equals w element for element —
-  // compared over the union of patterns when both are valid.
-  static bool MemoMatches(const SparseVector& memo,
-                          const std::vector<double>& w,
-                          const std::vector<int>* w_pattern);
-
   int m_ = 0;
   std::vector<LStep> lsteps_;   // in elimination order
   std::vector<URow> urows_;     // in *current* step order (FT reorders)
   std::vector<int> row_pos_;    // pivot_row -> position in urows_
   std::vector<RowEta> ft_etas_; // Forrest–Tomlin row etas, append order
-  // Static L adjacency for the Gilbert–Peierls reach (rebuilt per
-  // Refactorize; FT updates never touch L):
-  //   l_step_of_row_ : pivot row -> its elimination step (a bijection)
-  //   l_row_steps_   : row -> the steps carrying it as a multiplier, in
-  //                    ascending step order (each strictly before the
-  //                    row's own step — BTRAN's Lᵀ reach walks these).
-  std::vector<int> l_step_of_row_;
-  std::vector<std::vector<int>> l_row_steps_;
   // Column occupancy of U, keyed by the owning step's pivot_row: which
   // rows (by their pivot_row) hold a nonzero in that column. May carry
   // stale listings after a row is replaced — consumers re-validate against
@@ -218,36 +115,15 @@ class LuFactorization : public BasisRep {
   size_t fresh_u_nnz_ = 0;  // U nonzeros right after Refactorize()
   size_t u_nnz_ = 0;        // current U nonzeros (tracks FT fill)
   size_t ft_nnz_ = 0;       // row-eta terms
-  EtaSequence updates_seq_; // product-form updates (kProductForm only)
   int updates_ = 0;
   int max_updates_;
   double growth_limit_;
   double markowitz_threshold_;
-  double hypersparse_threshold_;
-  LuUpdateKind update_kind_;
 
   // Update-path scratch, sized at Refactorize (avoids per-pivot
-  // allocation). uhat_ is all-zeros between updates so a memo-hit update
-  // can spread û over just its pattern; uhat_pat_ remembers which entries
-  // to re-zero on exit.
+  // allocation). uhat_ holds û for the duration of one Update().
   mutable std::vector<double> uhat_;
-  mutable std::vector<int> uhat_pat_;
   mutable std::vector<double> spike_;
-  // Reach scratch for the sparse solves: an epoch-stamped mark array
-  // (Marked == "row is in the current pattern") and the worklist that
-  // doubles as the accumulated pattern. Bumping mark_epoch_ clears every
-  // mark in O(1).
-  mutable std::vector<int64_t> mark_;
-  mutable int64_t mark_epoch_ = 0;
-  mutable std::vector<int> reach_;
-  mutable KernelStats kstats_;
-  // Dormancy state (see SparseDormant); deliberately survives
-  // Refactorize — the reach is a property of the basis structure, which
-  // refactorization does not change.
-  static constexpr int kSparseDormancyMisses = 16;
-  static constexpr uint64_t kSparseProbeInterval = 64;
-  mutable int sparse_miss_streak_ = 0;
-  mutable uint64_t dormant_clock_ = 0;
   // Forrest–Tomlin FTRAN memo: the partial image (after L and the row
   // etas, before U back-substitution) and the final result of recent
   // Ftran() calls. When Update()'s w matches a slot's result element for
@@ -256,11 +132,9 @@ class LuFactorization : public BasisRep {
   // robin: the dual simplex FTRANs its combined bound-flip delta between
   // the entering column's FTRAN and the Update, so a single-slot memo
   // would miss on exactly the warm-start repair iterations that matter.
-  // No match anywhere falls back to computing U w directly. Sparse FTRANs
-  // store pattern-restricted copies, keeping the memo maintenance — like
-  // everything else on the hyper-sparse path — fill-proportional.
-  mutable SparseVector ftran_partial_[2];
-  mutable SparseVector ftran_result_[2];
+  // No match anywhere falls back to computing U w directly.
+  mutable std::vector<double> ftran_partial_[2];
+  mutable std::vector<double> ftran_result_[2];
   mutable int ftran_slot_ = 0;
 };
 

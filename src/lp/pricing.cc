@@ -179,22 +179,18 @@ DualPricer::Leaving DualPricer::ChooseLeaving(
   return leaving;
 }
 
-void DualPricer::OnPivot(const SparseVector& direction, int leaving_slot) {
+void DualPricer::OnPivot(std::span<const double> direction,
+                         int leaving_slot) {
   if (!devex_) return;
-  const std::vector<double>& dir = direction.values;
-  const double pivot = dir[leaving_slot];
+  const double pivot = direction[leaving_slot];
   const double gamma_r = weights_[leaving_slot];
   const double inv_pivot_sq = 1.0 / (pivot * pivot);
-  auto bump = [&](int i) {
-    if (i == leaving_slot || dir[i] == 0.0) return;
-    const double candidate = dir[i] * dir[i] * inv_pivot_sq * gamma_r;
+  const int m = static_cast<int>(direction.size());
+  for (int i = 0; i < m; ++i) {
+    const double di = direction[i];
+    if (i == leaving_slot || di == 0.0) continue;
+    const double candidate = di * di * inv_pivot_sq * gamma_r;
     if (candidate > weights_[i]) weights_[i] = candidate;
-  };
-  if (direction.pattern_valid) {
-    for (int i : direction.pattern) bump(i);
-  } else {
-    const int m = static_cast<int>(dir.size());
-    for (int i = 0; i < m; ++i) bump(i);
   }
   weights_[leaving_slot] = std::max(gamma_r * inv_pivot_sq, 1.0);
 }

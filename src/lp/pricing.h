@@ -103,10 +103,8 @@ class DualPricer {
                         std::span<const double> upper) const;
 
   // Dual Devex weight update from the FTRAN image of the entering column
-  // (`direction` = B^-1 A_entering) pivoting at `leaving_slot`. A valid
-  // pattern restricts the weight scan to the image's nonzero rows (the
-  // per-row max update is order-independent, so the result is identical).
-  void OnPivot(const SparseVector& direction, int leaving_slot);
+  // (`direction` = B^-1 A_entering) pivoting at `leaving_slot`.
+  void OnPivot(std::span<const double> direction, int leaving_slot);
 
  private:
   bool devex_ = true;

@@ -7,7 +7,7 @@
 namespace privsan {
 namespace lp {
 
-PrimalRatioChoice PrimalRatioTest(const SparseVector& direction,
+PrimalRatioChoice PrimalRatioTest(std::span<const double> dir,
                                   int direction_sign, double bound_flip_step,
                                   std::span<const int> basis,
                                   std::span<const double> x,
@@ -16,7 +16,6 @@ PrimalRatioChoice PrimalRatioTest(const SparseVector& direction,
                                   const SimplexOptions& options) {
   const double kInf = std::numeric_limits<double>::infinity();
   const int m = static_cast<int>(basis.size());
-  const std::vector<double>& dir = direction.values;
 
   // The step at which slot i's basic variable hits a bound; infinity when
   // it never blocks.
@@ -34,22 +33,11 @@ PrimalRatioChoice PrimalRatioTest(const SparseVector& direction,
     return kInf;
   };
 
-  // A slot outside the pattern has direction exactly 0.0 and never blocks,
-  // so both passes may restrict to the pattern; its ascending order keeps
-  // the pass-2 scan order identical to the dense loop.
-  const bool sparse = direction.pattern_valid;
-
   PrimalRatioChoice choice;
 
   // Pass 1: the tightest blocking step.
   double t_row_min = kInf;
-  if (sparse) {
-    for (int i : direction.pattern) {
-      t_row_min = std::min(t_row_min, row_ratio(i));
-    }
-  } else {
-    for (int i = 0; i < m; ++i) t_row_min = std::min(t_row_min, row_ratio(i));
-  }
+  for (int i = 0; i < m; ++i) t_row_min = std::min(t_row_min, row_ratio(i));
 
   if (!std::isfinite(t_row_min) && !std::isfinite(bound_flip_step)) {
     choice.unbounded = true;
@@ -64,9 +52,9 @@ PrimalRatioChoice PrimalRatioTest(const SparseVector& direction,
     const double window = t_row_min + std::max(1e-10, 1e-7 * t_row_min);
     double best_pivot = 0.0;
     int best_bv = std::numeric_limits<int>::max();
-    auto consider = [&](int i) {
+    for (int i = 0; i < m; ++i) {
       const double t = row_ratio(i);
-      if (t > window) return;
+      if (t > window) continue;
       const double pivot = std::abs(dir[i]);
       const bool take = bland ? basis[i] < best_bv : pivot > best_pivot;
       if (choice.leaving_row < 0 || take) {
@@ -76,11 +64,6 @@ PrimalRatioChoice PrimalRatioTest(const SparseVector& direction,
         choice.leaving_at_upper = direction_sign * dir[i] < 0.0;
         choice.step = std::min(t, bound_flip_step);
       }
-    };
-    if (sparse) {
-      for (int i : direction.pattern) consider(i);
-    } else {
-      for (int i = 0; i < m; ++i) consider(i);
     }
   }
   return choice;

@@ -47,11 +47,7 @@ struct PrimalRatioChoice {
 // `direction` is the FTRAN image B^-1 A_entering; `direction_sign` +1/-1 is
 // the travel direction; `bound_flip_step` is how far the entering variable
 // may travel before hitting its own opposite bound (infinity when none).
-// When the direction carries a valid pattern (hyper-sparse FTRAN) both
-// passes walk only the pattern — it is sorted ascending, so the Harris
-// pass-2 tie-break visits slots in the same order as the dense scan and
-// the choice is bit-identical.
-PrimalRatioChoice PrimalRatioTest(const SparseVector& direction,
+PrimalRatioChoice PrimalRatioTest(std::span<const double> direction,
                                   int direction_sign, double bound_flip_step,
                                   std::span<const int> basis,
                                   std::span<const double> x,

@@ -6,7 +6,7 @@
 #include <memory>
 #include <utility>
 
-#include "lp/eta_file.h"
+#include "lp/basis_rep.h"
 #include "lp/lu_factorization.h"
 #include "lp/presolve.h"
 #include "lp/pricing.h"
@@ -81,34 +81,6 @@ void SampleRepStats(Work& w) {
   w.factor_nnz = std::max(w.factor_nnz, w.rep->nonzeros());
 }
 
-// Copies the representation's cumulative hyper-sparse kernel counters into
-// a solution (one Work owns one representation, so a single read at the
-// end of the solve sees everything).
-void HarvestKernelStats(const Work& w, LpSolution& solution) {
-  if (w.rep == nullptr) return;
-  const BasisRep::KernelStats ks = w.rep->kernel_stats();
-  solution.sparse_solves = ks.sparse_solves;
-  solution.sparse_ftran_hits = ks.sparse_hits;
-  solution.mean_reach_fraction =
-      ks.sparse_solves > 0
-          ? ks.reach_fraction_sum / static_cast<double>(ks.sparse_solves)
-          : 0.0;
-}
-
-// Folds `other`'s sparse-kernel counters into `into` (retry and warm+cold
-// merges): counts add, the mean reach re-weights by solve count.
-void MergeKernelStats(LpSolution& into, const LpSolution& other) {
-  const double reach_sum =
-      into.mean_reach_fraction * static_cast<double>(into.sparse_solves) +
-      other.mean_reach_fraction * static_cast<double>(other.sparse_solves);
-  into.sparse_solves += other.sparse_solves;
-  into.sparse_ftran_hits += other.sparse_ftran_hits;
-  into.mean_reach_fraction =
-      into.sparse_solves > 0
-          ? reach_sum / static_cast<double>(into.sparse_solves)
-          : 0.0;
-}
-
 enum class PhaseStatus { kOptimal, kUnbounded, kIterationLimit, kSingular };
 enum class DualStatus {
   kOptimal,  // primal feasibility restored
@@ -119,45 +91,21 @@ enum class DualStatus {
 };
 
 std::unique_ptr<BasisRep> MakeBasisRep(const SimplexOptions& options) {
-  switch (options.basis_kind) {
-    case SimplexOptions::BasisKind::kDense:
-      return std::make_unique<DenseBasis>(options.refactor_max_updates);
-    case SimplexOptions::BasisKind::kEtaFile:
-      return std::make_unique<EtaFile>(options.refactor_max_updates,
-                                       options.refactor_growth);
-    case SimplexOptions::BasisKind::kLu:
-      break;
+  if (options.basis_kind == SimplexOptions::BasisKind::kDense) {
+    return std::make_unique<DenseBasis>(options.refactor_max_updates);
   }
-  const bool ft =
-      options.update_kind == SimplexOptions::UpdateKind::kForrestTomlin;
   // Forrest–Tomlin keeps U's fill near the data's, so the pivot-count cap
   // stops being the binding trigger: raise it 4x and let the measured
-  // nonzero growth (ShouldRefactor) govern. Product form keeps the
-  // original tuning — its eta file grows a column per pivot.
-  const int max_updates =
-      ft ? 4 * options.refactor_max_updates : options.refactor_max_updates;
-  return std::make_unique<LuFactorization>(
-      max_updates, options.refactor_growth, options.markowitz_threshold,
-      ft ? LuUpdateKind::kForrestTomlin : LuUpdateKind::kProductForm,
-      options.hypersparse_threshold);
+  // nonzero growth (ShouldRefactor) govern.
+  return std::make_unique<LuFactorization>(4 * options.refactor_max_updates,
+                                           options.refactor_growth,
+                                           options.markowitz_threshold);
 }
 
-// Applies fn(index, value) to every nonzero of v — over the pattern when
-// the kernel preserved one (the pattern is sorted, so the visit order
-// matches the dense ascending scan), else by scanning.
-template <typename Fn>
-void ForEachNonzero(const SparseVector& v, Fn&& fn) {
-  if (v.pattern_valid) {
-    for (int i : v.pattern) {
-      const double value = v.values[i];
-      if (value != 0.0) fn(i, value);
-    }
-  } else {
-    const int size = static_cast<int>(v.values.size());
-    for (int i = 0; i < size; ++i) {
-      const double value = v.values[i];
-      if (value != 0.0) fn(i, value);
-    }
+// x_B -= step * v over the nonzeros of an FTRAN image v (slot-indexed).
+void StepBasics(Work& w, const std::vector<double>& v, double step) {
+  for (int i = 0; i < w.m; ++i) {
+    if (v[i] != 0.0) w.x[w.basis[i]] -= step * v[i];
   }
 }
 
@@ -304,19 +252,17 @@ void ComputeReducedCosts(const Work& w, const std::vector<double>& cost,
 // (a partial sum cancelling to exactly 0.0 must not re-enter `touched` —
 // the incremental reduced-cost update would fire twice), and each matrix
 // entry costs a single random cache access.
-void ComputePivotRow(const Work& w, int slot, SparseVector& rho,
+void ComputePivotRow(const Work& w, int slot, std::vector<double>& rho,
                      std::vector<SparseAccumCell>& alpha,
                      std::vector<int>& touched, int64_t& epoch) {
   ++epoch;
   touched.clear();
-  rho.Clear();
-  rho.values[slot] = 1.0;
-  rho.pattern.push_back(slot);
-  w.rep->BtranSparse(rho);
-  // Accumulate over rho's pattern when the kernel kept one. The pattern is
-  // sorted ascending, so both the per-column accumulation order and the
-  // first-touch order of `touched` match the dense row scan exactly.
-  ForEachNonzero(rho, [&](int i, double r) {
+  std::fill(rho.begin(), rho.end(), 0.0);
+  rho[slot] = 1.0;
+  w.rep->Btran(rho);
+  for (int i = 0; i < w.m; ++i) {
+    const double r = rho[i];
+    if (r == 0.0) continue;
     for (const SparseEntry& e : w.cols.Row(i)) {
       SparseAccumCell& cell = alpha[e.index];
       if (cell.epoch != epoch) {
@@ -326,7 +272,7 @@ void ComputePivotRow(const Work& w, int slot, SparseVector& rho,
       }
       cell.value += r * e.value;
     }
-  });
+  }
 }
 
 // One simplex phase: minimize `cost` over the current basis until optimal.
@@ -339,10 +285,8 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
   const int m = w.m;
   const double kInf = std::numeric_limits<double>::infinity();
 
-  SparseVector direction;
-  direction.Reset(m);
-  SparseVector rho;
-  rho.Reset(m);
+  std::vector<double> direction(m);
+  std::vector<double> rho(m);
   // Reduced costs are maintained incrementally across pivots (the classic
   // d'_j = d_j - (d_q / alpha_q) alpha_j update, sharing the alpha row with
   // the Devex weight update) and recomputed exactly at refactorizations and
@@ -407,14 +351,12 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
     const int entering = choice.entering;
     const int direction_sign = choice.sign;
 
-    // FTRAN: direction = B^-1 A_entering, hyper-sparse when the column's
-    // reach is (the common case on warm sweeps).
-    direction.Clear();
+    // FTRAN: direction = B^-1 A_entering.
+    std::fill(direction.begin(), direction.end(), 0.0);
     for (const SparseEntry& e : w.cols.Column(entering)) {
-      direction.values[e.index] = e.value;
-      direction.pattern.push_back(e.index);
+      direction[e.index] = e.value;
     }
-    w.rep->FtranSparse(direction);
+    w.rep->Ftran(direction);
 
     // How far the entering variable can move before hitting its own bound
     // in the travel direction (finite even for a free-state variable with
@@ -450,7 +392,7 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
     // pivots are usually update-file noise, and treating noise as a pivot
     // corrupts the basis (it becomes singular in exact arithmetic).
     if (leaving_row >= 0 &&
-        std::abs(direction.values[leaving_row]) < options.stable_pivot_tol &&
+        std::abs(direction[leaving_row]) < options.stable_pivot_tol &&
         w.rep->updates_since_refactor() > 0) {
       if (!factorize()) return PhaseStatus::kSingular;
       continue;
@@ -468,9 +410,7 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
     if (leaving_row < 0) {
       // Bound flip: entering travels to its own bound; basis and reduced
       // costs unchanged.
-      ForEachNonzero(direction, [&](int i, double di) {
-        w.x[w.basis[i]] -= step * di;
-      });
+      StepBasics(w, direction, step);
       w.x[entering] = entering_bound;
       w.state[entering] = direction_sign > 0 ? kAtUpper : kAtLower;
       continue;
@@ -482,7 +422,7 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
 
     // Register the pivot before touching x/state so a failed update leaves
     // a consistent point to refactorize from.
-    if (!w.rep->UpdateSparse(direction, leaving_row, options.pivot_tol)) {
+    if (!w.rep->Update(direction, leaving_row, options.pivot_tol)) {
       if (++update_failures > 3 || !factorize()) {
         return PhaseStatus::kSingular;
       }
@@ -490,9 +430,7 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
     }
     update_failures = 0;
 
-    ForEachNonzero(direction, [&](int i, double di) {
-      w.x[w.basis[i]] -= step * di;
-    });
+    StepBasics(w, direction, step);
     w.x[entering] += step;
 
     const int leaving_var = w.basis[leaving_row];
@@ -508,7 +446,7 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
     w.state[entering] = kBasic;
 
     // Reduced-cost and Devex updates along the alpha row.
-    const double pivot = direction.values[leaving_row];
+    const double pivot = direction[leaving_row];
     const double theta_d = d[entering] / pivot;
     for (int j : alpha_touched) {
       if (w.state[j] == kBasic) continue;
@@ -539,10 +477,7 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
   const int64_t budget = options.warm_repair_pivot_cap > 0
                              ? options.warm_repair_pivot_cap
                              : 4 * static_cast<int64_t>(m) + 1000;
-  SparseVector rho, direction, flip_delta;
-  rho.Reset(m);
-  direction.Reset(m);
-  flip_delta.Reset(m);
+  std::vector<double> rho(m), direction(m), flip_delta(m);
   std::vector<SparseAccumCell> alpha(w.n_total);
   std::vector<int> alpha_touched;
   int64_t alpha_epoch = 0;
@@ -607,13 +542,12 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
     // stranded flips without the matching dual step would silently break
     // dual feasibility (flipped columns would sit on the wrong side of
     // their reduced cost).
-    direction.Clear();
+    std::fill(direction.begin(), direction.end(), 0.0);
     for (const SparseEntry& e : w.cols.Column(entering)) {
-      direction.values[e.index] = e.value;
-      direction.pattern.push_back(e.index);
+      direction[e.index] = e.value;
     }
-    w.rep->FtranSparse(direction);
-    const double pivot = direction.values[leaving_slot];
+    w.rep->Ftran(direction);
+    const double pivot = direction[leaving_slot];
     if (std::abs(pivot) <= options.pivot_tol ||
         (std::abs(pivot) < options.stable_pivot_tol &&
          w.rep->updates_since_refactor() > 0)) {
@@ -625,31 +559,26 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
 
     if (!ratio.bound_flips.empty()) {
       // Apply all queued flips with a single combined FTRAN. Flips do not
-      // change the basis, so `direction` above stays valid. The seed
-      // pattern may repeat indices across overlapping columns — the
-      // kernel deduplicates.
-      flip_delta.Clear();
+      // change the basis, so `direction` above stays valid.
+      std::fill(flip_delta.begin(), flip_delta.end(), 0.0);
       for (int j : ratio.bound_flips) {
         const double delta =
             w.state[j] == kAtLower ? w.ub[j] - w.lb[j] : w.lb[j] - w.ub[j];
         for (const SparseEntry& e : w.cols.Column(j)) {
-          flip_delta.values[e.index] += e.value * delta;
-          flip_delta.pattern.push_back(e.index);
+          flip_delta[e.index] += e.value * delta;
         }
         w.x[j] += delta;
         w.state[j] = w.state[j] == kAtLower ? kAtUpper : kAtLower;
       }
-      w.rep->FtranSparse(flip_delta);
-      ForEachNonzero(flip_delta, [&](int i, double fi) {
-        w.x[w.basis[i]] -= fi;
-      });
+      w.rep->Ftran(flip_delta);
+      StepBasics(w, flip_delta, 1.0);
     }
 
     const int leaving_var = w.basis[leaving_slot];
     const double target = below ? w.lb[leaving_var] : w.ub[leaving_var];
     const double dt = (w.x[leaving_var] - target) / pivot;
 
-    if (!w.rep->UpdateSparse(direction, leaving_slot, options.pivot_tol)) {
+    if (!w.rep->Update(direction, leaving_slot, options.pivot_tol)) {
       if (++update_failures > 3 || !factorize()) {
         return DualStatus::kSingular;
       }
@@ -660,9 +589,7 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
     // Dual Devex weights ride the same FTRAN column the pivot consumes.
     pricer.OnPivot(direction, leaving_slot);
 
-    ForEachNonzero(direction, [&](int i, double di) {
-      w.x[w.basis[i]] -= dt * di;
-    });
+    StepBasics(w, direction, dt);
     w.x[entering] += dt;
     w.x[leaving_var] = target;
     w.state[leaving_var] = below ? kAtLower : kAtUpper;
@@ -830,7 +757,6 @@ LpSolution BuildSolution(Work& w, const LpModel& model, SolveStatus status,
   solution.basis_repairs = w.basis_repairs;
   solution.factor_nnz = w.factor_nnz;
   solution.max_update_run = w.max_update_run;
-  HarvestKernelStats(w, solution);
   if (status != SolveStatus::kOptimal) return solution;
 
   solution.x.assign(w.x.begin(), w.x.begin() + w.n_struct);
@@ -1162,7 +1088,6 @@ LpSolution WarmSolveImpl(const LpModel& model, const SimplexOptions& options_,
     failed.repair_aborted = repair_aborted;
     failed.factor_nnz = w.factor_nnz;
     failed.max_update_run = w.max_update_run;
-    HarvestKernelStats(w, failed);
     return failed;
   };
 
@@ -1214,7 +1139,6 @@ LpSolution SolveWithRetry(const LpModel& model,
   second.factor_nnz = std::max(second.factor_nnz, first.factor_nnz);
   second.max_update_run = std::max(second.max_update_run,
                                    first.max_update_run);
-  MergeKernelStats(second, first);
   return second;
 }
 
@@ -1259,7 +1183,6 @@ LpSolution SimplexSolver::Solve(const LpModel& model,
   cold.factor_nnz = std::max(cold.factor_nnz, warm_counters.factor_nnz);
   cold.max_update_run =
       std::max(cold.max_update_run, warm_counters.max_update_run);
-  MergeKernelStats(cold, warm_counters);
   return cold;
 }
 

@@ -1,6 +1,6 @@
 // Two-phase sparse revised primal simplex with bounded variables, a
-// sparse LU (or eta-file) basis, Devex pricing in both phases, presolve,
-// and a dual-simplex warm start.
+// sparse LU basis, Devex pricing in both phases, presolve, and a
+// dual-simplex warm start.
 //
 // This is the LP engine behind all three utility-maximizing problems:
 // O-UMP and F-UMP are solved directly as LPs (with linear relaxation, as in
@@ -10,16 +10,16 @@
 // The engine is split into four modules; this file's SimplexSolver is the
 // iteration driver tying them together:
 //
-//  * Factorization (lp/lu_factorization.h, lp/eta_file.h): FTRAN/BTRAN/
+//  * Factorization (lp/basis_rep.h, lp/lu_factorization.h): FTRAN/BTRAN/
 //    UPDATE behind the BasisRep interface. The default is a sparse LU with
-//    Markowitz ordering and threshold partial pivoting, updated in product
-//    form; the pure product-form eta file remains selectable (fallback and
-//    test oracle), and a dense explicit inverse is the retry of last
-//    resort. Refactorization triggers on update-file growth or numerical
-//    drift (residual breach), never on a fixed iteration schedule. A
-//    *singular* refactorization no longer forces a cold solve: the
-//    dependent columns are swapped for the uncovered rows' slacks and the
-//    solve continues (SimplexOptions::repair_policy).
+//    Markowitz ordering and threshold partial pivoting, updated by
+//    Forrest–Tomlin; a dense explicit inverse is the retry of last resort
+//    (and the oracle the LU is tested against). Refactorization triggers
+//    on update-file growth or numerical drift (residual breach), never on
+//    a fixed iteration schedule. A *singular* refactorization no longer
+//    forces a cold solve: the dependent columns are swapped for the
+//    uncovered rows' slacks and the solve continues
+//    (SimplexOptions::repair_policy).
 //  * Pricing (lp/pricing.h): primal Devex over candidate-list partial
 //    pricing (full scans refill a small candidate list; optimality is only
 //    declared after a full scan of exact reduced costs), and dual Devex
@@ -96,31 +96,16 @@ struct SimplexOptions {
   // Degenerate pivots in a row before switching to Bland's rule.
   int bland_trigger = 64;
 
-  // Basis representation: sparse LU with Markowitz ordering (default),
-  // product-form eta file (fallback / test oracle), or dense inverse
-  // (numerical retry of last resort).
-  enum class BasisKind { kEtaFile, kDense, kLu };
+  // Basis representation: sparse LU with Markowitz ordering and
+  // Forrest–Tomlin updates (default), or dense inverse (numerical retry of
+  // last resort).
+  enum class BasisKind { kDense, kLu };
   BasisKind basis_kind = BasisKind::kLu;
 
   // Threshold partial pivoting parameter of the LU factorization, in
   // (0, 1]: a pivot must be at least this fraction of its column's largest
   // magnitude. Larger is more stable, smaller is sparser.
   double markowitz_threshold = 0.1;
-
-  // Hyper-sparse FTRAN/BTRAN switchover: the Gilbert–Peierls symbolic
-  // reach abandons the sparse kernel for the dense factor pass once the
-  // reach set exceeds this fraction of the row count (results are
-  // bit-identical either way — this is purely a cost crossover). 0
-  // disables the sparse path; only the LU representation honors it.
-  double hypersparse_threshold = 0.1;
-
-  // How the LU basis folds simplex pivots into the factors: Forrest–Tomlin
-  // (default — U updated in place plus one row eta per pivot, fill grows
-  // with the data, refactorizations spread far apart) or product-form
-  // (one whole-column eta per pivot; the update oracle). Ignored by the
-  // eta-file and dense representations.
-  enum class UpdateKind { kForrestTomlin, kProductForm };
-  UpdateKind update_kind = UpdateKind::kForrestTomlin;
 
   // Row/column equilibration (lp/scaling.h): iterative geometric-mean
   // scaling of the constraint matrix into roughly [1/16, 16] with
@@ -157,8 +142,8 @@ struct SimplexOptions {
   // Refactorization triggers (there is no fixed iteration cadence):
   // pivots since the last refactorization (this also bounds the staleness
   // of the incrementally-maintained reduced costs — keep it <= a few
-  // hundred). Under Forrest–Tomlin updates the count is a safety net only:
-  // the cap is raised 4x and measured fill growth governs instead.
+  // hundred). The LU basis treats the count as a safety net only: its cap
+  // is raised 4x and measured fill growth governs instead.
   int refactor_max_updates = 100;
   // ...update-file nonzeros versus the fresh factorization...
   double refactor_growth = 8.0;
@@ -218,14 +203,6 @@ struct LpSolution {
   // Longest run of basis updates between consecutive refactorizations —
   // how far apart the update scheme pushes them.
   int max_update_run = 0;
-  // Hyper-sparse kernel health: pattern-driven FTRAN/BTRAN calls, how many
-  // of them stayed on the Gilbert–Peierls kernel end to end (no density
-  // fallback), and the mean fraction of rows a solve actually reached
-  // (1.0 counts a fallback). Zero / 0.0 when the representation has no
-  // sparse kernel or the threshold disabled it.
-  uint64_t sparse_solves = 0;
-  uint64_t sparse_ftran_hits = 0;
-  double mean_reach_fraction = 0.0;
 };
 
 class SimplexSolver {

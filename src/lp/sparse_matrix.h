@@ -36,40 +36,6 @@ struct SparseAccumCell {
   int64_t epoch = 0;
 };
 
-// A dense work vector paired with an optional nonzero pattern, the currency
-// of the hyper-sparse FTRAN/BTRAN path (lp/lu_factorization). `values` is
-// always a full m-vector so dense consumers and dense fallbacks work
-// unchanged; when `pattern_valid` is set, every nonzero of `values` is
-// listed in `pattern` and every entry outside it is exactly +0.0. The
-// pattern may list zero-valued entries (cancellations) and, on input to the
-// kernel, duplicates; kernels deduplicate and return a sorted,
-// duplicate-free pattern so consumers iterating it visit entries in the
-// same ascending-index order a dense scan would.
-struct SparseVector {
-  std::vector<double> values;
-  std::vector<int> pattern;
-  bool pattern_valid = false;
-
-  // Sizes to dimension m, all zeros, empty valid pattern.
-  void Reset(int m) {
-    values.assign(m, 0.0);
-    pattern.clear();
-    pattern_valid = true;
-  }
-
-  // Re-zeros in O(|pattern|) when the pattern is valid (the hot path),
-  // leaving an empty valid pattern for the caller to seed.
-  void Clear() {
-    if (pattern_valid) {
-      for (int i : pattern) values[i] = 0.0;
-    } else {
-      values.assign(values.size(), 0.0);
-    }
-    pattern.clear();
-    pattern_valid = true;
-  }
-};
-
 // Immutable CSC + CSR matrix. Duplicate triplets are summed during
 // construction; explicit zeros are dropped.
 class SparseMatrix {

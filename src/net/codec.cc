@@ -27,7 +27,7 @@ constexpr uint64_t kMaxElements = 1ull << 26;
 // Conservative lower bounds on the wire size of compound elements, for
 // ReadBoundedCount: well under the true encoded sizes, so legitimate
 // payloads always pass.
-constexpr uint64_t kMinSolutionWireBytes = 64;  // true minimum is ~124
+constexpr uint64_t kMinSolutionWireBytes = 64;  // true minimum is ~100
 constexpr uint64_t kMinQueryWireBytes = 26;     // 2 doubles + u64 + 2 flags
 
 // Reads an element count and bounds it by the bytes actually remaining in
@@ -118,9 +118,6 @@ void WriteStats(std::ostream& out, const UmpStats& stats) {
   WriteScalar<int32_t>(out, stats.integer_fixed);
   WriteScalar<uint64_t>(out, static_cast<uint64_t>(stats.factor_nnz));
   WriteScalar<int32_t>(out, stats.max_update_run);
-  WriteScalar<uint64_t>(out, stats.sparse_solves);
-  WriteScalar<uint64_t>(out, stats.sparse_ftran_hits);
-  WriteScalar<double>(out, stats.mean_reach_fraction);
   WriteScalar<double>(out, stats.wall_seconds);
 }
 
@@ -146,9 +143,6 @@ Status ReadStats(std::istream& in, UmpStats* stats) {
   stats->factor_nnz = static_cast<size_t>(u64);
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &i32));
   stats->max_update_run = i32;
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->sparse_solves));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->sparse_ftran_hits));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->mean_reach_fraction));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->wall_seconds));
   return Status::OK();
 }
@@ -213,9 +207,6 @@ void WriteSweep(std::ostream& out, const SweepResult& sweep) {
   WriteScalar<int64_t>(out, sweep.repair_aborted);
   WriteScalar<uint64_t>(out, static_cast<uint64_t>(sweep.factor_nnz));
   WriteScalar<int32_t>(out, sweep.max_update_run);
-  WriteScalar<uint64_t>(out, sweep.sparse_solves);
-  WriteScalar<uint64_t>(out, sweep.sparse_ftran_hits);
-  WriteScalar<double>(out, sweep.mean_reach_fraction);
   WriteScalar<double>(out, sweep.wall_seconds);
 }
 
@@ -239,9 +230,6 @@ Result<SweepResult> ReadSweep(std::istream& in) {
   sweep.factor_nnz = static_cast<size_t>(u64);
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &i32));
   sweep.max_update_run = i32;
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &sweep.sparse_solves));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &sweep.sparse_ftran_hits));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &sweep.mean_reach_fraction));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &sweep.wall_seconds));
   return sweep;
 }
@@ -268,6 +256,7 @@ void WriteReport(std::ostream& out, const SanitizeReport& report) {
   WriteScalar<uint32_t>(out, report.audit.worst_user);
   WriteScalar<double>(out, report.audit.max_row_lhs);
   WriteScalar<double>(out, report.audit.budget);
+  WriteStats(out, report.stats);
   WriteScalar<double>(out, report.solve_seconds);
 }
 
@@ -309,6 +298,7 @@ Result<SanitizeReport> ReadReport(std::istream& in) {
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &report.audit.worst_user));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &report.audit.max_row_lhs));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &report.audit.budget));
+  PRIVSAN_RETURN_IF_ERROR(ReadStats(in, &report.stats));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &report.solve_seconds));
   return report;
 }
@@ -325,9 +315,6 @@ void WriteTenantStats(std::ostream& out, const serve::TenantStats& stats) {
   WriteScalar<uint64_t>(out, stats.refactorizations);
   WriteScalar<uint64_t>(out, stats.factor_nnz);
   WriteScalar<uint64_t>(out, stats.max_update_run);
-  WriteScalar<uint64_t>(out, stats.sparse_solves);
-  WriteScalar<uint64_t>(out, stats.sparse_ftran_hits);
-  WriteScalar<uint64_t>(out, stats.mean_reach_permille);
   WriteScalar<uint64_t>(out, stats.rows_copied);
   WriteScalar<uint64_t>(out, stats.rows_rebuilt);
   WriteScalar<uint64_t>(out, stats.refresh_solves);
@@ -354,9 +341,6 @@ Status ReadTenantStats(std::istream& in, serve::TenantStats* stats) {
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->refactorizations));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->factor_nnz));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->max_update_run));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->sparse_solves));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->sparse_ftran_hits));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->mean_reach_permille));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->rows_copied));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->rows_rebuilt));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->refresh_solves));

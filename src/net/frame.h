@@ -40,7 +40,8 @@ namespace net {
 
 // "PSNF" little-endian: 'P' is the first byte on the wire.
 constexpr uint32_t kFrameMagic = 0x464E5350u;
-constexpr uint8_t kProtocolVersion = 1;
+// Bumped on every payload layout change; peers must match exactly.
+constexpr uint8_t kProtocolVersion = 2;
 // Header bytes covered by `length` (magic..request_id).
 constexpr uint32_t kFrameHeaderBytes = 16;
 // Payload cap, mirroring the snapshot codec's element cap: a log big

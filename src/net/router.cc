@@ -131,21 +131,6 @@ Result<std::shared_ptr<Router::Backend>> Router::ConnectBackend(
       "privsan_router_backend_max_update_run",
       "Longest Forrest-Tomlin update run seen in this backend's replies.",
       labels);
-  backend->sparse_solves_total = registry_.GetCounter(
-      "privsan_router_backend_sparse_solves_total",
-      "Hyper-sparse FTRAN/BTRAN solves reported by this backend's "
-      "Solve/Sweep replies.",
-      labels);
-  backend->sparse_ftran_hits_total = registry_.GetCounter(
-      "privsan_router_backend_sparse_ftran_hits_total",
-      "Hyper-sparse solves that stayed sparse end to end, reported by "
-      "this backend's Solve/Sweep replies.",
-      labels);
-  backend->mean_reach_permille = registry_.GetGauge(
-      "privsan_router_backend_mean_reach_permille",
-      "Mean reach fraction (permille) of the backend's most recent "
-      "hyper-sparse Solve/Sweep reply.",
-      labels);
   backend->worker = std::thread([this, raw = backend.get()] {
     WorkerLoop(raw);
   });
@@ -163,46 +148,28 @@ void Router::StopBackend(Backend* backend) {
 
 namespace {
 
-// Updates a backend's kernel-health slots from one reply. Solve/Sweep
-// replies carry per-solve figures (counters add them); a Stats reply
-// carries the tenant's cumulative view (gauges only, or the counters
-// would double-count). The peak gauges race benignly across worker
-// threads — a lost max costs one scrape of staleness.
+// Raises a backend's kernel-health peaks from one reply: the per-solve
+// figures of a Solve or Sweep reply, or a Stats reply's cumulative tenant
+// view. The peak gauges race benignly across worker threads — a lost max
+// costs one scrape of staleness.
 void ObserveKernelHealth(obs::Gauge* factor_nnz, obs::Gauge* max_update_run,
-                         obs::Counter* sparse_solves,
-                         obs::Counter* sparse_hits, obs::Gauge* mean_reach,
                          const serve::ServeResponse& response) {
-  const auto bump_peak = [](obs::Gauge* gauge, double v) {
-    if (v > gauge->Value()) gauge->Set(v);
-  };
+  double nnz = 0.0;
+  double run = 0.0;
   if (const UmpSolution* s = response.solution()) {
-    bump_peak(factor_nnz, static_cast<double>(s->stats.factor_nnz));
-    bump_peak(max_update_run,
-              static_cast<double>(s->stats.max_update_run));
-    if (s->stats.sparse_solves > 0) {
-      sparse_solves->Increment(s->stats.sparse_solves);
-      sparse_hits->Increment(s->stats.sparse_ftran_hits);
-      mean_reach->Set(s->stats.mean_reach_fraction * 1000.0);
-    }
+    nnz = static_cast<double>(s->stats.factor_nnz);
+    run = static_cast<double>(s->stats.max_update_run);
+  } else if (const SweepResult* s = response.sweep()) {
+    nnz = static_cast<double>(s->factor_nnz);
+    run = static_cast<double>(s->max_update_run);
+  } else if (const serve::TenantStats* t = response.stats()) {
+    nnz = static_cast<double>(t->factor_nnz);
+    run = static_cast<double>(t->max_update_run);
+  } else {
     return;
   }
-  if (const SweepResult* s = response.sweep()) {
-    bump_peak(factor_nnz, static_cast<double>(s->factor_nnz));
-    bump_peak(max_update_run, static_cast<double>(s->max_update_run));
-    if (s->sparse_solves > 0) {
-      sparse_solves->Increment(s->sparse_solves);
-      sparse_hits->Increment(s->sparse_ftran_hits);
-      mean_reach->Set(s->mean_reach_fraction * 1000.0);
-    }
-    return;
-  }
-  if (const serve::TenantStats* t = response.stats()) {
-    bump_peak(factor_nnz, static_cast<double>(t->factor_nnz));
-    bump_peak(max_update_run, static_cast<double>(t->max_update_run));
-    if (t->sparse_solves > 0) {
-      mean_reach->Set(static_cast<double>(t->mean_reach_permille));
-    }
-  }
+  if (nnz > factor_nnz->Value()) factor_nnz->Set(nnz);
+  if (run > max_update_run->Value()) max_update_run->Set(run);
 }
 
 }  // namespace
@@ -216,14 +183,10 @@ void Router::Enqueue(Backend* backend, Job job) {
   job.respond = [inflight = backend->inflight,
                  factor_nnz = backend->factor_nnz,
                  max_update_run = backend->max_update_run,
-                 sparse_solves = backend->sparse_solves_total,
-                 sparse_hits = backend->sparse_ftran_hits_total,
-                 mean_reach = backend->mean_reach_permille,
                  inner = std::move(job.respond)](
                     serve::ServeResponse response) {
     inflight->Add(-1.0);
-    ObserveKernelHealth(factor_nnz, max_update_run, sparse_solves,
-                        sparse_hits, mean_reach, response);
+    ObserveKernelHealth(factor_nnz, max_update_run, response);
     inner(std::move(response));
   };
   {

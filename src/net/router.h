@@ -148,9 +148,6 @@ class Router {
     // backend individually.
     obs::Gauge* factor_nnz = nullptr;
     obs::Gauge* max_update_run = nullptr;
-    obs::Counter* sparse_solves_total = nullptr;
-    obs::Counter* sparse_ftran_hits_total = nullptr;
-    obs::Gauge* mean_reach_permille = nullptr;
   };
 
   void WorkerLoop(Backend* backend);

@@ -44,9 +44,6 @@ std::string FormatStats(const serve::TenantStats& stats) {
       << " refactorizations=" << stats.refactorizations
       << " factor_nnz=" << stats.factor_nnz
       << " max_update_run=" << stats.max_update_run
-      << " sparse_solves=" << stats.sparse_solves
-      << " sparse_ftran_hits=" << stats.sparse_ftran_hits
-      << " mean_reach_permille=" << stats.mean_reach_permille
       << " rows_copied=" << stats.rows_copied
       << " rows_rebuilt=" << stats.rows_rebuilt
       << " refresh_solves=" << stats.refresh_solves

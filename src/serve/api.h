@@ -177,7 +177,7 @@ struct TenantStats {
   // Flushes initiated by the service's maintenance thread (queue depth or
   // age trigger) rather than by an explicit Flush or a pre-solve flush.
   uint64_t maintenance_flushes = 0;
-  uint64_t solves = 0;  // solves executed (cache misses + sweeps)
+  uint64_t solves = 0;  // cache-missing Solves, Sweep cells, Sanitizes
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   // Warm solves whose dual repair hit SimplexOptions::warm_repair_pivot_cap
@@ -192,14 +192,6 @@ struct TenantStats {
   uint64_t refactorizations = 0;
   uint64_t factor_nnz = 0;
   uint64_t max_update_run = 0;
-  // Hyper-sparse FTRAN/BTRAN health across this tenant's solves:
-  // pattern-driven kernel calls, how many stayed sparse end to end (no
-  // density fallback), and the solve-count-weighted mean reach fraction in
-  // permille (uint64 so the Prometheus export table stays uniform — 83
-  // means a solve touched 8.3% of the rows on average).
-  uint64_t sparse_solves = 0;
-  uint64_t sparse_ftran_hits = 0;
-  uint64_t mean_reach_permille = 0;
   // From the session's last flush (core/session.h AppendStats).
   uint64_t rows_copied = 0;
   uint64_t rows_rebuilt = 0;

@@ -105,23 +105,22 @@ Status CheckLifecycle(const Tenant& tenant) {
   return Status::OK();
 }
 
-// Folds one solve/sweep's hyper-sparse kernel counters into the tenant's:
-// counts add, the mean reach (stored in permille so the Prometheus export
-// table stays all-uint64) re-weights by solve count. Caller holds cmu.
-void MergeSparseKernelStats(TenantStats& stats, uint64_t solves,
-                            uint64_t hits, double mean_reach_fraction) {
-  const double prev_sum = static_cast<double>(stats.mean_reach_permille) /
-                          1000.0 * static_cast<double>(stats.sparse_solves);
-  stats.sparse_solves += solves;
-  stats.sparse_ftran_hits += hits;
-  const double total =
-      prev_sum + mean_reach_fraction * static_cast<double>(solves);
-  stats.mean_reach_permille =
-      stats.sparse_solves > 0
-          ? static_cast<uint64_t>(
-                total / static_cast<double>(stats.sparse_solves) * 1000.0 +
-                0.5)
-          : 0;
+// Folds one solve's effort into the tenant's counters and the request's
+// trace. Every solve the service runs — a cache-missing Solve, each Sweep
+// cell, a Sanitize — goes through here. Caller holds cmu.
+void RecordSolve(TenantStats& stats, const UmpStats& solve,
+                 obs::RequestTrace* trace) {
+  ++stats.solves;
+  stats.repair_aborted += static_cast<uint64_t>(solve.repair_aborted);
+  stats.refactorizations += static_cast<uint64_t>(solve.refactorizations);
+  stats.factor_nnz =
+      std::max(stats.factor_nnz, static_cast<uint64_t>(solve.factor_nnz));
+  stats.max_update_run = std::max(
+      stats.max_update_run, static_cast<uint64_t>(solve.max_update_run));
+  if (trace != nullptr) {
+    trace->iterations += static_cast<uint64_t>(solve.simplex_iterations);
+    trace->repair_pivots += static_cast<uint64_t>(solve.dual_iterations);
+  }
 }
 
 }  // namespace
@@ -605,28 +604,9 @@ ServeResponse SanitizerService::Execute(Tenant& tenant, ServeRequest& request,
     if (!result.ok()) return {result.status(), {}};
     {
       std::lock_guard<std::mutex> lock(tenant.cmu);
-      tenant.stats.solves += result->cells.size();
-      tenant.stats.repair_aborted +=
-          static_cast<uint64_t>(result->repair_aborted);
       for (const UmpSolution& cell : result->cells) {
-        tenant.stats.refactorizations +=
-            static_cast<uint64_t>(cell.stats.refactorizations);
-        if (trace != nullptr) {
-          trace->iterations +=
-              static_cast<uint64_t>(cell.stats.simplex_iterations);
-          trace->repair_pivots +=
-              static_cast<uint64_t>(cell.stats.dual_iterations);
-        }
+        RecordSolve(tenant.stats, cell.stats, trace);
       }
-      tenant.stats.factor_nnz =
-          std::max(tenant.stats.factor_nnz,
-                   static_cast<uint64_t>(result->factor_nnz));
-      tenant.stats.max_update_run =
-          std::max(tenant.stats.max_update_run,
-                   static_cast<uint64_t>(result->max_update_run));
-      MergeSparseKernelStats(tenant.stats, result->sparse_solves,
-                             result->sparse_ftran_hits,
-                             result->mean_reach_fraction);
     }
     RefreshResidentBytes(tenant);
     return {Status::OK(), std::move(*result)};
@@ -649,7 +629,7 @@ ServeResponse SanitizerService::Execute(Tenant& tenant, ServeRequest& request,
     if (!report.ok()) return {report.status(), {}};
     {
       std::lock_guard<std::mutex> lock(tenant.cmu);
-      ++tenant.stats.solves;
+      RecordSolve(tenant.stats, report->stats, trace);
     }
     RefreshResidentBytes(tenant);
     return {Status::OK(), std::move(*report)};
@@ -808,28 +788,9 @@ ServeResponse SanitizerService::ExecuteSolve(Tenant& tenant,
   Result<UmpSolution> solution = tenant.session->Solve(objective, query);
   if (trace != nullptr) trace->solve_ms += ElapsedMs(solve_start);
   if (!solution.ok()) return {solution.status(), {}};
-  if (trace != nullptr) {
-    trace->iterations +=
-        static_cast<uint64_t>(solution->stats.simplex_iterations);
-    trace->repair_pivots +=
-        static_cast<uint64_t>(solution->stats.dual_iterations);
-  }
   {
     std::lock_guard<std::mutex> lock(tenant.cmu);
-    ++tenant.stats.solves;
-    tenant.stats.repair_aborted +=
-        static_cast<uint64_t>(solution->stats.repair_aborted);
-    tenant.stats.refactorizations +=
-        static_cast<uint64_t>(solution->stats.refactorizations);
-    tenant.stats.factor_nnz = std::max(
-        tenant.stats.factor_nnz,
-        static_cast<uint64_t>(solution->stats.factor_nnz));
-    tenant.stats.max_update_run = std::max(
-        tenant.stats.max_update_run,
-        static_cast<uint64_t>(solution->stats.max_update_run));
-    MergeSparseKernelStats(tenant.stats, solution->stats.sparse_solves,
-                           solution->stats.sparse_ftran_hits,
-                           solution->stats.mean_reach_fraction);
+    RecordSolve(tenant.stats, solution->stats, trace);
     if (cache_enabled) {
       if (tenant.cache_order.size() >= options_.result_cache_capacity) {
         const std::string& oldest = tenant.cache_order.front();
@@ -967,15 +928,6 @@ constexpr TenantStatField kTenantStatFields[] = {
      &TenantStats::refactorizations},
     {"privsan_tenant_factor_nnz", "Peak basis-factorization nonzeros",
      "gauge", &TenantStats::factor_nnz},
-    {"privsan_tenant_sparse_solves_total",
-     "Pattern-driven FTRAN/BTRAN solves (hyper-sparse kernel entered)",
-     "counter", &TenantStats::sparse_solves},
-    {"privsan_tenant_sparse_ftran_hits_total",
-     "Hyper-sparse solves that stayed sparse end to end (no fallback)",
-     "counter", &TenantStats::sparse_ftran_hits},
-    {"privsan_tenant_mean_reach_permille",
-     "Mean fraction of rows a hyper-sparse solve reached, in permille",
-     "gauge", &TenantStats::mean_reach_permille},
     {"privsan_tenant_max_update_run",
      "Longest Forrest-Tomlin update run between refactorizations", "gauge",
      &TenantStats::max_update_run},

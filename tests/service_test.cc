@@ -160,6 +160,25 @@ TEST(ServiceTest, CacheDisabledNeverHits) {
   EXPECT_EQ(stats.solves, 2u);
 }
 
+// Sanitize runs a UMP solve; its solver effort must reach the tenant's
+// counters like any Solve's, or STATS/METRICS under-report a tenant that
+// only ever releases.
+TEST(ServiceTest, SanitizeReachesSolverCounters) {
+  serve::SanitizerService service;
+  ASSERT_TRUE(service.CreateTenant("t", Synthetic(13)).ok());
+  const SanitizeReport report =
+      service.Sanitize("t", PrivacyParams::FromEEpsilon(2.0, 0.5)).value();
+  EXPECT_GT(report.stats.simplex_iterations, 0);
+  EXPECT_GT(report.stats.refactorizations, 0);
+
+  const serve::TenantStats stats = service.Stats("t").value();
+  EXPECT_EQ(stats.solves, 1u);
+  EXPECT_EQ(stats.refactorizations,
+            static_cast<uint64_t>(report.stats.refactorizations));
+  EXPECT_GT(stats.factor_nnz, 0u);
+  EXPECT_EQ(stats.factor_nnz, report.stats.factor_nnz);
+}
+
 TEST(ServiceTest, SweepThroughServiceMatchesSession) {
   const SearchLog raw = Synthetic(17);
   serve::SanitizerService service;

@@ -135,102 +135,37 @@ TEST_P(SimplexPropertyTest, OptimumCarriesKktCertificate) {
   ExpectKktCertificate(model, solution);
 }
 
-// Representation-equivalence harness: the Markowitz LU, the eta file, and
-// the dense explicit inverse are three representations of the same basis
-// algebra, so the solver must reach the same status and optimal objective
-// under each (and every optimum must itself carry a KKT certificate).
-// Covers LU-vs-dense and LU-vs-eta in one sweep over the random LP grid.
-TEST_P(SimplexPropertyTest, LuEtaAndDenseRepresentationsAgree) {
+// Representation equivalence: the Markowitz LU with Forrest–Tomlin updates
+// and the dense explicit inverse are two representations of the same basis
+// algebra driven by the identical pivot policy, so the solver must reach
+// the same status, optimal objective and — the perturbed costs make the
+// optimal vertex unique in all but pathological ties — the same solution
+// vector under each, and every optimum must carry its own KKT certificate.
+// This is the harness that pins the LU and its FT row-spike elimination to
+// the oracle.
+TEST_P(SimplexPropertyTest, LuAndDenseRepresentationsAgree) {
   LpModel model = MakeRandomPackingLp(GetParam());
   ASSERT_TRUE(model.Validate().ok());
 
   SimplexOptions lu_options;
   lu_options.basis_kind = SimplexOptions::BasisKind::kLu;
-  SimplexOptions eta_options;
-  eta_options.basis_kind = SimplexOptions::BasisKind::kEtaFile;
   SimplexOptions dense_options;
   dense_options.basis_kind = SimplexOptions::BasisKind::kDense;
 
   LpSolution lu = SimplexSolver(lu_options).Solve(model);
-  LpSolution eta = SimplexSolver(eta_options).Solve(model);
   LpSolution dense = SimplexSolver(dense_options).Solve(model);
-  ASSERT_EQ(lu.status, eta.status);
   ASSERT_EQ(lu.status, dense.status);
   if (lu.status == SolveStatus::kUnbounded) {
     GTEST_SKIP() << "generated LP was unbounded (uncovered column)";
   }
   ASSERT_EQ(lu.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(lu.objective, eta.objective, 1e-6);
   EXPECT_NEAR(lu.objective, dense.objective, 1e-6);
-  ExpectKktCertificate(model, lu);
-  ExpectKktCertificate(model, eta);
-  ExpectKktCertificate(model, dense);
-}
-
-// The identical pivot policy runs on both sides, so LU and eta do not just
-// agree on the objective: on these well-conditioned instances the primal
-// solution vectors agree to tight tolerance too.
-TEST_P(SimplexPropertyTest, LuMatchesEtaSolutionVector) {
-  LpModel model = MakeRandomPackingLp(GetParam());
-  ASSERT_TRUE(model.Validate().ok());
-
-  SimplexOptions lu_options;
-  lu_options.basis_kind = SimplexOptions::BasisKind::kLu;
-  SimplexOptions eta_options;
-  eta_options.basis_kind = SimplexOptions::BasisKind::kEtaFile;
-
-  LpSolution lu = SimplexSolver(lu_options).Solve(model);
-  LpSolution eta = SimplexSolver(eta_options).Solve(model);
-  ASSERT_EQ(lu.status, eta.status);
-  if (lu.status != SolveStatus::kOptimal) {
-    GTEST_SKIP() << "instance not optimal under both representations";
-  }
-  // The perturbed costs make the optimal vertex unique in all but
-  // pathological ties, so the representations land on the same point.
-  ASSERT_EQ(lu.x.size(), eta.x.size());
+  ASSERT_EQ(lu.x.size(), dense.x.size());
   for (size_t j = 0; j < lu.x.size(); ++j) {
-    EXPECT_NEAR(lu.x[j], eta.x[j], 1e-5) << "x component " << j;
+    EXPECT_NEAR(lu.x[j], dense.x[j], 1e-5) << "x component " << j;
   }
-}
-
-// Update-scheme equivalence: Forrest–Tomlin and product-form updates are
-// two ways of absorbing the same basis changes into the same Markowitz
-// factors, and the eta file is the update-only oracle. All three must march
-// the solver through the same pivots to the same vertex: equal status,
-// objective, and solution vector, with the FT optimum carrying its own KKT
-// certificate. This is the lockstep harness that pins the FT row-spike
-// elimination to the representations it replaced.
-TEST_P(SimplexPropertyTest, ForrestTomlinProductFormAndEtaLockstep) {
-  LpModel model = MakeRandomPackingLp(GetParam());
-  ASSERT_TRUE(model.Validate().ok());
-
-  SimplexOptions ft_options;
-  ft_options.basis_kind = SimplexOptions::BasisKind::kLu;
-  ft_options.update_kind = SimplexOptions::UpdateKind::kForrestTomlin;
-  SimplexOptions pfi_options;
-  pfi_options.basis_kind = SimplexOptions::BasisKind::kLu;
-  pfi_options.update_kind = SimplexOptions::UpdateKind::kProductForm;
-  SimplexOptions eta_options;
-  eta_options.basis_kind = SimplexOptions::BasisKind::kEtaFile;
-
-  LpSolution ft = SimplexSolver(ft_options).Solve(model);
-  LpSolution pfi = SimplexSolver(pfi_options).Solve(model);
-  LpSolution eta = SimplexSolver(eta_options).Solve(model);
-  ASSERT_EQ(ft.status, pfi.status);
-  ASSERT_EQ(ft.status, eta.status);
-  if (ft.status == SolveStatus::kUnbounded) {
-    GTEST_SKIP() << "generated LP was unbounded (uncovered column)";
-  }
-  ASSERT_EQ(ft.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(ft.objective, pfi.objective, 1e-6);
-  EXPECT_NEAR(ft.objective, eta.objective, 1e-6);
-  ASSERT_EQ(ft.x.size(), pfi.x.size());
-  ASSERT_EQ(ft.x.size(), eta.x.size());
-  for (size_t j = 0; j < ft.x.size(); ++j) {
-    EXPECT_NEAR(ft.x[j], pfi.x[j], 1e-5) << "x component " << j;
-    EXPECT_NEAR(ft.x[j], eta.x[j], 1e-5) << "x component " << j;
-  }
-  ExpectKktCertificate(model, ft);
+  ExpectKktCertificate(model, lu);
+  ExpectKktCertificate(model, dense);
 }
 
 std::vector<RandomLpSpec> MakeSpecs() {

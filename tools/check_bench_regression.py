@@ -84,21 +84,12 @@ METRIC_RULES = {
     "updated_nnz": ("low", DEFAULT_TOL),
     # Update-run records (same bench): u_nnz is the nonzeros an update run
     # adds on top of the fresh factors — the Forrest–Tomlin scheme exists
-    # to keep it below the product-form eta count, so growth is a real
-    # update-kernel regression. update_run_len is how many updates the
+    # to keep it near the spike fill, so growth is a real update-kernel
+    # regression. update_run_len is how many updates the
     # default growth policy sustains before refactorizing; shrinking runs
     # mean the retuned refactorization trigger lost its headroom.
     "u_nnz": ("low", DEFAULT_TOL),
     "update_run_len": ("high", DEFAULT_TOL),
-    # Hyper-sparse kernel health (same bench, update_run records). The rng
-    # seeds are fixed so these are deterministic: a growing reach_fraction
-    # or rho_nnz means the Gilbert-Peierls reach started touching rows it
-    # used not to (a symbolic-pass regression); a falling sparse_hit_rate
-    # means solves that used to stay on the pattern-driven kernel now fall
-    # back dense.
-    "reach_fraction": ("low", DEFAULT_TOL),
-    "rho_nnz": ("low", DEFAULT_TOL),
-    "sparse_hit_rate": ("high", DEFAULT_TOL),
     # Distances: smaller is better utility-wise.
     "distance_sum": ("low", DEFAULT_TOL),
     "distance_sum_lp": ("low", DEFAULT_TOL),
