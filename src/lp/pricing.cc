@@ -26,116 +26,63 @@ double PriceColumn(const PricingView& view, int j, int& sign) {
 
 // ---- PrimalPricer -----------------------------------------------------------
 
-PrimalPricer::PrimalPricer(int n_total, const SimplexOptions& options)
-    : n_total_(n_total),
-      candidate_list_size_(std::max(8, options.candidate_list_size)),
-      gamma_(n_total, 1.0) {}
+PrimalPricer::PrimalPricer(int n_total) : gamma_(n_total, 1.0) {}
 
 void PrimalPricer::ResetReference() {
   std::fill(gamma_.begin(), gamma_.end(), 1.0);
-  candidates_.clear();
-  refill_best_score_ = 0.0;
-  minor_iterations_ = 0;
-}
-
-// Full scan by Devex score; refills the candidate list with the top scorers
-// and returns the best.
-PrimalPricer::Choice PrimalPricer::Refill(const PricingView& view) {
-  struct Cand {
-    double score;
-    int j;
-    int sign;
-  };
-  std::vector<Cand> found;
-  Choice choice;
-  double best = 0.0;
-  for (int j = 0; j < n_total_; ++j) {
-    int sign = 0;
-    const double violation = PriceColumn(view, j, sign);
-    if (sign == 0) continue;
-    const double score = violation * violation / gamma_[j];
-    found.push_back(Cand{score, j, sign});
-    if (score > best) {
-      best = score;
-      choice.entering = j;
-      choice.sign = sign;
-    }
-  }
-  const size_t keep = static_cast<size_t>(candidate_list_size_);
-  if (found.size() > keep) {
-    std::nth_element(
-        found.begin(), found.begin() + keep, found.end(),
-        [](const Cand& a, const Cand& b) { return a.score > b.score; });
-    found.resize(keep);
-  }
-  candidates_.clear();
-  for (const Cand& c : found) candidates_.push_back(c.j);
-  refill_best_score_ = best;
-  minor_iterations_ = 0;
-  return choice;
 }
 
 PrimalPricer::Choice PrimalPricer::ChooseEntering(const PricingView& view,
-                                                  bool allow_partial,
-                                                  bool bland) {
-  if (bland) {
-    // First improving index — guarantees termination under degeneracy.
-    Choice choice;
-    for (int j = 0; j < n_total_; ++j) {
-      int sign = 0;
-      if (PriceColumn(view, j, sign) > 0.0) {
-        choice.entering = j;
-        choice.sign = sign;
-        return choice;
-      }
-    }
-    return choice;
-  }
-  if (!allow_partial) return Refill(view);
-
-  // Minor iteration: re-price only the candidate list. Refill when the
-  // list drains, after candidate_list_size pivots (classic multiple
-  // pricing), or when the surviving candidates' scores have decayed to
-  // noise next to what the last full scan saw — stale candidates under
-  // degeneracy are worse than the O(n) scan they save.
+                                                  bool bland) const {
   Choice choice;
   double best = 0.0;
-  size_t out = 0;
-  for (size_t k = 0; k < candidates_.size(); ++k) {
-    const int j = candidates_[k];
+  const int n = static_cast<int>(gamma_.size());
+  for (int j = 0; j < n; ++j) {
     int sign = 0;
     const double violation = PriceColumn(view, j, sign);
     if (sign == 0) continue;
-    candidates_[out++] = j;
+    if (bland) return Choice{j, sign};  // termination under degeneracy
     const double score = violation * violation / gamma_[j];
     if (score > best) {
       best = score;
-      choice.entering = j;
-      choice.sign = sign;
+      choice = Choice{j, sign};
     }
-  }
-  candidates_.resize(out);
-  ++minor_iterations_;
-  if (choice.entering < 0 || minor_iterations_ >= candidate_list_size_ ||
-      best < 0.05 * refill_best_score_) {
-    choice = Refill(view);
   }
   return choice;
 }
 
-void PrimalPricer::OnPivot(const PricingView& view, int entering,
-                           int leaving_var, double pivot,
-                           std::span<const int> alpha_touched,
-                           const std::vector<SparseAccumCell>& alpha) {
+PrimalPricer::Choice PrimalPricer::PriceAfterPivot(
+    const SparseMatrix& a, const std::vector<double>& rho,
+    const PricingView& view, int entering, int leaving_var, double pivot) {
+  std::span<double> d = view.reduced_costs;
+  const double theta_d = d[entering] / pivot;
   const double gamma_q = gamma_[entering];
   const double inv_pivot_sq = 1.0 / (pivot * pivot);
-  for (int j : alpha_touched) {
-    if (view.state[j] == VarStatus::kBasic) continue;
-    const double candidate_weight =
-        alpha[j].value * alpha[j].value * inv_pivot_sq * gamma_q;
-    if (candidate_weight > gamma_[j]) gamma_[j] = candidate_weight;
-  }
+  d[entering] = 0.0;
+  d[leaving_var] = -theta_d;
   gamma_[leaving_var] = std::max(gamma_q * inv_pivot_sq, 1.0);
+
+  Choice choice;
+  double best = 0.0;
+  const int n = static_cast<int>(gamma_.size());
+  for (int j = 0; j < n; ++j) {
+    if (view.state[j] == VarStatus::kBasic) continue;
+    if (j != leaving_var) {
+      const double alpha = a.ColumnDot(j, rho);
+      d[j] -= theta_d * alpha;
+      const double weight = alpha * alpha * inv_pivot_sq * gamma_q;
+      if (weight > gamma_[j]) gamma_[j] = weight;
+    }
+    int sign = 0;
+    const double violation = PriceColumn(view, j, sign);
+    if (sign == 0) continue;
+    const double score = violation * violation / gamma_[j];
+    if (score > best) {
+      best = score;
+      choice = Choice{j, sign};
+    }
+  }
+  return choice;
 }
 
 // ---- DualPricer -------------------------------------------------------------

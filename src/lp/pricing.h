@@ -1,11 +1,15 @@
 // Pricing for the revised simplex — who enters (primal) and who leaves
 // (dual), split out of the iteration driver in lp/simplex.cc.
 //
-//   * PrimalPricer — Devex reference weights over the columns with
-//     candidate-list partial pricing (multiple pricing): a full scan by
-//     Devex score refills a small candidate list, minor iterations re-price
-//     only the candidates, and a Bland mode (first improving index, full
-//     scan) guarantees termination under degeneracy.
+//   * PrimalPricer — full Devex pricing fused with PRICE. After each basis
+//     change one pass over the nonbasic columns computes the pivot row
+//     entry alpha_j = A_j^T rho (rho = B^-T e_r), applies the reduced-cost
+//     and Devex reference-weight updates, and prices the column, so the
+//     next entering column (best violation^2 / weight, lowest index on
+//     ties) comes out of the same walk over A. A standalone full scan
+//     serves the iterations no pass preceded (after a reduced-cost
+//     refresh, a bound flip or a rejected pivot), and a Bland mode (first
+//     improving index) guarantees termination under degeneracy.
 //   * DualPricer — the dual simplex's leaving-row choice. Largest bound
 //     violation is the legacy rule; the default is dual Devex: row weights
 //     approximating the steepest-edge norms ||e_i^T B^-1||^2, updated from
@@ -14,11 +18,11 @@
 //     and post-append warm starts this cuts the pivot count the same way
 //     primal Devex does on cold solves.
 //
-// Both pricers hold only pricing state (weights, candidate list); the
-// reduced costs, the basis, and the bound data stay in the driver and are
-// passed in by view. ResetReference() must be called whenever the driver
-// recomputes reduced costs exactly (refactorizations, phase switches) —
-// the Devex reference framework moves with them.
+// Both pricers hold only their weights; the reduced costs, the basis, and
+// the bound data stay in the driver and are passed in by view.
+// ResetReference() must be called whenever the driver recomputes reduced
+// costs exactly (refactorizations, phase switches) — the Devex reference
+// framework moves with them.
 #ifndef PRIVSAN_LP_PRICING_H_
 #define PRIVSAN_LP_PRICING_H_
 
@@ -31,9 +35,10 @@
 namespace privsan {
 namespace lp {
 
-// The per-column data one pricing pass reads.
+// The per-column data pricing reads. PrimalPricer::PriceAfterPivot also
+// updates `reduced_costs` in place.
 struct PricingView {
-  std::span<const double> reduced_costs;  // maintained d, one per variable
+  std::span<double> reduced_costs;  // maintained d, one per variable
   std::span<const VarStatus> state;
   std::span<const double> lower, upper;
   double optimality_tol = 0.0;
@@ -45,10 +50,10 @@ double PriceColumn(const PricingView& view, int j, int& sign);
 
 class PrimalPricer {
  public:
-  PrimalPricer(int n_total, const SimplexOptions& options);
+  explicit PrimalPricer(int n_total);
 
   // The reduced costs were recomputed exactly: reset the Devex reference
-  // framework and drop the (now stale) candidate list.
+  // framework.
   void ResetReference();
 
   struct Choice {
@@ -56,30 +61,27 @@ class PrimalPricer {
     int sign = 0;
   };
 
-  // Picks the entering column off the maintained reduced costs.
-  // `allow_partial` enables candidate-list minor iterations (the driver
-  // disables them during degenerate stalls); `bland` switches to the first
-  // improving index (full scan).
-  Choice ChooseEntering(const PricingView& view, bool allow_partial,
-                        bool bland);
+  // Full scan of the maintained reduced costs: the best Devex score
+  // (lowest index on ties), or under `bland` the first improving index.
+  Choice ChooseEntering(const PricingView& view, bool bland) const;
 
-  // Devex weight update along the pivot row after `entering` replaced
-  // `leaving_var` with pivot element `pivot`. `alpha_touched`/`alpha` are
-  // the pivot row's computed entries; `view.state` must already reflect the
-  // post-pivot statuses.
-  void OnPivot(const PricingView& view, int entering, int leaving_var,
-               double pivot, std::span<const int> alpha_touched,
-               const std::vector<SparseAccumCell>& alpha);
+  // The fused PRICE pass after `entering` replaced `leaving_var` with pivot
+  // element `pivot`. `rho` is B^-T e_r against the basis before the swap;
+  // `view.state` already reflects the swap. For every nonbasic column j it
+  // computes alpha_j = A_j^T rho (entries summed in row order), applies
+  // d_j -= (d_q / pivot) alpha_j and the Devex update
+  // w_j = max(w_j, (alpha_j / pivot)^2 w_q), and prices j; the result
+  // equals ChooseEntering(view, false) on the updated values.
+  Choice PriceAfterPivot(const SparseMatrix& a,
+                         const std::vector<double>& rho,
+                         const PricingView& view, int entering,
+                         int leaving_var, double pivot);
+
+  // Devex reference weights, one per variable.
+  std::span<const double> weights() const { return gamma_; }
 
  private:
-  Choice Refill(const PricingView& view);
-
-  int n_total_;
-  int candidate_list_size_;
-  std::vector<double> gamma_;   // Devex reference weights
-  std::vector<int> candidates_;
-  double refill_best_score_ = 0.0;  // best Devex score at the last refill
-  int minor_iterations_ = 0;        // pivots since the last refill
+  std::vector<double> gamma_;
 };
 
 class DualPricer {

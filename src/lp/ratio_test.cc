@@ -69,8 +69,7 @@ PrimalRatioChoice PrimalRatioTest(std::span<const double> dir,
   return choice;
 }
 
-DualRatioChoice DualRatioTest(std::span<const int> alpha_touched,
-                              const std::vector<SparseAccumCell>& alpha,
+DualRatioChoice DualRatioTest(std::span<const double> alpha,
                               std::span<const double> reduced_costs,
                               std::span<const VarStatus> state,
                               std::span<const double> lower,
@@ -82,11 +81,12 @@ DualRatioChoice DualRatioTest(std::span<const int> alpha_touched,
     double abs_alpha;
     int j;
   };
-  std::vector<DualCand> eligible;
-  for (int j : alpha_touched) {
+  std::vector<DualCand> heap;
+  const int n = static_cast<int>(state.size());
+  for (int j = 0; j < n; ++j) {
     const VarStatus st = state[j];
     if (st == VarStatus::kBasic || lower[j] == upper[j]) continue;
-    const double a = alpha[j].value;
+    const double a = alpha[j];
     if (std::abs(a) <= options.pivot_tol) continue;
     bool ok;
     if (st == VarStatus::kFree) {
@@ -99,36 +99,35 @@ DualRatioChoice DualRatioTest(std::span<const int> alpha_touched,
       ok = st == VarStatus::kAtLower ? a > 0.0 : a < 0.0;
     }
     if (!ok) continue;
-    eligible.push_back(
+    heap.push_back(
         DualCand{std::abs(reduced_costs[j]) / std::abs(a), std::abs(a), j});
   }
+  // Min-heap on (ratio, -|alpha|, j): `later(a, b)` holds when a pops after b.
+  auto later = [](const DualCand& a, const DualCand& b) {
+    if (a.ratio != b.ratio) return a.ratio > b.ratio;
+    if (a.abs_alpha != b.abs_alpha) return a.abs_alpha < b.abs_alpha;
+    return a.j > b.j;
+  };
+  std::make_heap(heap.begin(), heap.end(), later);
   DualRatioChoice choice;
-  if (eligible.empty()) return choice;  // Farkas: primal infeasible
-  std::sort(eligible.begin(), eligible.end(),
-            [](const DualCand& a, const DualCand& b) {
-              if (a.ratio != b.ratio) return a.ratio < b.ratio;
-              return a.abs_alpha > b.abs_alpha;
-            });
   double remaining = violation;
-  size_t flip_end = 0;  // eligible[0..flip_end) bound-flip
-  for (size_t k = 0; k < eligible.size(); ++k) {
-    const int j = eligible[k].j;
-    const double capacity = state[j] == VarStatus::kFree
+  for (auto end = heap.end(); end != heap.begin(); --end) {
+    std::pop_heap(heap.begin(), end, later);
+    const DualCand& c = *(end - 1);
+    const double capacity = state[c.j] == VarStatus::kFree
                                 ? std::numeric_limits<double>::infinity()
-                                : eligible[k].abs_alpha * (upper[j] - lower[j]);
+                                : c.abs_alpha * (upper[c.j] - lower[c.j]);
     if (capacity < remaining) {
       remaining -= capacity;
-      flip_end = k + 1;
-    } else {
-      choice.entering = j;
-      break;
+      choice.bound_flips.push_back(c.j);
+      continue;
     }
+    choice.entering = c.j;
+    return choice;
   }
-  if (choice.entering < 0) return choice;  // flips alone cannot absorb it
-  choice.bound_flips.reserve(flip_end);
-  for (size_t k = 0; k < flip_end; ++k) {
-    choice.bound_flips.push_back(eligible[k].j);
-  }
+  // Farkas: even flipping every eligible column cannot absorb the
+  // violation — the primal is infeasible.
+  choice.bound_flips.clear();
   return choice;
 }
 

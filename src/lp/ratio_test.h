@@ -9,7 +9,9 @@
 //     A bounded entering variable may also "bound flip": travel to its own
 //     opposite bound without any basis change.
 //   * DualRatioTest — the bound-flip dual ratio test: walk the
-//     sign-eligible columns in ascending |d_j / alpha_j| order; a candidate
+//     sign-eligible columns in ascending |d_j / alpha_j| order (larger
+//     |alpha_j|, then lower index, first on ties), popped off a heap so a
+//     pivot pays only for the candidates it visits; a candidate
 //     whose whole range cannot absorb the leaving variable's violation is
 //     queued to bound-flip (its reduced cost crosses zero at the eventual
 //     dual step, so the flip keeps dual feasibility), and the first
@@ -26,7 +28,6 @@
 #include <vector>
 
 #include "lp/simplex.h"
-#include "lp/sparse_matrix.h"
 
 namespace privsan {
 namespace lp {
@@ -63,11 +64,10 @@ struct DualRatioChoice {
   std::vector<int> bound_flips;
 };
 
-// `alpha_touched`/`alpha` are the computed entries of the leaving slot's
-// pivot row; `below` and `violation` describe the leaving variable's bound
-// violation (from DualPricer::ChooseLeaving).
-DualRatioChoice DualRatioTest(std::span<const int> alpha_touched,
-                              const std::vector<SparseAccumCell>& alpha,
+// `alpha` is the leaving slot's pivot row, one entry per variable (the
+// entries of basic columns are not read); `below` and `violation` describe
+// the leaving variable's bound violation (from DualPricer::ChooseLeaving).
+DualRatioChoice DualRatioTest(std::span<const double> alpha,
                               std::span<const double> reduced_costs,
                               std::span<const VarStatus> state,
                               std::span<const double> lower,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "lp/basis_rep.h"
@@ -244,35 +245,13 @@ void ComputeReducedCosts(const Work& w, const std::vector<double>& cost,
   }
 }
 
-// The pivot row alpha = e_slot^T B^-1 A via BTRAN of e_slot and the CSR
-// view (only rows where rho is nonzero contribute). `touched` lists the
-// distinct columns with a computed entry. The accumulator cells carry
-// their own epoch mark (see SparseAccumCell): bumping `epoch` invalidates
-// the previous row wholesale, the mark doubles as the duplicate guard
-// (a partial sum cancelling to exactly 0.0 must not re-enter `touched` —
-// the incremental reduced-cost update would fire twice), and each matrix
-// entry costs a single random cache access.
-void ComputePivotRow(const Work& w, int slot, std::vector<double>& rho,
-                     std::vector<SparseAccumCell>& alpha,
-                     std::vector<int>& touched, int64_t& epoch) {
-  ++epoch;
-  touched.clear();
+// rho = B^-T e_slot: the BTRAN half of the pivot row alpha = rho^T A. Both
+// phases form alpha_j = A_j^T rho column by column over the nonbasic
+// columns (rho is dense on the UMP bases).
+void ComputeRho(const Work& w, int slot, std::vector<double>& rho) {
   std::fill(rho.begin(), rho.end(), 0.0);
   rho[slot] = 1.0;
   w.rep->Btran(rho);
-  for (int i = 0; i < w.m; ++i) {
-    const double r = rho[i];
-    if (r == 0.0) continue;
-    for (const SparseEntry& e : w.cols.Row(i)) {
-      SparseAccumCell& cell = alpha[e.index];
-      if (cell.epoch != epoch) {
-        cell.epoch = epoch;
-        cell.value = 0.0;
-        touched.push_back(e.index);
-      }
-      cell.value += r * e.value;
-    }
-  }
 }
 
 // One simplex phase: minimize `cost` over the current basis until optimal.
@@ -288,14 +267,15 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
   std::vector<double> direction(m);
   std::vector<double> rho(m);
   // Reduced costs are maintained incrementally across pivots (the classic
-  // d'_j = d_j - (d_q / alpha_q) alpha_j update, sharing the alpha row with
-  // the Devex weight update) and recomputed exactly at refactorizations and
-  // before optimality is declared.
+  // d'_j = d_j - (d_q / alpha_q) alpha_j update, fused with the Devex
+  // weight update and pricing into one pass over the pivot row) and
+  // recomputed exactly at refactorizations and before optimality is
+  // declared.
   std::vector<double> d(w.n_total);
-  PrimalPricer pricer(w.n_total, options);
-  std::vector<SparseAccumCell> alpha(w.n_total);
-  std::vector<int> alpha_touched;
-  int64_t alpha_epoch = 0;
+  PrimalPricer pricer(w.n_total);
+  // The fused pass's pick for the next iteration; dropped whenever d, the
+  // weights or a status change outside that pass.
+  std::optional<PrimalPricer::Choice> priced;
   int stall = 0;
   bool bland = false;
   int update_failures = 0;
@@ -308,6 +288,7 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
   auto refresh_reduced = [&]() {
     ComputeReducedCosts(w, cost, d);
     pricer.ResetReference();
+    priced.reset();
   };
   refresh_reduced();
 
@@ -333,19 +314,17 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
         return PhaseStatus::kSingular;
     }
 
-    // Pricing. Candidate-list partial pricing is only productive while
-    // pivots make progress; under a degenerate stall the stale candidates
-    // churn, so fall back to full scans until the stall clears.
-    const bool allow_partial =
-        options.partial_pricing &&
-        stall < std::max(8, options.bland_trigger / 4);
+    // Pricing: the previous pivot's fused pass already chose, unless a
+    // refresh, a bound flip or a rejected pivot came between (then it was
+    // dropped); Bland's rule always scans.
     PrimalPricer::Choice choice =
-        pricer.ChooseEntering(view, allow_partial, bland);
+        priced && !bland ? *priced : pricer.ChooseEntering(view, bland);
+    priced.reset();
     if (choice.entering < 0) {
       // The maintained reduced costs say optimal; prove it from exact ones
       // before declaring.
       refresh_reduced();
-      choice = pricer.ChooseEntering(view, /*allow_partial=*/false, bland);
+      choice = pricer.ChooseEntering(view, bland);
       if (choice.entering < 0) return PhaseStatus::kOptimal;
     }
     const int entering = choice.entering;
@@ -416,9 +395,9 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
       continue;
     }
 
-    // alpha = e_r^T B^-1 A (the pivot row) — it feeds both the
-    // reduced-cost update and the Devex weights.
-    ComputePivotRow(w, leaving_row, rho, alpha, alpha_touched, alpha_epoch);
+    // BTRAN against the basis the pivot row belongs to, before the update
+    // replaces it.
+    ComputeRho(w, leaving_row, rho);
 
     // Register the pivot before touching x/state so a failed update leaves
     // a consistent point to refactorize from.
@@ -445,16 +424,8 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
     w.basis[leaving_row] = entering;
     w.state[entering] = kBasic;
 
-    // Reduced-cost and Devex updates along the alpha row.
-    const double pivot = direction[leaving_row];
-    const double theta_d = d[entering] / pivot;
-    for (int j : alpha_touched) {
-      if (w.state[j] == kBasic) continue;
-      d[j] -= theta_d * alpha[j].value;
-    }
-    d[leaving_var] = -theta_d;
-    d[entering] = 0.0;
-    pricer.OnPivot(view, entering, leaving_var, pivot, alpha_touched, alpha);
+    priced = pricer.PriceAfterPivot(w.cols, rho, view, entering, leaving_var,
+                                    direction[leaving_row]);
   }
 }
 
@@ -478,9 +449,8 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
                              ? options.warm_repair_pivot_cap
                              : 4 * static_cast<int64_t>(m) + 1000;
   std::vector<double> rho(m), direction(m), flip_delta(m);
-  std::vector<SparseAccumCell> alpha(w.n_total);
-  std::vector<int> alpha_touched;
-  int64_t alpha_epoch = 0;
+  // The pivot row over the nonbasic columns (0 on basic ones).
+  std::vector<double> alpha(w.n_total);
   // Reduced costs, maintained incrementally across pivots off the same
   // alpha row that drives the ratio test; recomputed at refactorizations.
   std::vector<double> d(w.n_total);
@@ -529,11 +499,13 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
 
     // The pivot row: feeds eligibility, the ratio test, and the
     // reduced-cost update.
-    ComputePivotRow(w, leaving_slot, rho, alpha, alpha_touched, alpha_epoch);
+    ComputeRho(w, leaving_slot, rho);
+    for (int j = 0; j < w.n_total; ++j) {
+      alpha[j] = w.state[j] == kBasic ? 0.0 : w.cols.ColumnDot(j, rho);
+    }
 
-    const DualRatioChoice ratio =
-        DualRatioTest(alpha_touched, alpha, d, w.state, w.lb, w.ub, below,
-                      leaving.violation, options);
+    const DualRatioChoice ratio = DualRatioTest(
+        alpha, d, w.state, w.lb, w.ub, below, leaving.violation, options);
     if (ratio.entering < 0) return DualStatus::kPrimalInfeasible;
     const int entering = ratio.entering;
 
@@ -599,9 +571,8 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
     // Reduced-cost update along the alpha row (dual step theta keeps every
     // d on its feasible side by the min-ratio choice above).
     const double theta_d = d[entering] / pivot;
-    for (int j : alpha_touched) {
-      if (w.state[j] == kBasic) continue;
-      d[j] -= theta_d * alpha[j].value;
+    for (int j = 0; j < w.n_total; ++j) {
+      if (w.state[j] != kBasic) d[j] -= theta_d * alpha[j];
     }
     d[leaving_var] = -theta_d;
     d[entering] = 0.0;
@@ -1131,7 +1102,6 @@ LpSolution SolveWithRetry(const LpModel& model,
   retry.refactor_max_updates = 20;
   retry.bland_trigger = 8;
   retry.pivot_tol = 1e-8;
-  retry.partial_pricing = false;
   LpSolution second = SolveImpl(model, retry);
   second.iterations += first.iterations;
   second.refactorizations += first.refactorizations;

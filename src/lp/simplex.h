@@ -20,12 +20,13 @@
 //    forces a cold solve: the dependent columns are swapped for the
 //    uncovered rows' slacks and the solve continues
 //    (SimplexOptions::repair_policy).
-//  * Pricing (lp/pricing.h): primal Devex over candidate-list partial
-//    pricing (full scans refill a small candidate list; optimality is only
-//    declared after a full scan of exact reduced costs), and dual Devex
-//    reference weights for the dual phase's leaving-row choice. A run of
-//    degenerate pivots switches the primal to Bland's rule, which
-//    guarantees termination.
+//  * Pricing (lp/pricing.h): full primal Devex fused with PRICE — after
+//    each pivot one pass over the nonbasic columns forms the pivot row
+//    alpha_j = A_j^T B^-T e_r, updates the reduced costs and Devex weights,
+//    and picks the next entering column (optimality is only declared after
+//    a scan of exact reduced costs) — and dual Devex reference weights for
+//    the dual phase's leaving-row choice. A run of degenerate pivots
+//    switches the primal to Bland's rule, which guarantees termination.
 //  * Ratio tests (lp/ratio_test.h): Harris-style two-pass tolerancing with
 //    bound flips in the primal, and the bound-flip dual ratio test that
 //    keeps degenerate dual repairs from thrashing.
@@ -152,10 +153,6 @@ struct SimplexOptions {
   // (relative to 1 + |b|_inf) forces a refactorization.
   int drift_check_interval = 64;
   double drift_tol = 1e-6;
-
-  // Candidate-list partial pricing; disable for pure Dantzig scans.
-  bool partial_pricing = true;
-  int candidate_list_size = 64;
 
   // Presolve before cold solves (never applied to warm starts).
   bool presolve = true;

@@ -36,18 +36,6 @@ SparseMatrix::SparseMatrix(int rows, int cols, std::vector<Triplet> triplets)
     }
     offsets_[j + 1] = entries_.size();
   }
-
-  // CSR view: counting sort of the deduplicated CSC entries by row.
-  row_offsets_.assign(rows + 1, 0);
-  for (const SparseEntry& e : entries_) ++row_offsets_[e.index + 1];
-  for (int r = 0; r < rows; ++r) row_offsets_[r + 1] += row_offsets_[r];
-  row_entries_.resize(entries_.size());
-  std::vector<size_t> cursor(row_offsets_.begin(), row_offsets_.end() - 1);
-  for (int j = 0; j < cols; ++j) {
-    for (const SparseEntry& e : Column(j)) {
-      row_entries_[cursor[e.index]++] = SparseEntry{j, e.value};
-    }
-  }
 }
 
 void SparseMatrix::AddColumnTo(int j, double alpha,
@@ -55,14 +43,6 @@ void SparseMatrix::AddColumnTo(int j, double alpha,
   for (const SparseEntry& e : Column(j)) {
     y[e.index] += alpha * e.value;
   }
-}
-
-double SparseMatrix::ColumnDot(int j, const std::vector<double>& x) const {
-  double dot = 0.0;
-  for (const SparseEntry& e : Column(j)) {
-    dot += e.value * x[e.index];
-  }
-  return dot;
 }
 
 }  // namespace lp
