@@ -3,18 +3,19 @@
 // Equation 4 merges Condition 2 (ratio, budget ε) and Condition 3 (leak,
 // budget log(1/(1−δ))) into min{·,·}. This ablation maps the (ε, δ) grid to
 // the binding condition and shows the resulting λ plateau structure — the
-// mechanism behind Table 4's constant columns/rows.
+// mechanism behind Table 4's constant columns/rows. One SanitizerSession
+// answers the whole grid from one O-UMP LP.
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/oump.h"
+#include "core/session.h"
 #include "util/table_printer.h"
 
 using namespace privsan;
 
 int main() {
   bench::BenchDataset dataset = bench::LoadDataset();
-  OumpScalingBase base = SolveOumpUnitBudget(dataset.log).value();
+  SanitizerSession session = SanitizerSession::Create(dataset.raw).value();
 
   TablePrinter table(
       "Ablation — binding condition (E = epsilon/Condition 2, "
@@ -28,10 +29,12 @@ int main() {
   for (double e_eps : bench::EEpsilonGrid()) {
     std::vector<std::string> row = {bench::Shorten(e_eps, 3)};
     for (double delta : bench::DeltaGrid()) {
-      PrivacyParams params = PrivacyParams::FromEEpsilon(e_eps, delta);
-      OumpResult cell = RoundScaledOump(dataset.log, params, base).value();
-      row.push_back(std::string(params.DeltaBound() ? "D " : "E ") +
-                    std::to_string(cell.lambda));
+      UmpQuery query;
+      query.privacy = PrivacyParams::FromEEpsilon(e_eps, delta);
+      const UmpSolution cell =
+          session.Solve(UtilityObjective::kOutputSize, query).value();
+      row.push_back(std::string(query.privacy.DeltaBound() ? "D " : "E ") +
+                    std::to_string(cell.output_size));
     }
     table.AddRow(std::move(row));
   }

@@ -6,11 +6,11 @@
 // log(1/(1−δ)); λ is monotone in both parameters.
 //
 // Implementation note: the grid runs twice through one SanitizerSession —
-// once with per-cell cold solves (the one-shot baseline) and once with
-// SweepBudgets chaining each cell's dual-simplex warm start from the
-// previous cell's optimal basis. Only the budget right-hand side changes
-// between cells, so warm cells restore optimality in a handful of pivots;
-// the objectives are identical by construction and cross-checked below.
+// once with per-cell cold solves (the one-shot baseline) and once as a
+// warm SweepBudgets. The O-UMP region at budget B is B times the unit
+// region, so the warm sweep runs the simplex for its first cell only and
+// answers every later cell by scaling that optimum and re-rounding; the
+// objectives are identical by construction and cross-checked below.
 //
 // Fidelity note (also in EXPERIMENTS.md): the paper's absolute λ values
 // (7–26% of |D|) are not attainable under its own Equation 4 — for every

@@ -98,7 +98,9 @@ class DpConstraintSystem {
   double MaxRowLhs(std::span<const uint64_t> x) const;
 
   // Whether all rows satisfy LHS <= budget + tol.
-  bool IsSatisfied(std::span<const uint64_t> x, double tol = 1e-9) const;
+  static constexpr double kTolerance = 1e-9;
+  bool IsSatisfied(std::span<const uint64_t> x,
+                   double tol = kTolerance) const;
 
   // Estimated heap footprint of the rows (serve-layer memory accounting).
   size_t ResidentBytes() const;

@@ -1,10 +1,7 @@
 #include "core/oump.h"
 
-#include <cmath>
 #include <memory>
 #include <utility>
-
-#include "core/rounding.h"
 
 namespace privsan {
 
@@ -28,43 +25,6 @@ Result<OumpResult> SolveOump(const SearchLog& log, const PrivacyParams& params,
   result.lp_objective = solution.objective_value;
   result.simplex_iterations = solution.stats.simplex_iterations;
   result.simplex_refactorizations = solution.stats.refactorizations;
-  return result;
-}
-
-Result<OumpScalingBase> SolveOumpUnitBudget(
-    const SearchLog& log, const lp::SimplexOptions& simplex) {
-  // delta = 1 - 1/e^2 makes log(1/(1-delta)) = 2 > epsilon = 1, so the
-  // budget is exactly 1.
-  PrivacyParams unit{1.0, 1.0 - std::exp(-2.0)};
-  OumpOptions options;
-  options.simplex = simplex;
-  PRIVSAN_ASSIGN_OR_RETURN(OumpResult result, SolveOump(log, unit, options));
-  OumpScalingBase base;
-  base.x_unit = std::move(result.x_relaxed);
-  base.lp_objective_unit = result.lp_objective;
-  base.simplex_iterations = result.simplex_iterations;
-  return base;
-}
-
-Result<OumpResult> RoundScaledOump(const SearchLog& log,
-                                   const PrivacyParams& params,
-                                   const OumpScalingBase& base) {
-  PRIVSAN_ASSIGN_OR_RETURN(DpConstraintSystem system,
-                           DpConstraintSystem::Build(log, params));
-  if (base.x_unit.size() != log.num_pairs()) {
-    return Status::InvalidArgument(
-        "scaling base does not match this log's pair count");
-  }
-  OumpResult result;
-  const double budget = params.Budget();
-  result.x_relaxed.resize(base.x_unit.size());
-  for (size_t p = 0; p < base.x_unit.size(); ++p) {
-    result.x_relaxed[p] = base.x_unit[p] * budget;
-  }
-  result.lp_objective = base.lp_objective_unit * budget;
-  result.simplex_iterations = 0;  // no simplex run for this cell
-  result.x = RoundCounts(system, result.x_relaxed, RoundingOptions{});
-  for (uint64_t v : result.x) result.lambda += v;
   return result;
 }
 

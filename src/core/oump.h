@@ -8,6 +8,11 @@
 // (Section 5.1: ⌊x*⌋ still satisfies Mx <= b because M, b >= 0). The optimal
 // value λ = sum ⌊x*_ij⌋ is the maximum output size used throughout the
 // paper's evaluation (Table 4) and as the |O| cap for F-UMP.
+//
+// The feasible region at budget B is B times the unit region, so one LP
+// answers every budget: MakeOumpProblem (core/ump.h) keeps the optimum of
+// its last simplex solve and answers warm requests at any other budget by
+// scaling it, and SanitizerSession sweeps chain through that.
 #ifndef PRIVSAN_CORE_OUMP_H_
 #define PRIVSAN_CORE_OUMP_H_
 
@@ -52,26 +57,6 @@ struct OumpResult {
 PRIVSAN_DEPRECATED("use MakeOumpProblem / SanitizerSession (core/ump.h)")
 Result<OumpResult> SolveOump(const SearchLog& log, const PrivacyParams& params,
                              const OumpOptions& options = {});
-
-// Grid acceleration: the O-UMP feasible region {Wx <= B·1, x >= 0} scales
-// linearly in the budget B, so the relaxed optimum needs to be computed only
-// once (at B = 1) per dataset; every (ε, δ) cell then follows by scaling the
-// relaxed point and re-rounding. Used by the Table 4 bench. Not valid with
-// cap_counts_at_input (caps break the scaling).
-struct OumpScalingBase {
-  std::vector<double> x_unit;      // relaxed optimum at unit budget
-  double lp_objective_unit = 0.0;  // relaxed λ at unit budget
-  int64_t simplex_iterations = 0;
-};
-
-Result<OumpScalingBase> SolveOumpUnitBudget(
-    const SearchLog& log, const lp::SimplexOptions& simplex = {});
-
-// Rounds the scaled relaxed optimum for `params`; equivalent to
-// SolveOump(log, params) without re-running the simplex.
-Result<OumpResult> RoundScaledOump(const SearchLog& log,
-                                   const PrivacyParams& params,
-                                   const OumpScalingBase& base);
 
 }  // namespace privsan
 

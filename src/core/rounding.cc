@@ -8,6 +8,37 @@
 
 namespace privsan {
 
+std::vector<uint64_t> FloorCounts(const DpConstraintSystem& system,
+                                  std::span<const double> relaxed,
+                                  std::vector<double>* remainder) {
+  std::vector<uint64_t> x(relaxed.size());
+  remainder->resize(relaxed.size());
+  for (PairId p = 0; p < x.size(); ++p) {
+    const double value = std::max(0.0, relaxed[p]);
+    x[p] = static_cast<uint64_t>(std::floor(value + 1e-7));
+    (*remainder)[p] = value - static_cast<double>(x[p]);  // < 0: snapped up
+  }
+  // Undoing only lowers rows, so one pass suffices. A row over the limit
+  // even without its snap-ups (an infeasible relaxed point) is left alone.
+  const double limit = system.budget() + DpConstraintSystem::kTolerance;
+  for (size_t r = 0; r < system.num_rows(); ++r) {
+    double lhs = 0.0, unsnapped_lhs = 0.0;
+    for (const DpConstraintEntry& e : system.Row(r)) {
+      const bool up = (*remainder)[e.pair] < 0.0;
+      lhs += e.log_t * static_cast<double>(x[e.pair]);
+      unsnapped_lhs += e.log_t * static_cast<double>(x[e.pair] - up);
+    }
+    if (lhs <= limit || unsnapped_lhs > limit) continue;
+    for (const DpConstraintEntry& e : system.Row(r)) {
+      if ((*remainder)[e.pair] < 0.0) {
+        --x[e.pair];
+        (*remainder)[e.pair] += 1.0;
+      }
+    }
+  }
+  return x;
+}
+
 std::vector<uint64_t> RoundCounts(const DpConstraintSystem& system,
                                   std::span<const double> relaxed,
                                   const RoundingOptions& options) {
@@ -15,19 +46,12 @@ std::vector<uint64_t> RoundCounts(const DpConstraintSystem& system,
   PRIVSAN_CHECK(n == system.num_pairs());
   PRIVSAN_CHECK(options.caps.empty() || options.caps.size() == n);
 
-  auto capped = [&](PairId p, uint64_t value) {
-    return options.caps.empty() ? value : std::min(value, options.caps[p]);
-  };
-
-  // Stage 1: floor (with a snap tolerance so 4.9999997 counts as 5).
-  std::vector<uint64_t> x(n);
-  std::vector<double> remainder(n);
+  // Stage 1: floor.
+  std::vector<double> remainder;
+  std::vector<uint64_t> x = FloorCounts(system, relaxed, &remainder);
   uint64_t total = 0;
   for (PairId p = 0; p < n; ++p) {
-    const double value = std::max(0.0, relaxed[p]);
-    const double floored = std::floor(value + 1e-7);
-    x[p] = capped(p, static_cast<uint64_t>(floored));
-    remainder[p] = value - floored;
+    if (!options.caps.empty()) x[p] = std::min(x[p], options.caps[p]);
     total += x[p];
   }
   if (!options.repair && !options.greedy_fill) return x;

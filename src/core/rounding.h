@@ -38,6 +38,13 @@ std::vector<uint64_t> RoundCounts(const DpConstraintSystem& system,
                                   std::span<const double> relaxed,
                                   const RoundingOptions& options = {});
 
+// Stage 1 alone: floors with a snap tolerance (4.9999997 counts as 5), but
+// undoes the snap-ups in any DP row they push past
+// DpConstraintSystem::kTolerance. `remainder` receives value − count.
+std::vector<uint64_t> FloorCounts(const DpConstraintSystem& system,
+                                  std::span<const double> relaxed,
+                                  std::vector<double>* remainder);
+
 }  // namespace privsan
 
 #endif  // PRIVSAN_CORE_ROUNDING_H_

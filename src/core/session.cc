@@ -8,7 +8,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/fump.h"
 #include "core/sampler.h"
 #include "lp/basis_io.h"
 #include "serve/thread_pool.h"
@@ -132,23 +131,6 @@ lp::Basis RemapBasis(const lp::Basis& old_basis, const RemapMaps& maps,
   return basis;
 }
 
-// Whether `basis` has the shape of the objective's model over (log,
-// system). F-UMP adds one deviation variable and two rows per frequent
-// pair plus the output-size row; O-UMP and the D-UMP relaxation are the
-// pairs over the DP rows.
-bool BasisShapeMatches(const lp::Basis& basis, UtilityObjective objective,
-                       const SearchLog& log, const DpConstraintSystem& system,
-                       double fump_min_support) {
-  size_t n = log.num_pairs();
-  size_t m = system.num_rows();
-  if (objective == UtilityObjective::kFrequentPairs) {
-    const size_t f = FrequentPairs(log, fump_min_support).size();
-    n += f;
-    m += 1 + 2 * f;
-  }
-  return lp::ValidateBasisShape(basis, n, m).ok();
-}
-
 }  // namespace
 
 struct SanitizerSession::State {
@@ -158,7 +140,8 @@ struct SanitizerSession::State {
   PreprocessStats stats;
   DpConstraintSystem system;  // shared rows; budget rebound per solve
   std::unique_ptr<UmpProblem> problems[kNumObjectives];
-  lp::Basis last_basis[kNumObjectives];
+  // The last optimal O-UMP and D-UMP bases. F-UMP cells solve cold.
+  lp::Basis oump_basis, dump_basis;
   AppendStats append_stats;
   RemoveStats remove_stats;
   internal::NonConcurrentChecker checker;
@@ -179,6 +162,12 @@ struct SanitizerSession::State {
   // call (they are cheap to size).
   size_t resident_base_bytes = 0;
   size_t system_bytes = 0;
+
+  lp::Basis* last_basis(UtilityObjective objective) {  // nullptr for F-UMP
+    if (objective == UtilityObjective::kFrequentPairs) return nullptr;
+    return objective == UtilityObjective::kOutputSize ? &oump_basis
+                                                      : &dump_basis;
+  }
 
   void RecomputeResidentBase() {
     system_bytes = system.ResidentBytes();
@@ -212,9 +201,9 @@ const RemoveStats& SanitizerSession::last_remove_stats() const {
 size_t SanitizerSession::ResidentBytes() const {
   const State& s = *state_;
   size_t bytes = s.resident_base_bytes;
-  for (const lp::Basis& basis : s.last_basis) {
-    bytes += basis.basic.capacity() * sizeof(int) +
-             basis.state.capacity() * sizeof(lp::VarStatus);
+  for (const lp::Basis* basis : {&s.oump_basis, &s.dump_basis}) {
+    bytes += basis->basic.capacity() * sizeof(int) +
+             basis->state.capacity() * sizeof(lp::VarStatus);
   }
   for (const auto& problem : s.problems) {
     // Each built model carries (roughly) its own copy of the DP rows as an
@@ -242,8 +231,9 @@ SessionSnapshot SanitizerSession::Snapshot() const {
   snapshot.log = state_->log;
   snapshot.stats = state_->stats;
   snapshot.system = state_->system;
-  snapshot.bases.assign(std::begin(state_->last_basis),
-                        std::end(state_->last_basis));
+  snapshot.bases.resize(kNumObjectives);  // the F-UMP slot stays empty
+  snapshot.bases[Index(UtilityObjective::kOutputSize)] = state_->oump_basis;
+  snapshot.bases[Index(UtilityObjective::kDiversity)] = state_->dump_basis;
   return snapshot;
 }
 
@@ -262,16 +252,18 @@ Result<SanitizerSession> SanitizerSession::FromSnapshot(
   state->log = std::move(snapshot.log);
   state->stats = snapshot.stats;
   state->system = std::move(snapshot.system);
-  for (int i = 0; i < kNumObjectives; ++i) {
-    if (static_cast<size_t>(i) >= snapshot.bases.size()) break;
-    lp::Basis& basis = snapshot.bases[i];
-    if (basis.empty() ||
-        !BasisShapeMatches(basis, static_cast<UtilityObjective>(i),
-                           state->log, state->system,
-                           state->fump_min_support)) {
-      continue;  // warm start lost, correctness kept
+  // O-UMP and the D-UMP relaxation are the pairs over the DP rows; a basis
+  // of another shape is dropped (warm start lost, correctness kept). The
+  // F-UMP slot is ignored.
+  for (UtilityObjective objective :
+       {UtilityObjective::kOutputSize, UtilityObjective::kDiversity}) {
+    const size_t i = static_cast<size_t>(Index(objective));
+    if (i < snapshot.bases.size() &&
+        lp::ValidateBasisShape(snapshot.bases[i], state->log.num_pairs(),
+                               state->system.num_rows())
+            .ok()) {
+      *state->last_basis(objective) = std::move(snapshot.bases[i]);
     }
-    state->last_basis[i] = std::move(basis);
   }
   state->RecomputeResidentBase();
   return SanitizerSession(std::move(state));
@@ -310,27 +302,22 @@ Status SanitizerSession::RebuildFromRaw(bool remap_bases) {
   }
   s.fump_problem_support = -1.0;
 
-  // Carry the O-UMP / D-UMP optimal bases over to the grown model (the
-  // index maps are shared across objectives). The F-UMP basis is dropped:
-  // its frequent set (hence its variable and row layout) changes with the
-  // appended clicks.
+  // Carry the O-UMP / D-UMP optimal bases over to the resized model (the
+  // index maps are shared across objectives). Dropping the problems above
+  // also dropped the O-UMP optimum cached for the old log version.
   const bool have_bases =
-      remap_bases &&
-      std::any_of(std::begin(s.last_basis), std::end(s.last_basis),
-                  [](const lp::Basis& b) { return !b.empty(); });
+      remap_bases && (!s.oump_basis.empty() || !s.dump_basis.empty());
   const RemapMaps maps =
       have_bases ? BuildRemapMaps(old_log, old_system, s.log, s.system)
                  : RemapMaps{};
-  for (UtilityObjective objective :
-       {UtilityObjective::kOutputSize, UtilityObjective::kDiversity}) {
-    lp::Basis& basis = s.last_basis[Index(objective)];
-    if (have_bases && !basis.empty()) {
-      basis = RemapBasis(basis, maps, s.log.num_pairs(), s.system.num_rows());
+  for (lp::Basis* basis : {&s.oump_basis, &s.dump_basis}) {
+    if (have_bases && !basis->empty()) {
+      *basis =
+          RemapBasis(*basis, maps, s.log.num_pairs(), s.system.num_rows());
     } else {
-      basis = {};
+      *basis = {};
     }
   }
-  s.last_basis[Index(UtilityObjective::kFrequentPairs)] = {};
   s.RecomputeResidentBase();
   return Status::OK();
 }
@@ -420,20 +407,26 @@ Result<UmpSolution> SanitizerSession::SolveInternal(
       s.fump_problem_support != s.fump_min_support) {
     // The cached model was shaped by a different frequent set.
     s.problems[i].reset();
-    s.last_basis[i] = {};
   }
   PRIVSAN_RETURN_IF_ERROR(EnsureProblem(objective));
 
+  lp::Basis* last_basis = warm ? s.last_basis(objective) : nullptr;
   WarmStartHint hint;
-  const WarmStartHint* hint_ptr = nullptr;
-  if (warm && !s.last_basis[i].empty()) {
-    hint.basis = s.last_basis[i];
-    hint_ptr = &hint;
+  if (last_basis != nullptr) hint.basis = *last_basis;
+  PRIVSAN_ASSIGN_OR_RETURN(
+      UmpSolution solution,
+      s.problems[i]->Solve(effective, hint.empty() ? nullptr : &hint));
+  if (last_basis != nullptr && !solution.basis.empty()) {
+    *last_basis = solution.basis;
   }
-  PRIVSAN_ASSIGN_OR_RETURN(UmpSolution solution,
-                           s.problems[i]->Solve(effective, hint_ptr));
-  if (warm && !solution.basis.empty()) {
-    s.last_basis[i] = solution.basis;
+
+  // Theorem 1 on every answer, before Solve, SweepBudgets, Sanitize or the
+  // service can release or cache it.
+  s.system.SetBudget(effective.privacy.Budget());
+  if (!s.system.IsSatisfied(solution.x)) {
+    return Status::Internal(std::string(UtilityObjectiveToString(objective)) +
+                            " counts violate a DP row at budget " +
+                            std::to_string(s.system.budget()));
   }
   return solution;
 }

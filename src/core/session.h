@@ -7,17 +7,18 @@
 //   * the shared DP constraint rows (built once per preprocessed log — the
 //     coefficients never depend on (ε, δ));
 //   * one cached UmpProblem per objective (LP/BIP models built once, only
-//     right-hand sides rebound per query);
-//   * the last optimal basis per objective, chained as a warm-start hint
-//     into the next solve.
+//     right-hand sides rebound per query; O-UMP scales one LP optimum to
+//     every budget of the log version, see core/ump.h);
+//   * the last optimal O-UMP and D-UMP bases, chained as warm-start hints
+//     into the next solve (F-UMP cells solve cold).
 //
 // On top of plain Solve() it offers:
 //
-//   * SweepBudgets(grid): solves a whole (ε, δ[, |O|]) grid, dual-warm-
-//     starting every cell from the previous cell's basis — only the rhs
-//     changes between cells, which is exactly the case the warm-start dual
-//     simplex restores in a handful of pivots (Tables 4–7 of the paper are
-//     such sweeps);
+//   * SweepBudgets(grid): solves a whole (ε, δ[, |O|]) grid in order.
+//     O-UMP runs the simplex once and scales that optimum to every later
+//     cell; D-UMP dual-warm-starts each cell's LP from the previous cell's
+//     basis; F-UMP solves each cell cold (Tables 4–7 of the paper are such
+//     sweeps);
 //   * AppendUsers(logs): appends user logs and remaps the previous optimal
 //     basis onto the grown model (appended users become basic slack rows,
 //     new pairs enter nonbasic at zero) so the next solve warm-starts from
@@ -31,6 +32,8 @@
 //
 // Warm starts are a pure optimization: a stale or unusable basis falls
 // back to a cold solve inside the simplex, never to a different answer.
+// Every answer passes the DP rows at its budget (Theorem 1) before it is
+// returned; a violation is an Internal error.
 //
 // Thread-compatibility contract: a session mutates cached problems and the
 // shared DP system in place, so all methods — including the const accessors
@@ -106,8 +109,8 @@ struct RemoveStats {
 
 // A session's reusable state, detached for snapshot/restore
 // (serve/snapshot.h): the raw and preprocessed logs, the DP rows and the
-// last optimal basis per objective. Restoring skips preprocessing and row
-// construction entirely and resumes warm from the stored bases.
+// last optimal basis per objective (the F-UMP slot stays empty). Restoring
+// skips preprocessing and row construction and resumes warm from the bases.
 struct SessionSnapshot {
   SearchLog raw;
   SearchLog log;  // preprocessed
@@ -133,8 +136,10 @@ struct SanitizeReport {
 };
 
 struct SweepOptions {
-  // Chain each cell's solve from the previous cell's optimal basis. Off =
-  // the per-cell cold baseline (what the one-shot wrappers do).
+  // Chain each cell from the previous answer (O-UMP scales the last LP
+  // optimum, D-UMP warm-starts; F-UMP cells solve cold either way). Off =
+  // the per-cell cold baseline: every cell runs the simplex without a hint
+  // (what the one-shot wrappers do).
   bool warm_start = true;
   // F-UMP only: structural min-support override for this sweep. Changing it
   // rebuilds the cached F-UMP problem (the frequent set shapes the model).
@@ -183,7 +188,7 @@ class SanitizerSession {
   // for F-UMP resolves to λ via the cached O-UMP problem.
   Result<UmpSolution> Solve(UtilityObjective objective, const UmpQuery& query);
 
-  // Solves every grid cell in order, chaining warm starts across cells
+  // Solves every grid cell in order, chaining answers across cells
   // (sweep.warm_start). Objective values are identical to per-cell cold
   // solves — warm starts only change the path, not the optimum.
   Result<SweepResult> SweepBudgets(UtilityObjective objective,

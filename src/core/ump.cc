@@ -105,42 +105,56 @@ class OumpProblem final : public UmpProblem {
     WallTimer timer;
     const double budget = query.privacy.Budget();
     system_->SetBudget(budget);
-    for (int r = 0; r < model_.num_constraints(); ++r) {
-      model_.set_constraint_rhs(r, budget);
-    }
-    // Implied finite bounds: row k alone caps x_p at B / log t_pk. Finite
-    // bounds on every variable let a warm start repair dual infeasibility by
-    // bound flips — without them a remapped basis with a newly attractive
-    // column (AppendUsers) would force a cold fallback.
-    for (PairId p = 0; p < log_->num_pairs(); ++p) {
-      double upper = max_weight_[p] > 0.0 ? budget / max_weight_[p]
-                                          : lp::kInfinity;
-      if (spec_.cap_counts_at_input) {
-        upper = std::min(upper, static_cast<double>(caps_[p]));
-      }
-      model_.mutable_variable(static_cast<int>(p)).upper = upper;
-    }
-
-    lp::LpSolution lp = solver_.Solve(
-        model_, hint != nullptr && !hint->empty() ? &hint->basis : nullptr);
-    if (lp.status != lp::SolveStatus::kOptimal) {
-      return Status::Internal(std::string("O-UMP LP solve failed: ") +
-                              lp::SolveStatusToString(lp.status));
-    }
 
     UmpSolution solution;
     solution.objective = UtilityObjective::kOutputSize;
-    solution.objective_value = lp.objective;
-    solution.x_relaxed = lp.x;
-    solution.stats.warm_started = lp.warm_started;
-    solution.stats.root_iterations = lp.iterations;
-    FillLpStats(lp, &solution.stats);
+    const bool warm = hint != nullptr && !hint->empty();
+    if (!warm || optimum_budget_ == 0.0 || spec_.cap_counts_at_input) {
+      for (int r = 0; r < model_.num_constraints(); ++r) {
+        model_.set_constraint_rhs(r, budget);
+      }
+      // Implied finite bounds: row k alone caps x_p at B / log t_pk. Finite
+      // bounds on every variable let a warm start repair dual infeasibility
+      // by bound flips — without them a remapped basis with a newly
+      // attractive column (AppendUsers) would force a cold fallback.
+      for (PairId p = 0; p < log_->num_pairs(); ++p) {
+        double upper = max_weight_[p] > 0.0 ? budget / max_weight_[p]
+                                            : lp::kInfinity;
+        if (spec_.cap_counts_at_input) {
+          upper = std::min(upper, static_cast<double>(caps_[p]));
+        }
+        model_.mutable_variable(static_cast<int>(p)).upper = upper;
+      }
+      lp::LpSolution lp =
+          solver_.Solve(model_, warm ? &hint->basis : nullptr);
+      if (lp.status != lp::SolveStatus::kOptimal) {
+        return Status::Internal(std::string("O-UMP LP solve failed: ") +
+                                lp::SolveStatusToString(lp.status));
+      }
+      solution.stats.warm_started = lp.warm_started;
+      solution.stats.root_iterations = lp.iterations;
+      FillLpStats(lp, &solution.stats);
+      optimum_ = std::move(lp);
+      optimum_budget_ = budget;
+    } else {
+      solution.stats.warm_started = true;
+      solution.stats.warm_solves = 1;
+    }
+    // Every rhs and implied bound is linear in B, so the optimal basis at
+    // B0 stays optimal at B and the point scales: x*(B) = (B/B0)·x*(B0).
+    // Right after a simplex solve the scale is exactly 1.
+    const double scale = budget / optimum_budget_;
+    solution.x_relaxed.resize(optimum_.x.size());
+    for (size_t p = 0; p < optimum_.x.size(); ++p) {
+      solution.x_relaxed[p] = optimum_.x[p] * scale;
+    }
+    solution.objective_value = optimum_.objective * scale;
+    solution.basis = optimum_.basis;
 
     RoundingOptions rounding;
     if (spec_.cap_counts_at_input) rounding.caps = caps_;
-    solution.x = RoundCounts(*system_, lp.x, rounding);
+    solution.x = RoundCounts(*system_, solution.x_relaxed, rounding);
     for (uint64_t v : solution.x) solution.output_size += v;
-    solution.basis = std::move(lp.basis);
     solution.stats.wall_seconds = timer.ElapsedSeconds();
     return solution;
   }
@@ -153,6 +167,11 @@ class OumpProblem final : public UmpProblem {
   lp::LpModel model_;
   std::vector<uint64_t> caps_;
   std::vector<double> max_weight_;  // per pair, max log t over its DP rows
+  // The last simplex optimum and its budget (0 = none yet). It answers warm
+  // requests at any budget until the session drops the problem with its
+  // log version.
+  lp::LpSolution optimum_;
+  double optimum_budget_ = 0.0;
 };
 
 // ---- F-UMP ------------------------------------------------------------------
@@ -179,9 +198,11 @@ uint64_t InfrequentCap(double min_support, double total) {
 //                                 x_f + y'_f          >= s_f·|O|
 //        0 <= x  (infrequent x capped at ⌈s|O|⌉−1 when enforcing precision)
 //
-// so a basis from one (B, |O|) cell warm-starts any other — the coefficient
-// matrix is fixed per (log, s). The reported support-distance sum is the
-// optimal sum y'_f divided back by |O|.
+// so the coefficient matrix is fixed per (log, s) and one cached model
+// serves every (B, |O|) cell. Each cell solves cold: warm-starting from a
+// neighbouring cell's basis never beat a cold presolved solve on a
+// measured log. The reported support-distance sum is the optimal sum y'_f
+// divided back by |O|.
 class FumpProblem final : public UmpProblem {
  public:
   FumpProblem(const SearchLog& log, DpConstraintSystem* system, FumpSpec spec,
@@ -238,7 +259,7 @@ class FumpProblem final : public UmpProblem {
   size_t num_pairs() const override { return log_->num_pairs(); }
 
   Result<UmpSolution> DoSolve(const UmpQuery& query,
-                              const WarmStartHint* hint) override {
+                              const WarmStartHint* /*hint*/) override {
     PRIVSAN_RETURN_IF_ERROR(query.privacy.Validate());
     if (query.output_size == 0) {
       return Status::InvalidArgument("F-UMP requires output_size > 0");
@@ -262,8 +283,6 @@ class FumpProblem final : public UmpProblem {
     solution.objective = UtilityObjective::kFrequentPairs;
     solution.frequent_pairs = frequent_;
 
-    const lp::Basis* basis_hint =
-        hint != nullptr && !hint->empty() ? &hint->basis : nullptr;
     const uint64_t lp_cap = InfrequentCap(spec_.min_support, output_size);
 
     // Solve with precision caps first; fall back to the paper's plain
@@ -271,13 +290,13 @@ class FumpProblem final : public UmpProblem {
     lp::LpSolution lp;
     if (spec_.enforce_precision) {
       SetVariableBounds(budget, output_size, static_cast<double>(lp_cap));
-      lp = solver_.Solve(model_, basis_hint);
+      lp = solver_.Solve(model_);
       solution.used_precision_caps = lp.status == lp::SolveStatus::kOptimal;
       FillLpStats(lp, &solution.stats);
     }
     if (!solution.used_precision_caps) {
       SetVariableBounds(budget, output_size, lp::kInfinity);
-      lp = solver_.Solve(model_, basis_hint);
+      lp = solver_.Solve(model_);
       FillLpStats(lp, &solution.stats);
     }
     if (lp.status == lp::SolveStatus::kInfeasible) {
@@ -306,9 +325,8 @@ class FumpProblem final : public UmpProblem {
   // Rebinds all variable bounds for one (B, |O|) query. Every bound is
   // finite and implied by the constraints — row k alone caps x_p at
   // B / log t_pk, the output row caps x_p and the deviations y'_f at |O| —
-  // so they never cut the optimum, and a warm start can always repair dual
-  // infeasibility by bound flips (see OumpProblem::Solve). Infrequent pairs
-  // additionally get the precision cap when one is active.
+  // so they never cut the optimum. Infrequent pairs additionally get the
+  // precision cap when one is active.
   void SetVariableBounds(double budget, double output_size,
                          double infrequent_cap) {
     for (PairId p = 0; p < log_->num_pairs(); ++p) {
@@ -331,16 +349,10 @@ class FumpProblem final : public UmpProblem {
   void RoundSolution(const UmpQuery& query, uint64_t lp_cap,
                      UmpSolution* solution) const {
     const size_t n = log_->num_pairs();
-    solution->x.resize(n);
-    std::vector<double> remainder(n);
-    uint64_t floored_total = 0;
-    for (PairId p = 0; p < n; ++p) {
-      const double value = std::max(0.0, solution->x_relaxed[p]);
-      const double floored = std::floor(value + 1e-7);
-      solution->x[p] = static_cast<uint64_t>(floored);
-      remainder[p] = value - floored;
-      floored_total += solution->x[p];
-    }
+    std::vector<double> remainder;
+    solution->x = FloorCounts(*system_, solution->x_relaxed, &remainder);
+    const uint64_t floored_total = std::accumulate(
+        solution->x.begin(), solution->x.end(), static_cast<uint64_t>(0));
 
     if (floored_total < query.output_size) {
       std::vector<double> row_lhs(system_->num_rows(), 0.0);

@@ -15,8 +15,11 @@
 //     appears in a coefficient);
 //   * Solve() accepts an optional WarmStartHint (the optimal basis of a
 //     previous solve of the same problem) and returns the new optimal basis
-//     in the solution, so budget sweeps and incremental re-solves chain
-//     dual-simplex warm starts instead of cold phase-1 solves;
+//     in the solution. O-UMP's region at budget B is B times the unit
+//     region, so a hinted O-UMP request scales the last simplex optimum and
+//     re-rounds without the simplex (unhinted and cap_counts_at_input ones
+//     run the simplex and refresh that optimum); F-UMP ignores hints, solves
+//     cold; D-UMP warm-starts its root LP from the hint (dual simplex);
 //   * every objective reports the same UmpStats block.
 //
 // SanitizerSession (core/session.h) owns the shared state and the

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "core/audit.h"
 #include "test_fixtures.h"
 
@@ -68,24 +66,6 @@ TEST(OumpTest, RoundedTotalBelowLpBound) {
   EXPECT_LE(static_cast<double>(result.lambda), result.lp_objective + 1e-6);
   DpConstraintSystem system = DpConstraintSystem::Build(log, params).value();
   EXPECT_TRUE(system.IsSatisfied(result.x));
-}
-
-TEST(OumpTest, ScaledRoundingMatchesDirectSolve) {
-  // RoundScaledOump must agree with SolveOump: the LP scales linearly in
-  // the budget, so the relaxed vertex (and hence the rounding) coincide.
-  SearchLog log = SmallSyntheticLog();
-  OumpScalingBase base = SolveOumpUnitBudget(log).value();
-  for (double e_eps : {1.1, 1.7, 2.3}) {
-    for (double delta : {0.01, 0.2, 0.8}) {
-      PrivacyParams params = PrivacyParams::FromEEpsilon(e_eps, delta);
-      OumpResult direct = SolveOump(log, params).value();
-      OumpResult scaled = RoundScaledOump(log, params, base).value();
-      EXPECT_EQ(direct.lambda, scaled.lambda)
-          << "e_eps=" << e_eps << " delta=" << delta;
-      EXPECT_NEAR(direct.lp_objective, scaled.lp_objective,
-                  1e-6 * (1.0 + direct.lp_objective));
-    }
-  }
 }
 
 TEST(OumpTest, LambdaMonotoneInEpsilon) {

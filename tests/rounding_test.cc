@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "test_fixtures.h"
@@ -43,6 +44,36 @@ TEST(RoundingTest, SnapToleranceCountsNearIntegers) {
   options.greedy_fill = false;
   std::vector<uint64_t> x = RoundCounts(system, relaxed, options);
   EXPECT_EQ(x[0], 2u);
+}
+
+// The snap tolerance must never carry a count past a row the relaxed point
+// holds exactly tight: 2 − 5e-8 snaps to 2, which overruns the row by
+// 5e-8 · log t. The snap is undone instead, whether or not the later stages
+// run.
+TEST(RoundingTest, SnapNeverOverrunsATightRow) {
+  SearchLog log = Figure1Preprocessed();
+  DpConstraintSystem system = DpConstraintSystem::BuildRows(log).value();
+  const PairId pair = 0;
+  const double value = 2.0 - 5e-8;
+  double heaviest = 0.0;
+  for (size_t r = 0; r < system.num_rows(); ++r) {
+    for (const DpConstraintEntry& e : system.Row(r)) {
+      if (e.pair == pair) heaviest = std::max(heaviest, e.log_t);
+    }
+  }
+  ASSERT_GT(heaviest, 0.0);
+  system.SetBudget(value * heaviest);
+  std::vector<double> relaxed(log.num_pairs(), 0.0);
+  relaxed[pair] = value;
+
+  RoundingOptions plain;
+  plain.repair = false;
+  plain.greedy_fill = false;
+  for (const RoundingOptions& options : {plain, RoundingOptions{}}) {
+    std::vector<uint64_t> x = RoundCounts(system, relaxed, options);
+    EXPECT_EQ(x[pair], 1u);
+    EXPECT_TRUE(system.IsSatisfied(x));
+  }
 }
 
 TEST(RoundingTest, ResultAlwaysFeasible) {

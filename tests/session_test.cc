@@ -55,12 +55,17 @@ UmpQuery Query(double e_eps, double delta, uint64_t output_size = 0) {
   return query;
 }
 
+// O-UMP's feasible region at budget B is B times the unit region, so a
+// warm sweep runs the simplex once and answers every later cell by scaling
+// that optimum and re-rounding. The scaled cells must match direct solves.
 TEST(SessionSweepTest, OumpWarmSweepMatchesColdAndSavesIterations) {
   SanitizerSession session =
       SanitizerSession::Create(SmallSyntheticRaw()).value();
   std::vector<UmpQuery> grid;
   for (double e_eps : {1.1, 1.4, 1.7, 2.0, 2.3}) {
-    grid.push_back(Query(e_eps, 0.5));
+    for (double delta : {0.01, 0.2, 0.5, 0.8}) {
+      grid.push_back(Query(e_eps, delta));
+    }
   }
 
   SweepOptions cold_options;
@@ -81,13 +86,108 @@ TEST(SessionSweepTest, OumpWarmSweepMatchesColdAndSavesIterations) {
     EXPECT_EQ(warm.cells[i].output_size, cold.cells[i].output_size)
         << "cell " << i;
   }
-  // Every cell but the first chains the previous cell's basis...
-  EXPECT_GT(warm.warm_solves, 0);
+  // The first cell runs the simplex; every later one is a scaled answer.
   EXPECT_FALSE(warm.cells.front().stats.warm_started);
-  // ...and the chained dual re-solves beat per-cell cold phase-1 solves.
+  EXPECT_GT(warm.cells.front().stats.refactorizations, 0);
+  for (size_t i = 1; i < grid.size(); ++i) {
+    const UmpSolution& cell = warm.cells[i];
+    EXPECT_TRUE(cell.stats.warm_started) << "cell " << i;
+    EXPECT_EQ(cell.stats.simplex_iterations, 0) << "cell " << i;
+    EXPECT_EQ(cell.stats.refactorizations, 0) << "cell " << i;
+    const DpConstraintSystem rows =
+        DpConstraintSystem::Build(session.log(), grid[i].privacy).value();
+    EXPECT_TRUE(rows.IsSatisfied(cell.x)) << "cell " << i;
+  }
+  EXPECT_EQ(warm.warm_solves, static_cast<int64_t>(grid.size()) - 1);
   EXPECT_LT(warm.total_simplex_iterations, cold.total_simplex_iterations);
 }
 
+// The cached O-UMP optimum belongs to one log version. After an append, a
+// removal or a restore, a warm solve at a budget the old version already
+// answered must equal a cold solve of the new log.
+TEST(SessionSweepTest, OumpScaledAnswersNeverOutliveTheirLog) {
+  const SearchLog full = SmallSyntheticRaw();
+  const UserId cut = full.num_users() * 3 / 4;
+  const UmpQuery query = Query(2.0, 0.5);
+  auto expect_fresh = [&](SanitizerSession& session) {
+    const UmpSolution warm =
+        session.Solve(UtilityObjective::kOutputSize, query).value();
+    EXPECT_GT(warm.stats.refactorizations, 0);  // ran the simplex
+    SanitizerSession fresh =
+        SanitizerSession::Create(session.raw_log()).value();
+    SweepOptions cold_options;
+    cold_options.warm_start = false;
+    const UmpSolution cold =
+        fresh
+            .SweepBudgets(UtilityObjective::kOutputSize, {query},
+                          cold_options)
+            .value()
+            .cells.front();
+    EXPECT_NEAR(warm.objective_value, cold.objective_value,
+                1e-6 * (1.0 + cold.objective_value));
+    EXPECT_EQ(warm.output_size, cold.output_size);
+    return warm.objective_value;
+  };
+
+  SanitizerSession session =
+      SanitizerSession::Create(UserSlice(full, 0, cut)).value();
+  const double first =
+      session.Solve(UtilityObjective::kOutputSize, query)
+          .value()
+          .objective_value;
+  // A second budget makes the next answer at `query` a scaled one.
+  (void)session.Solve(UtilityObjective::kOutputSize, Query(1.4, 0.2))
+      .value();
+
+  ASSERT_TRUE(session.AppendUsers(UserSlice(full, cut, full.num_users())).ok());
+  const double appended = expect_fresh(session);
+  EXPECT_GT(std::abs(appended - first), 1e-6);  // the old answer is stale
+
+  (void)session.Solve(UtilityObjective::kOutputSize, Query(1.4, 0.2))
+      .value();
+  std::vector<std::string> doomed;
+  for (UserId u = 0; u < 3; ++u) doomed.push_back(full.user_name(u));
+  ASSERT_TRUE(session.RemoveUsers(doomed).ok());
+  ASSERT_EQ(session.last_remove_stats().removed_users, doomed.size());
+  const double removed = expect_fresh(session);
+  EXPECT_GT(std::abs(removed - appended), 1e-6);
+
+  SanitizerSession restored =
+      SanitizerSession::FromSnapshot(session.Snapshot()).value();
+  (void)expect_fresh(restored);
+}
+
+// Input caps break the scaling, so a capped O-UMP problem runs the simplex
+// for every cell, warm or not.
+TEST(SessionSweepTest, CappedOumpCellsAlwaysRunTheSimplex) {
+  SessionOptions options;
+  options.oump.cap_counts_at_input = true;
+  SanitizerSession session =
+      SanitizerSession::Create(SmallSyntheticRaw(), options).value();
+  std::vector<UmpQuery> grid;
+  for (double e_eps : {1.4, 2.0, 2.3}) grid.push_back(Query(e_eps, 0.8));
+  SweepOptions cold_options;
+  cold_options.warm_start = false;
+  const SweepResult cold =
+      session.SweepBudgets(UtilityObjective::kOutputSize, grid, cold_options)
+          .value();
+  const SweepResult warm =
+      session.SweepBudgets(UtilityObjective::kOutputSize, grid).value();
+  for (size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_GT(warm.cells[i].stats.refactorizations, 0) << "cell " << i;
+    EXPECT_NEAR(warm.cells[i].objective_value, cold.cells[i].objective_value,
+                1e-6 * (1.0 + cold.cells[i].objective_value))
+        << "cell " << i;
+    EXPECT_EQ(warm.cells[i].output_size, cold.cells[i].output_size)
+        << "cell " << i;
+    for (PairId p = 0; p < session.log().num_pairs(); ++p) {
+      EXPECT_LE(warm.cells[i].x[p], session.log().pair_total(p));
+    }
+  }
+}
+
+// F-UMP cells solve cold whatever SweepOptions::warm_start says, so a warm
+// and a cold sweep are the same solves.
 TEST(SessionSweepTest, FumpWarmSweepMatchesCold) {
   SanitizerSession session =
       SanitizerSession::Create(SmallSyntheticRaw()).value();
@@ -112,12 +212,14 @@ TEST(SessionSweepTest, FumpWarmSweepMatchesCold) {
       session.SweepBudgets(UtilityObjective::kFrequentPairs, grid).value();
 
   for (size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_NEAR(warm.cells[i].objective_value, cold.cells[i].objective_value,
-                1e-6 * (1.0 + std::abs(cold.cells[i].objective_value)))
+    EXPECT_EQ(warm.cells[i].x, cold.cells[i].x) << "cell " << i;
+    EXPECT_EQ(warm.cells[i].objective_value, cold.cells[i].objective_value)
+        << "cell " << i;
+    EXPECT_EQ(warm.cells[i].stats.simplex_iterations,
+              cold.cells[i].stats.simplex_iterations)
         << "cell " << i;
   }
-  EXPECT_GT(warm.warm_solves, 0);
-  EXPECT_LT(warm.total_simplex_iterations, cold.total_simplex_iterations);
+  EXPECT_EQ(warm.warm_solves, 0);
 }
 
 TEST(SessionSweepTest, MinSupportOverrideRebuildsFrequentSet) {
