@@ -5,9 +5,11 @@
 // DESIGN.md flags the cap as a natural variant; this ablation quantifies
 // its cost/benefit on λ and on F-UMP-style support fidelity.
 #include <iostream>
+#include <memory>
 
 #include "bench_common.h"
-#include "core/oump.h"
+#include "core/constraints.h"
+#include "core/ump.h"
 #include "metrics/utility_metrics.h"
 #include "util/table_printer.h"
 
@@ -16,6 +18,15 @@ using namespace privsan;
 int main() {
   bench::BenchDataset dataset = bench::LoadDataset();
   const double min_support = 1.0 / 500;
+  // One set of DP rows and one problem per variant; each cell rebinds only
+  // the budget.
+  DpConstraintSystem rows =
+      DpConstraintSystem::BuildRows(dataset.log).value();
+  std::unique_ptr<UmpProblem> uncapped =
+      MakeOumpProblem(dataset.log, &rows).value();
+  std::unique_ptr<UmpProblem> capped =
+      MakeOumpProblem(dataset.log, &rows, {.cap_counts_at_input = true})
+          .value();
 
   TablePrinter table(
       "Ablation — O-UMP with and without the x_ij <= c_ij cap");
@@ -24,14 +35,12 @@ int main() {
   for (double e_eps : {1.4, 2.0, 2.3}) {
     for (double delta : {0.1, 0.5, 0.8}) {
       PrivacyParams params = PrivacyParams::FromEEpsilon(e_eps, delta);
-      OumpOptions uncapped;
-      OumpOptions capped;
-      capped.cap_counts_at_input = true;
-      auto u = SolveOump(dataset.log, params, uncapped);
-      auto c = SolveOump(dataset.log, params, capped);
+      auto u = uncapped->Solve({.privacy = params});
+      auto c = capped->Solve({.privacy = params});
       if (!u.ok() || !c.ok()) continue;
       table.AddRow({bench::Shorten(e_eps, 2), bench::Shorten(delta, 2),
-                    std::to_string(u->lambda), std::to_string(c->lambda),
+                    std::to_string(u->output_size),
+                    std::to_string(c->output_size),
                     bench::Shorten(
                         SupportDistanceSum(dataset.log, u->x, min_support), 4),
                     bench::Shorten(

@@ -6,10 +6,12 @@
 // evaluate this step ("the price of guaranteeing complete differential
 // privacy"); this ablation fills that in.
 #include <iostream>
+#include <memory>
 
 #include "bench_common.h"
+#include "core/constraints.h"
 #include "core/laplace_step.h"
-#include "core/oump.h"
+#include "core/ump.h"
 #include "log/preprocess.h"
 #include "metrics/utility_metrics.h"
 #include "util/table_printer.h"
@@ -25,9 +27,11 @@ int main() {
   config.url_pool = 500;
   SearchLog log = RemoveUniquePairs(GenerateSearchLog(config).value()).log;
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult base = SolveOump(log, params).value();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  UmpSolution base =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
   std::cout << "# slice: " << log.num_pairs() << " pairs, " << log.num_users()
-            << " users, noise-free lambda = " << base.lambda << "\n\n";
+            << " users, noise-free lambda = " << base.output_size << "\n\n";
 
   {
     TablePrinter table("Sensitivity bounding: users dropped vs d");
@@ -38,8 +42,13 @@ int main() {
       if (!bounded.ok()) continue;
       std::string lambda = "-";
       if (bounded->log.num_pairs() > 0) {
-        auto after = SolveOump(bounded->log, params);
-        if (after.ok()) lambda = std::to_string(after->lambda);
+        // The bounded log is a new log: its own rows and problem.
+        DpConstraintSystem bounded_rows =
+            DpConstraintSystem::BuildRows(bounded->log).value();
+        auto after = MakeOumpProblem(bounded->log, &bounded_rows)
+                         .value()
+                         ->Solve({.privacy = params});
+        if (after.ok()) lambda = std::to_string(after->output_size);
       }
       table.AddRow({bench::Shorten(d, 1),
                     std::to_string(bounded->users_removed),

@@ -6,10 +6,11 @@
 // to preserve), and larger |O| sits higher at fixed s.
 #include <algorithm>
 #include <iostream>
+#include <memory>
 
 #include "bench_common.h"
-#include "core/fump.h"
-#include "core/oump.h"
+#include "core/constraints.h"
+#include "core/ump.h"
 #include "metrics/utility_metrics.h"
 #include "util/table_printer.h"
 
@@ -19,10 +20,18 @@ int main() {
   bench::BenchDataset dataset = bench::LoadDataset();
   bench::JsonReport report("fig3c_avg_distance");
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
+  // One set of DP rows for the log; the cells below rebind the budget and
+  // |O| on one F-UMP problem per support.
+  DpConstraintSystem rows =
+      DpConstraintSystem::BuildRows(dataset.log).value();
 
-  OumpResult oump = SolveOump(dataset.log, params).value();
-  std::cout << "lambda(e^eps=2, delta=0.5) = " << oump.lambda << "\n";
-  if (oump.lambda == 0) {
+  UmpSolution oump = MakeOumpProblem(dataset.log, &rows)
+                         .value()
+                         ->Solve({.privacy = params})
+                         .value();
+  const uint64_t lambda = oump.output_size;
+  std::cout << "lambda(e^eps=2, delta=0.5) = " << lambda << "\n";
+  if (lambda == 0) {
     std::cout << "budget too tight on this dataset scale; nothing to sweep\n";
     return 0;
   }
@@ -30,7 +39,7 @@ int main() {
   // |O| in {3000..8000} against lambda = 13088.
   std::vector<uint64_t> sizes;
   for (int i = 1; i <= 6; ++i) {
-    uint64_t size = oump.lambda * (22 + 10 * i) / 100;  // 32% .. 82%
+    uint64_t size = lambda * (22 + 10 * i) / 100;  // 32% .. 82%
     if (size == 0) size = 1;
     sizes.push_back(size);
   }
@@ -45,11 +54,10 @@ int main() {
   for (double support : bench::SupportGrid()) {
     std::vector<std::string> row = {"1/" + std::to_string(static_cast<int>(
                                                1.0 / support + 0.5))};
+    std::unique_ptr<UmpProblem> fump =
+        MakeFumpProblem(dataset.log, &rows, {.min_support = support}).value();
     for (uint64_t size : sizes) {
-      FumpOptions options;
-      options.min_support = support;
-      options.output_size = size;
-      auto result = SolveFump(dataset.log, params, options);
+      auto result = fump->Solve({.privacy = params, .output_size = size});
       if (!result.ok()) {
         row.push_back("err");
         continue;

@@ -6,14 +6,14 @@
 // Expected shape: mass concentrated in the low bins, more concentrated for
 // the larger |O| (paper: |O|=4000 puts ~75% of triplets below 40%;
 // |O|=6000 ~90%).
+#include <cmath>
 #include <iostream>
+#include <memory>
 
 #include "bench_common.h"
-#include <cmath>
-
-#include "core/fump.h"
-#include "core/oump.h"
+#include "core/constraints.h"
 #include "core/sampler.h"
+#include "core/ump.h"
 #include "metrics/utility_metrics.h"
 #include "util/table_printer.h"
 
@@ -27,22 +27,30 @@ int main() {
   constexpr int kSamples = 10;
   constexpr int kBins = 10;
 
-  OumpResult oump = SolveOump(dataset.log, params).value();
-  if (oump.lambda == 0) {
+  // One set of DP rows and one F-UMP problem; each |O| rebinds only the
+  // right-hand sides.
+  DpConstraintSystem rows =
+      DpConstraintSystem::BuildRows(dataset.log).value();
+  const uint64_t lambda = MakeOumpProblem(dataset.log, &rows)
+                              .value()
+                              ->Solve({.privacy = params})
+                              .value()
+                              .output_size;
+  if (lambda == 0) {
     std::cout << "budget too tight on this dataset scale\n";
     return 0;
   }
   // Two output sizes in the same ratio as the paper's 4000 / 6000 vs their
   // lambda = 13088: ~31% and ~46%.
   const std::vector<uint64_t> sizes = {
-      std::max<uint64_t>(1, oump.lambda * 31 / 100),
-      std::max<uint64_t>(1, oump.lambda * 46 / 100)};
+      std::max<uint64_t>(1, lambda * 31 / 100),
+      std::max<uint64_t>(1, lambda * 46 / 100)};
+  std::unique_ptr<UmpProblem> fump_problem =
+      MakeFumpProblem(dataset.log, &rows, {.min_support = min_support})
+          .value();
 
   for (uint64_t size : sizes) {
-    FumpOptions options;
-    options.min_support = min_support;
-    options.output_size = size;
-    auto fump = SolveFump(dataset.log, params, options);
+    auto fump = fump_problem->Solve({.privacy = params, .output_size = size});
     if (!fump.ok()) {
       std::cout << "F-UMP failed at |O|=" << size << ": " << fump.status()
                 << "\n";

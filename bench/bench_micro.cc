@@ -5,10 +5,10 @@
 
 #include "core/constraints.h"
 #include "core/dump.h"
-#include "core/oump.h"
 #include "core/rounding.h"
 #include "core/sampler.h"
 #include "core/spe.h"
+#include "core/ump.h"
 #include "bench_factorization_common.h"
 #include "log/preprocess.h"
 #include "lp/lu_factorization.h"
@@ -95,11 +95,15 @@ void BM_Spe(benchmark::State& state) {
 }
 BENCHMARK(BM_Spe);
 
+// One unhinted O-UMP solve (simplex + rounding) on rows and a model built
+// once.
 void BM_OumpSolve(benchmark::State& state) {
   const SearchLog& log = MicroLog();
-  PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  auto problem = MakeOumpProblem(log, &rows).value();
+  const UmpQuery query{.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveOump(log, params).value());
+    benchmark::DoNotOptimize(problem->Solve(query).value());
   }
 }
 BENCHMARK(BM_OumpSolve);
@@ -149,8 +153,12 @@ BENCHMARK(BM_LuFtran)->Arg(100)->Arg(400);
 
 void BM_SampleOutput(benchmark::State& state) {
   const SearchLog& log = MicroLog();
-  OumpResult oump =
-      SolveOump(log, PrivacyParams::FromEEpsilon(2.0, 0.5)).value();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  UmpSolution oump =
+      MakeOumpProblem(log, &rows)
+          .value()
+          ->Solve({.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5)})
+          .value();
   uint64_t seed = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(SampleOutput(log, oump.x, seed++).value());

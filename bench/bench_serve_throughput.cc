@@ -3,7 +3,7 @@
 //
 // Part 1 — append-flush latency. A publisher receiving K append batches
 // can (a) cold re-solve after every batch — rebuild preprocessing, DP rows
-// and the LP from scratch each time (what the one-shot wrappers do) — or
+// and the LP from scratch each time (a fresh SanitizerSession per batch) — or
 // (b) enqueue all K batches in the service and let one flush coalesce them
 // into a single incremental re-preprocess + DP-row patch + basis remap,
 // then solve warm. Same final state, one warm solve instead of K cold ones.

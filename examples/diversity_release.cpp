@@ -10,9 +10,11 @@
 // paper's Table 7 / Figure 5.
 #include <iomanip>
 #include <iostream>
+#include <memory>
 
-#include "core/dump.h"
-#include "core/sanitizer.h"
+#include "core/constraints.h"
+#include "core/session.h"
+#include "core/ump.h"
 #include "log/preprocess.h"
 #include "synth/generator.h"
 #include "util/table_printer.h"
@@ -32,17 +34,22 @@ int main() {
 
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
 
+  // The DP rows and the D-UMP problem are built once; each solver is a
+  // per-query override. Branch & bound runs on a node and time budget.
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  DumpSpec spec;
+  spec.bnb.max_nodes = 200;
+  spec.bnb.time_limit_seconds = 20;
+  std::unique_ptr<UmpProblem> dump = MakeDumpProblem(log, &rows, spec).value();
+
   TablePrinter table("D-UMP solver comparison (e^eps = 2, delta = 0.5)");
   table.SetHeader({"solver", "retained pairs", "diversity %", "seconds",
                    "proven optimal"});
   for (DumpSolverKind kind :
        {DumpSolverKind::kSpe, DumpSolverKind::kGreedy,
         DumpSolverKind::kLpRounding, DumpSolverKind::kBranchAndBound}) {
-    DumpOptions options;
-    options.solver = kind;
-    options.bnb.max_nodes = 200;
-    options.bnb.time_limit_seconds = 20;
-    Result<DumpResult> result = SolveDump(log, params, options);
+    Result<UmpSolution> result =
+        dump->Solve({.privacy = params, .solver = kind});
     if (!result.ok()) {
       std::cerr << DumpSolverKindToString(kind)
                 << " failed: " << result.status() << std::endl;
@@ -50,21 +57,26 @@ int main() {
     }
     std::ostringstream pct, secs;
     pct << std::fixed << std::setprecision(1)
-        << 100.0 * result->diversity_ratio;
-    secs << std::scientific << std::setprecision(2) << result->wall_seconds;
+        << 100.0 * static_cast<double>(result->output_size) /
+               static_cast<double>(log.num_pairs());
+    secs << std::scientific << std::setprecision(2)
+         << result->stats.wall_seconds;
     table.AddRow({DumpSolverKindToString(kind),
-                  std::to_string(result->retained), pct.str(), secs.str(),
+                  std::to_string(result->output_size), pct.str(), secs.str(),
                   result->proven_optimal ? "yes" : "no"});
   }
   table.Print(std::cout);
 
   // Full pipeline with SPE: sample user-IDs for the retained pairs.
-  SanitizerConfig sanitizer_config;
-  sanitizer_config.privacy = params;
-  sanitizer_config.objective = UtilityObjective::kDiversity;
-  sanitizer_config.dump_solver = DumpSolverKind::kSpe;
-  Sanitizer sanitizer(sanitizer_config);
-  Result<SanitizeReport> report = sanitizer.Sanitize(raw);
+  SessionOptions options;
+  options.objective = UtilityObjective::kDiversity;
+  options.dump.solver = DumpSolverKind::kSpe;
+  Result<SanitizerSession> session = SanitizerSession::Create(raw, options);
+  if (!session.ok()) {
+    std::cerr << "sanitization failed: " << session.status() << std::endl;
+    return 1;
+  }
+  Result<SanitizeReport> report = session->Sanitize(params);
   if (!report.ok()) {
     std::cerr << "sanitization failed: " << report.status() << std::endl;
     return 1;

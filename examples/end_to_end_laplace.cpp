@@ -8,11 +8,13 @@
 // shows the utility cost of decreasing d (more users dropped) and of
 // decreasing eps' (more noise).
 #include <iostream>
+#include <memory>
 #include <numeric>
 
+#include "core/constraints.h"
 #include "core/laplace_step.h"
-#include "core/oump.h"
 #include "core/sampler.h"
+#include "core/ump.h"
 #include "log/preprocess.h"
 #include "synth/generator.h"
 
@@ -32,15 +34,17 @@ int main() {
   SearchLog log = RemoveUniquePairs(*generated).log;
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
 
-  Result<OumpResult> solved = SolveOump(log, params);
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  Result<UmpSolution> solved =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params});
   if (!solved.ok()) {
     std::cerr << "O-UMP solve failed: " << solved.status() << std::endl;
     return 1;
   }
-  OumpResult base = std::move(solved).value();
+  UmpSolution base = std::move(solved).value();
   std::cout << "workload: " << log.num_pairs() << " pairs, "
             << log.num_users() << " users; noise-free lambda = "
-            << base.lambda << "\n\n";
+            << base.output_size << "\n\n";
 
   // --- Step 1: sensitivity bounding for a range of d. ----------------------
   std::cout << "sensitivity bounding (leave-one-user-out O-UMP re-solves):\n";
@@ -73,7 +77,7 @@ int main() {
                                    : base.x[p] - noisy.x[p];
     }
     std::cout << "  eps'=" << eps_prime << ": output size " << noisy.total
-              << " (vs " << base.lambda << "), L1 distortion " << l1
+              << " (vs " << base.output_size << "), L1 distortion " << l1
               << ", feasibility repair scale " << noisy.scale_applied
               << "\n";
 

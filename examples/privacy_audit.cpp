@@ -9,10 +9,12 @@
 // compliant solution, a Condition-1 violation (emitting a unique pair), and
 // the exposure growth as counts scale.
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "core/audit.h"
-#include "core/oump.h"
+#include "core/constraints.h"
+#include "core/ump.h"
 #include "log/preprocess.h"
 #include "log/search_log.h"
 
@@ -54,11 +56,14 @@ int main() {
 
   // --- The optimal compliant solution. -------------------------------------
   SearchLog log = RemoveUniquePairs(raw).log;
-  OumpResult oump = SolveOump(log, params).value();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  UmpSolution oump =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
   {
     AuditReport report = AuditSolution(log, params, oump.x).value();
     std::cout << "O-UMP optimal counts on the preprocessed log (lambda = "
-              << oump.lambda << "):\n  " << report.ToString() << "\n\n";
+              << oump.output_size << "):\n  " << report.ToString()
+              << "\n\n";
   }
 
   // --- Exposure as counts scale beyond the optimum. ------------------------

@@ -12,7 +12,7 @@
 #include <iostream>
 #include <vector>
 
-#include "core/sanitizer.h"
+#include "core/session.h"
 #include "metrics/utility_metrics.h"
 #include "synth/generator.h"
 
@@ -47,14 +47,18 @@ int main() {
 
   const double min_support = 1.0 / 200;
 
-  SanitizerConfig sanitizer_config;
-  sanitizer_config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  sanitizer_config.objective = UtilityObjective::kFrequentPairs;
-  sanitizer_config.min_support = min_support;
-  sanitizer_config.output_size = 0;  // auto: the maximum size lambda
-  Sanitizer sanitizer(sanitizer_config);
+  SessionOptions options;
+  options.objective = UtilityObjective::kFrequentPairs;
+  options.fump.min_support = min_support;
+  options.output_size = 0;  // auto: the maximum size lambda
+  Result<SanitizerSession> session = SanitizerSession::Create(input, options);
+  if (!session.ok()) {
+    std::cerr << "sanitization failed: " << session.status() << std::endl;
+    return 1;
+  }
 
-  Result<SanitizeReport> report = sanitizer.Sanitize(input);
+  Result<SanitizeReport> report =
+      session->Sanitize(PrivacyParams::FromEEpsilon(2.0, 0.5));
   if (!report.ok()) {
     std::cerr << "sanitization failed: " << report.status() << std::endl;
     return 1;

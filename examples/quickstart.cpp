@@ -7,7 +7,7 @@
 // TSV path (`user<TAB>query<TAB>url<TAB>count` rows) your own log is used.
 #include <iostream>
 
-#include "core/sanitizer.h"
+#include "core/session.h"
 #include "log/log_io.h"
 #include "synth/characteristics.h"
 #include "synth/generator.h"
@@ -41,16 +41,22 @@ int main(int argc, char** argv) {
   std::cout << "input:  " << ComputeCharacteristics(input).ToString()
             << "\n";
 
-  // 2. Configure the sanitizer: e^eps = 2, delta = 0.5 (a mid-grid point of
-  //    the paper's evaluation), maximizing output size.
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  config.objective = UtilityObjective::kOutputSize;
-  config.seed = 42;
+  // 2. Configure the sanitizer: maximize output size, sample with seed 42.
+  //    Creating the session runs Condition-1 preprocessing and builds the
+  //    DP rows.
+  SessionOptions options;
+  options.objective = UtilityObjective::kOutputSize;
+  options.seed = 42;
+  Result<SanitizerSession> session = SanitizerSession::Create(input, options);
+  if (!session.ok()) {
+    std::cerr << "sanitization failed: " << session.status() << std::endl;
+    return 1;
+  }
 
-  // 3. Run Algorithm 1: preprocess -> optimize -> multinomial sampling.
-  Sanitizer sanitizer(config);
-  Result<SanitizeReport> report = sanitizer.Sanitize(input);
+  // 3. Run Algorithm 1 at e^eps = 2, delta = 0.5 (a mid-grid point of the
+  //    paper's evaluation): optimize -> multinomial sampling -> audit.
+  Result<SanitizeReport> report =
+      session->Sanitize(PrivacyParams::FromEEpsilon(2.0, 0.5));
   if (!report.ok()) {
     std::cerr << "sanitization failed: " << report.status() << std::endl;
     return 1;

@@ -1,8 +1,5 @@
 #include "core/dump.h"
 
-#include <memory>
-#include <utility>
-
 namespace privsan {
 
 lp::BipProblem BipFromConstraintRows(const DpConstraintSystem& system) {
@@ -24,39 +21,6 @@ Result<lp::BipProblem> BuildDumpBip(const SearchLog& log,
   PRIVSAN_ASSIGN_OR_RETURN(DpConstraintSystem system,
                            DpConstraintSystem::Build(log, params));
   return BipFromConstraintRows(system);
-}
-
-Result<DumpResult> SolveDump(const SearchLog& log, const PrivacyParams& params,
-                             const DumpOptions& options) {
-  PRIVSAN_ASSIGN_OR_RETURN(DpConstraintSystem system,
-                           DpConstraintSystem::BuildRows(log));
-  DumpSpec spec;
-  spec.solver = options.solver;
-  spec.bnb = options.bnb;
-  spec.integer_presolve = options.integer_presolve;
-  PRIVSAN_ASSIGN_OR_RETURN(
-      std::unique_ptr<UmpProblem> problem,
-      MakeDumpProblem(log, &system, spec, options.simplex));
-  UmpQuery query;
-  query.privacy = params;
-  PRIVSAN_ASSIGN_OR_RETURN(UmpSolution solution, problem->Solve(query));
-
-  DumpResult result;
-  result.x = std::move(solution.x);
-  result.retained = static_cast<int64_t>(solution.output_size);
-  result.diversity_ratio =
-      log.num_pairs() == 0
-          ? 0.0
-          : static_cast<double>(result.retained) /
-                static_cast<double>(log.num_pairs());
-  result.wall_seconds = solution.stats.wall_seconds;
-  result.proven_optimal = solution.proven_optimal;
-  result.lp_iterations = solution.stats.simplex_iterations;
-  result.lp_refactorizations = solution.stats.refactorizations;
-  result.nodes_explored = solution.stats.nodes_explored;
-  result.warm_solves = solution.stats.warm_solves;
-  result.integer_fixed = solution.stats.integer_fixed;
-  return result;
 }
 
 }  // namespace privsan

@@ -15,53 +15,17 @@
 #ifndef PRIVSAN_CORE_DUMP_H_
 #define PRIVSAN_CORE_DUMP_H_
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
 #include "core/constraints.h"
 #include "core/privacy_params.h"
 #include "core/ump.h"
 #include "log/search_log.h"
 #include "lp/bip_heuristics.h"
-#include "lp/branch_and_bound.h"
 #include "util/result.h"
 
 namespace privsan {
 
-// DumpSolverKind and DumpSolverKindToString now live in core/ump.h (shared
-// with the unified UmpProblem interface); this header re-exports them.
-
-struct DumpOptions {
-  DumpSolverKind solver = DumpSolverKind::kSpe;
-  // LP kernel configuration for every LP this solve runs — kLpRounding's
-  // relaxation AND the branch & bound node LPs (one source of truth since
-  // the PR-4 kernel rethreading; bnb.simplex is overridden).
-  lp::SimplexOptions simplex;
-  lp::BnbOptions bnb;          // used by kBranchAndBound
-  // Fix y_j = 0 before branch & bound when some w_j > B (see
-  // DumpSpec::integer_presolve in core/ump.h).
-  bool integer_presolve = true;
-};
-
-struct DumpResult {
-  // 0/1 output counts per PairId.
-  std::vector<uint64_t> x;
-  int64_t retained = 0;
-  // retained / num_pairs of the preprocessed input.
-  double diversity_ratio = 0.0;
-  double wall_seconds = 0.0;
-  bool proven_optimal = false;  // only branch & bound can prove optimality
-  // LP engine effort (zero for SPE and the pure greedy): simplex pivots,
-  // basis refactorizations, and branch & bound nodes / warm-started
-  // re-solves, for the bench JSON artifacts.
-  int64_t lp_iterations = 0;
-  int lp_refactorizations = 0;
-  int64_t nodes_explored = 0;
-  int64_t warm_solves = 0;
-  // Variables fixed to 0 by the integer presolve (branch & bound only).
-  int integer_fixed = 0;
-};
+// DumpSolverKind and the D-UMP UmpProblem live in core/ump.h
+// (MakeDumpProblem); this header adds the BIP construction they share.
 
 // Builds the Equation-8 BIP from the DP constraint system of `log`.
 Result<lp::BipProblem> BuildDumpBip(const SearchLog& log,
@@ -70,16 +34,6 @@ Result<lp::BipProblem> BuildDumpBip(const SearchLog& log,
 // The same transform from an already-built constraint system (row rhs =
 // system.budget()). Shared by BuildDumpBip and the cached D-UMP UmpProblem.
 lp::BipProblem BipFromConstraintRows(const DpConstraintSystem& system);
-
-// `log` must be preprocessed (no unique pairs).
-//
-// DEPRECATED: one-shot compatibility wrapper over MakeDumpProblem
-// (core/ump.h). It rebuilds the DP rows and the BIP on every call; use
-// UmpProblem / SanitizerSession (core/session.h) for repeated solves and
-// warm-started budget sweeps.
-PRIVSAN_DEPRECATED("use MakeDumpProblem / SanitizerSession (core/ump.h)")
-Result<DumpResult> SolveDump(const SearchLog& log, const PrivacyParams& params,
-                             const DumpOptions& options = {});
 
 }  // namespace privsan
 

@@ -1,8 +1,5 @@
 #include "core/fump.h"
 
-#include <memory>
-#include <utility>
-
 namespace privsan {
 
 std::vector<PairId> FrequentPairs(const SearchLog& log, double min_support) {
@@ -11,36 +8,6 @@ std::vector<PairId> FrequentPairs(const SearchLog& log, double min_support) {
     if (log.PairSupport(p) >= min_support) frequent.push_back(p);
   }
   return frequent;
-}
-
-Result<FumpResult> SolveFump(const SearchLog& log, const PrivacyParams& params,
-                             const FumpOptions& options) {
-  if (options.output_size == 0) {
-    return Status::InvalidArgument("F-UMP requires output_size > 0");
-  }
-  PRIVSAN_ASSIGN_OR_RETURN(DpConstraintSystem system,
-                           DpConstraintSystem::BuildRows(log));
-  FumpSpec spec;
-  spec.min_support = options.min_support;
-  spec.enforce_precision = options.enforce_precision;
-  PRIVSAN_ASSIGN_OR_RETURN(
-      std::unique_ptr<UmpProblem> problem,
-      MakeFumpProblem(log, &system, spec, options.simplex));
-  UmpQuery query;
-  query.privacy = params;
-  query.output_size = options.output_size;
-  PRIVSAN_ASSIGN_OR_RETURN(UmpSolution solution, problem->Solve(query));
-
-  FumpResult result;
-  result.x = std::move(solution.x);
-  result.x_relaxed = std::move(solution.x_relaxed);
-  result.realized_output_size = solution.output_size;
-  result.support_distance_sum = solution.objective_value;
-  result.frequent_pairs = std::move(solution.frequent_pairs);
-  result.simplex_iterations = solution.stats.simplex_iterations;
-  result.simplex_refactorizations = solution.stats.refactorizations;
-  result.used_precision_caps = solution.used_precision_caps;
-  return result;
 }
 
 }  // namespace privsan

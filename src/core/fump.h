@@ -11,62 +11,15 @@
 // turning F-UMP into an LP (Statement 2), solved with linear relaxation and
 // floored. Flooring keeps the DP rows satisfied (all coefficients >= 0) but
 // may land the realized output size slightly below the requested |O|.
+// MakeFumpProblem (core/ump.h) builds and solves that LP.
 #ifndef PRIVSAN_CORE_FUMP_H_
 #define PRIVSAN_CORE_FUMP_H_
 
-#include <cstdint>
 #include <vector>
 
-#include "core/constraints.h"
-#include "core/privacy_params.h"
-#include "core/ump.h"
 #include "log/search_log.h"
-#include "lp/simplex.h"
-#include "util/result.h"
 
 namespace privsan {
-
-struct FumpOptions {
-  // Minimum support s; a pair is frequent iff c_ij / |D| >= s.
-  double min_support = 1.0 / 500;
-  // Requested output size |O|; must be positive and at most λ (the O-UMP
-  // optimum) or the LP is infeasible.
-  uint64_t output_size = 0;
-  // Realize the paper's empirical "Precision = 1" finding structurally:
-  // infrequent pairs get the upper bound ⌈s|O|⌉ − 1 in the LP (no pair can
-  // become frequent in the output that was not frequent in the input), and
-  // after rounding any infrequent count still at/over the threshold of the
-  // realized size is clamped below it. The objective never involves
-  // infrequent pairs, so their caps do not change the optimal support
-  // distances; if the capped LP is infeasible the solver falls back to the
-  // uncapped formulation.
-  bool enforce_precision = true;
-  lp::SimplexOptions simplex;
-};
-
-struct FumpResult {
-  // Rounded optimal counts per PairId: floored, then topped back up toward
-  // |O| by largest fractional remainder while the DP rows permit.
-  std::vector<uint64_t> x;
-  std::vector<double> x_relaxed;  // LP optimum
-  uint64_t realized_output_size = 0;  // sum of rounded counts
-  // LP objective: minimum sum of support distances over frequent pairs.
-  double support_distance_sum = 0.0;
-  std::vector<PairId> frequent_pairs;  // the input's frequent set S0
-  int64_t simplex_iterations = 0;
-  int simplex_refactorizations = 0;
-  bool used_precision_caps = false;  // false when the fallback was taken
-};
-
-// `log` must be preprocessed (no unique pairs).
-//
-// DEPRECATED: one-shot compatibility wrapper over MakeFumpProblem
-// (core/ump.h). It rebuilds the DP rows, the frequent set and the LP model
-// on every call; use UmpProblem / SanitizerSession (core/session.h) for
-// repeated solves and (ε, δ, |O|) sweeps.
-PRIVSAN_DEPRECATED("use MakeFumpProblem / SanitizerSession (core/ump.h)")
-Result<FumpResult> SolveFump(const SearchLog& log, const PrivacyParams& params,
-                             const FumpOptions& options);
 
 // The frequent set S0 = {pairs with support >= s} of `log`.
 std::vector<PairId> FrequentPairs(const SearchLog& log, double min_support);

@@ -1,11 +1,12 @@
 #include "core/joint.h"
 
 #include <cmath>
+#include <memory>
 
 #include "core/constraints.h"
 #include "core/fump.h"
-#include "core/oump.h"
 #include "core/rounding.h"
+#include "core/ump.h"
 #include "lp/model.h"
 
 namespace privsan {
@@ -28,13 +29,13 @@ Result<JointUmpResult> SolveJointUmp(const SearchLog& log,
                            DpConstraintSystem::Build(log, params));
 
   JointUmpResult result;
-  // Normalizer: the O-UMP optimum under the same budget.
-  OumpOptions oump_options;
-  oump_options.simplex = options.simplex;
-  PRIVSAN_ASSIGN_OR_RETURN(OumpResult oump,
-                           SolveOump(log, params, oump_options));
-  result.lambda = oump.lambda;
-  const double norm = std::max(1.0, oump.lp_objective);
+  // Normalizer: the O-UMP optimum under the same budget, on the same rows.
+  PRIVSAN_ASSIGN_OR_RETURN(std::unique_ptr<UmpProblem> oump_problem,
+                           MakeOumpProblem(log, &system, {}, options.simplex));
+  PRIVSAN_ASSIGN_OR_RETURN(UmpSolution oump,
+                           oump_problem->Solve({.privacy = params}));
+  result.lambda = oump.output_size;
+  const double norm = std::max(1.0, oump.objective_value);
 
   const double total = static_cast<double>(log.total_clicks());
   std::vector<PairId> frequent = FrequentPairs(log, options.min_support);

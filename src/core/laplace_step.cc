@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
-#include "core/oump.h"
+#include "core/ump.h"
 #include "log/preprocess.h"
 #include "rng/distributions.h"
 #include "rng/random.h"
@@ -63,10 +64,12 @@ Result<SensitivityBoundResult> BoundOumpSensitivity(
   if (!(d > 0.0)) {
     return Status::InvalidArgument("d must be > 0");
   }
-  OumpOptions oump_options;
-  oump_options.simplex = simplex;
-  PRIVSAN_ASSIGN_OR_RETURN(OumpResult base, SolveOump(log, params,
-                                                      oump_options));
+  PRIVSAN_ASSIGN_OR_RETURN(DpConstraintSystem base_rows,
+                           DpConstraintSystem::BuildRows(log));
+  PRIVSAN_ASSIGN_OR_RETURN(std::unique_ptr<UmpProblem> base_problem,
+                           MakeOumpProblem(log, &base_rows, {}, simplex));
+  PRIVSAN_ASSIGN_OR_RETURN(UmpSolution base,
+                           base_problem->Solve({.privacy = params}));
 
   SensitivityBoundResult result;
   std::vector<bool> drop(log.num_users(), false);
@@ -85,8 +88,13 @@ Result<SensitivityBoundResult> BoundOumpSensitivity(
       }
     }
     PreprocessResult cleaned = RemoveUniquePairs(builder.Build());
-    PRIVSAN_ASSIGN_OR_RETURN(OumpResult without,
-                             SolveOump(cleaned.log, params, oump_options));
+    PRIVSAN_ASSIGN_OR_RETURN(DpConstraintSystem rows,
+                             DpConstraintSystem::BuildRows(cleaned.log));
+    PRIVSAN_ASSIGN_OR_RETURN(
+        std::unique_ptr<UmpProblem> problem,
+        MakeOumpProblem(cleaned.log, &rows, {}, simplex));
+    PRIVSAN_ASSIGN_OR_RETURN(UmpSolution without,
+                             problem->Solve({.privacy = params}));
 
     // Compare per-pair counts by (query, url) identity.
     double max_shift = 0.0;

@@ -119,7 +119,7 @@ struct SessionSnapshot {
   std::vector<lp::Basis> bases;  // indexed by UtilityObjective
 };
 
-// Result of the full pipeline (formerly declared in core/sanitizer.h).
+// Result of the full Algorithm-1 pipeline (Sanitize).
 struct SanitizeReport {
   SearchLog output;
   // The preprocessed input the UMP ran on; optimal_counts is indexed by its
@@ -138,8 +138,7 @@ struct SanitizeReport {
 struct SweepOptions {
   // Chain each cell from the previous answer (O-UMP scales the last LP
   // optimum, D-UMP warm-starts; F-UMP cells solve cold either way). Off =
-  // the per-cell cold baseline: every cell runs the simplex without a hint
-  // (what the one-shot wrappers do).
+  // the per-cell cold baseline: every cell runs the simplex without a hint.
   bool warm_start = true;
   // F-UMP only: structural min-support override for this sweep. Changing it
   // rebuilds the cached F-UMP problem (the frequent set shapes the model).

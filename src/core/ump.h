@@ -23,8 +23,9 @@
 //   * every objective reports the same UmpStats block.
 //
 // SanitizerSession (core/session.h) owns the shared state and the
-// basis-chaining policy; the free functions SolveOump / SolveFump /
-// SolveDump (core/oump.h etc.) remain as deprecated one-shot wrappers.
+// basis-chaining policy. A caller holding an already-preprocessed log
+// builds the rows once (DpConstraintSystem::BuildRows), makes one problem
+// per objective with the factories below, and calls Solve per query.
 #ifndef PRIVSAN_CORE_UMP_H_
 #define PRIVSAN_CORE_UMP_H_
 
@@ -40,16 +41,6 @@
 #include "lp/simplex.h"
 #include "util/concurrency_check.h"
 #include "util/result.h"
-
-// Compatibility entry points (SolveOump / SolveFump / SolveDump and the
-// one-shot Sanitizer) are tagged with this macro. Builds stay quiet by
-// default; define PRIVSAN_WARN_DEPRECATED to surface [[deprecated]]
-// warnings while migrating to UmpProblem / SanitizerSession.
-#ifdef PRIVSAN_WARN_DEPRECATED
-#define PRIVSAN_DEPRECATED(msg) [[deprecated(msg)]]
-#else
-#define PRIVSAN_DEPRECATED(msg)
-#endif
 
 namespace privsan {
 
@@ -73,6 +64,17 @@ const char* DumpSolverKindToString(DumpSolverKind kind);
 // Structural (model-shaping) parameters, fixed for the lifetime of one
 // UmpProblem instance. Everything that can change between Solve() calls
 // without invalidating a warm-start basis lives in UmpQuery instead.
+
+// O-UMP, the Output-size Utility-Maximizing Problem (§5.1):
+//
+//   max  sum_ij x_ij
+//   s.t. for every user log A_k:  sum_{(i,j) in A_k} x_ij log t_ijk <= B
+//        x_ij >= 0 integer,       B = min{ε, log(1/(1−δ))}
+//
+// solved by linear relaxation, then rounded (⌊x*⌋ still satisfies Mx <= b
+// because M, b >= 0). The optimal value λ = sum ⌊x*_ij⌋ is the maximum
+// output size used throughout the paper's evaluation (Table 4) and the
+// default |O| of F-UMP.
 struct OumpSpec {
   // Optional ablation (not in the paper): additionally require
   // x_ij <= c_ij, i.e. never emit a pair more often than the input saw it.
@@ -84,15 +86,20 @@ struct FumpSpec {
   // set shapes the model (one deviation variable + two rows per frequent
   // pair), so s is structural.
   double min_support = 1.0 / 500;
-  // Realize the paper's empirical "Precision = 1" finding structurally (see
-  // core/fump.h for the full story). Falls back to the uncapped formulation
-  // when the caps make the requested |O| unreachable.
+  // Realize the paper's empirical "Precision = 1" finding structurally:
+  // infrequent pairs get the upper bound ⌈s|O|⌉ − 1 in the LP (no pair can
+  // become frequent in the output that was not frequent in the input), and
+  // after rounding any infrequent count still at/over the threshold of the
+  // realized size is clamped below it. The objective never involves
+  // infrequent pairs, so their caps do not change the optimal support
+  // distances; if the capped LP is infeasible the solver falls back to the
+  // uncapped formulation (UmpSolution::used_precision_caps = false).
   bool enforce_precision = true;
 };
 
 struct DumpSpec {
   DumpSolverKind solver = DumpSolverKind::kSpe;
-  lp::BnbOptions bnb;  // used by kBranchAndBound
+  lp::BnbOptions bnb = {};  // used by kBranchAndBound
   // Integer presolve: a DP entry w_j = log t_ijk with w_j > B makes
   // y_j = 1 infeasible on its own, so the *integer* y_j is fixed to 0
   // before branch & bound even though the LP relaxation cannot see it.
@@ -108,7 +115,7 @@ struct UmpQuery {
   // (SanitizerSession resolves 0 to λ by solving its cached O-UMP first).
   uint64_t output_size = 0;
   // D-UMP only: overrides DumpSpec::solver for this query.
-  std::optional<DumpSolverKind> solver;
+  std::optional<DumpSolverKind> solver = std::nullopt;
 };
 
 // A warm-start hint: the optimal basis of a previous Solve() of the same
@@ -191,12 +198,9 @@ class UmpProblem {
   // Solves at the query's privacy budget. `hint` (optional) warm-starts
   // from a previous solution's basis.
   Result<UmpSolution> Solve(const UmpQuery& query,
-                            const WarmStartHint* hint) {
+                            const WarmStartHint* hint = nullptr) {
     internal::NonConcurrentScope scope(&checker_);
     return DoSolve(query, hint);
-  }
-  Result<UmpSolution> Solve(const UmpQuery& query) {
-    return Solve(query, nullptr);
   }
 
  protected:

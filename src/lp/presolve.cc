@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/logging.h"
 
@@ -18,7 +17,6 @@ double Tol(double reference) { return 1e-9 * (1.0 + std::abs(reference)); }
 }  // namespace
 
 PresolveInfo BuildPresolve(const LpModel& model, LpModel* reduced) {
-  const double kInf = std::numeric_limits<double>::infinity();
   const int n = model.num_variables();
   const int m = model.num_constraints();
   const bool maximize = model.sense() == ObjectiveSense::kMaximize;

@@ -1,9 +1,12 @@
 #include "net/text_protocol.h"
 
 #include <cstdio>
+#include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -58,12 +61,82 @@ std::string FormatStats(const serve::TenantStats& stats) {
   return out.str();
 }
 
+// REMOVE and EXPIRE: a removal followed by Stats on the same tenant
+// queue, so the counters reflect exactly this removal.
+std::string FormatRemoval(std::vector<serve::ServeResponse>& responses) {
+  if (!responses[0].ok()) return ErrLine(responses[0].status);
+  if (!responses[1].ok()) return ErrLine(responses[1].status);
+  const serve::TenantStats& stats = *responses[1].stats();
+  std::ostringstream out;
+  out << "OK users_removed=" << stats.users_removed
+      << " rows_copied=" << stats.rows_copied
+      << " rows_rebuilt=" << stats.rows_rebuilt;
+  return out.str();
+}
+
 }  // namespace
+
+// RESTORE ordering. Lines are numbered in Handle order; a RESTORE line
+// waits while a SNAPSHOT line of its path with a smaller number is
+// unanswered. A waiting line parks in its tenant's hold, and so does every
+// later line for that tenant while the hold exists, so each tenant's lines
+// reach the backend in line order: submissions run under `mu`, so a
+// worker releasing a hold cannot interleave with the transport submitting
+// that tenant's next line. `mu` is recursive because a backend may answer
+// inline, and an answered SNAPSHOT releases holds.
+struct TextProtocol::Backend {
+  struct Line {
+    uint64_t number = 0;
+    std::string restore_path;  // set for a RESTORE line
+    std::function<void()> submit;
+  };
+
+  const SubmitFn submit;
+  std::recursive_mutex mu;
+  uint64_t next_line = 0;
+  std::map<std::string, std::set<uint64_t>> snapshots;  // unanswered, by path
+  std::map<std::string, std::deque<Line>> holds;        // parked, by tenant
+
+  bool Blocked(const Line& line) const {
+    auto pending = snapshots.find(line.restore_path);
+    return pending != snapshots.end() && *pending->second.begin() < line.number;
+  }
+
+  // Submits `tenant`'s parked lines in order until the hold empties or its
+  // next line must still wait.
+  void Release(const std::string& tenant) {
+    for (auto hold = holds.find(tenant);
+         hold != holds.end() && !Blocked(hold->second.front());
+         hold = holds.find(tenant)) {
+      Line line = std::move(hold->second.front());
+      hold->second.pop_front();
+      if (hold->second.empty()) holds.erase(hold);
+      line.submit();
+    }
+  }
+
+  void SnapshotAnswered(const std::string& path, uint64_t number) {
+    std::lock_guard<std::recursive_mutex> lock(mu);
+    auto pending = snapshots.find(path);
+    pending->second.erase(number);
+    if (pending->second.empty()) snapshots.erase(pending);
+    std::vector<std::string> tenants;
+    for (const auto& hold : holds) tenants.push_back(hold.first);
+    for (const std::string& tenant : tenants) Release(tenant);
+  }
+};
+
+TextProtocol::TextProtocol(SubmitFn submit, ListTenantsFn list_tenants,
+                           serve::ThreadPool* gen_pool)
+    : backend_(std::make_shared<Backend>(std::move(submit))),
+      list_tenants_(std::move(list_tenants)),
+      gen_pool_(gen_pool) {}
 
 void TextProtocol::SubmitMany(std::vector<serve::ServeRequest> requests,
                               Formatter format, Done done) {
   struct Batch {
     std::mutex mu;
+    std::vector<serve::ServeRequest> requests;
     std::vector<serve::ServeResponse> responses;
     size_t remaining = 0;
     Formatter format;
@@ -74,18 +147,43 @@ void TextProtocol::SubmitMany(std::vector<serve::ServeRequest> requests,
   batch->remaining = requests.size();
   batch->format = std::move(format);
   batch->done = std::move(done);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    submit_(std::move(requests[i]),
-            [batch, i](serve::ServeResponse response) {
-              bool last = false;
-              {
-                std::lock_guard<std::mutex> lock(batch->mu);
-                batch->responses[i] = std::move(response);
-                last = (--batch->remaining == 0);
-              }
-              // The reply fires outside the lock; `done` may do I/O.
-              if (last) batch->done(batch->format(batch->responses));
-            });
+  // A batch addresses one tenant; only its first request can be a
+  // SNAPSHOT or a RESTORE.
+  const serve::ServeRequest& first = requests.front();
+  const std::string tenant = serve::RequestTenant(first);
+  const auto* snapshot = std::get_if<serve::SaveSnapshotRequest>(&first);
+  const auto* restore = std::get_if<serve::RestoreTenantRequest>(&first);
+  const std::string snapshot_path = snapshot ? snapshot->path : "";
+
+  std::lock_guard<std::recursive_mutex> lock(backend_->mu);
+  Backend::Line line{backend_->next_line++, restore ? restore->path : "", {}};
+  if (snapshot) backend_->snapshots[snapshot_path].insert(line.number);
+  batch->requests = std::move(requests);
+  line.submit = [backend = backend_, batch, snapshot_path,
+                 number = line.number] {
+    for (size_t i = 0; i < batch->requests.size(); ++i) {
+      backend->submit(
+          std::move(batch->requests[i]),
+          [backend, batch, i, snapshot_path,
+           number](serve::ServeResponse response) {
+            bool last = false;
+            {
+              std::lock_guard<std::mutex> lock(batch->mu);
+              batch->responses[i] = std::move(response);
+              last = (--batch->remaining == 0);
+            }
+            if (i == 0 && !snapshot_path.empty()) {
+              backend->SnapshotAnswered(snapshot_path, number);
+            }
+            // The reply fires outside the lock; `done` may do I/O.
+            if (last) batch->done(batch->format(batch->responses));
+          });
+    }
+  };
+  if (backend_->holds.count(tenant) > 0 || backend_->Blocked(line)) {
+    backend_->holds[tenant].push_back(std::move(line));
+  } else {
+    line.submit();
   }
 }
 
@@ -114,10 +212,8 @@ bool TextProtocol::Handle(const std::string& line, Done done) {
   if (command == "METRICS") {
     // Tenant-less: one multi-line reply (the Prometheus scrape, ending
     // with its "# EOF" marker) — identical bytes on every transport.
-    std::vector<serve::ServeRequest> requests;
-    requests.push_back(serve::MetricsRequest{});
     SubmitMany(
-        std::move(requests),
+        {serve::MetricsRequest{}},
         [](auto& responses) -> std::string {
           if (!responses[0].ok()) return ErrLine(responses[0].status);
           const serve::MetricsText* metrics = responses[0].metrics();
@@ -135,10 +231,8 @@ bool TextProtocol::Handle(const std::string& line, Done done) {
   if (command == "SLOWLOG") {
     serve::SlowLogRequest request;
     in >> request.limit;  // optional; 0 (absent) dumps everything
-    std::vector<serve::ServeRequest> requests;
-    requests.push_back(std::move(request));
     SubmitMany(
-        std::move(requests),
+        {request},
         [](auto& responses) -> std::string {
           if (!responses[0].ok()) return ErrLine(responses[0].status);
           const serve::SlowLogDump* dump = responses[0].slow_log();
@@ -213,53 +307,22 @@ bool TextProtocol::Handle(const std::string& line, Done done) {
     if (users.empty()) {
       done("ERR usage: REMOVE <tenant> <user...>");
     } else {
-      // Remove + Stats on the same tenant queue: the counters reflect
-      // exactly this removal.
-      std::vector<serve::ServeRequest> requests;
-      requests.push_back(
-          serve::RemoveUsersRequest{tenant, std::move(users)});
-      requests.push_back(serve::StatsRequest{tenant});
-      SubmitMany(
-          std::move(requests),
-          [](auto& responses) -> std::string {
-            if (!responses[0].ok()) return ErrLine(responses[0].status);
-            if (!responses[1].ok()) return ErrLine(responses[1].status);
-            const serve::TenantStats& stats = *responses[1].stats();
-            std::ostringstream out;
-            out << "OK users_removed=" << stats.users_removed
-                << " rows_copied=" << stats.rows_copied
-                << " rows_rebuilt=" << stats.rows_rebuilt;
-            return out.str();
-          },
-          std::move(done));
+      SubmitMany({serve::RemoveUsersRequest{tenant, std::move(users)},
+                  serve::StatsRequest{tenant}},
+                 FormatRemoval, std::move(done));
     }
   } else if (command == "EXPIRE") {
     uint64_t cutoff = 0;
     if (!(in >> cutoff)) {
       done("ERR usage: EXPIRE <tenant> <cutoff_secs>");
     } else {
-      std::vector<serve::ServeRequest> requests;
-      requests.push_back(serve::ExpireWindowRequest{tenant, cutoff});
-      requests.push_back(serve::StatsRequest{tenant});
-      SubmitMany(
-          std::move(requests),
-          [](auto& responses) -> std::string {
-            if (!responses[0].ok()) return ErrLine(responses[0].status);
-            if (!responses[1].ok()) return ErrLine(responses[1].status);
-            const serve::TenantStats& stats = *responses[1].stats();
-            std::ostringstream out;
-            out << "OK users_removed=" << stats.users_removed
-                << " rows_copied=" << stats.rows_copied
-                << " rows_rebuilt=" << stats.rows_rebuilt;
-            return out.str();
-          },
-          std::move(done));
+      SubmitMany({serve::ExpireWindowRequest{tenant, cutoff},
+                  serve::StatsRequest{tenant}},
+                 FormatRemoval, std::move(done));
     }
   } else if (command == "BUDGET") {
-    std::vector<serve::ServeRequest> requests;
-    requests.push_back(serve::BudgetStatusRequest{tenant});
     SubmitMany(
-        std::move(requests),
+        {serve::BudgetStatusRequest{tenant}},
         [](auto& responses) -> std::string {
           if (!responses[0].ok()) return ErrLine(responses[0].status);
           const serve::BudgetStatus* budget = responses[0].budget();
@@ -323,11 +386,8 @@ bool TextProtocol::Handle(const std::string& line, Done done) {
   } else if (command == "FLUSH") {
     // Flush + Stats on the same tenant queue: the stats snapshot is
     // guaranteed to reflect the finished flush.
-    std::vector<serve::ServeRequest> requests;
-    requests.push_back(serve::FlushRequest{tenant});
-    requests.push_back(serve::StatsRequest{tenant});
     SubmitMany(
-        std::move(requests),
+        {serve::FlushRequest{tenant}, serve::StatsRequest{tenant}},
         [](auto& responses) -> std::string {
           if (!responses[0].ok()) return ErrLine(responses[0].status);
           if (!responses[1].ok()) return ErrLine(responses[1].status);
@@ -355,12 +415,10 @@ bool TextProtocol::Handle(const std::string& line, Done done) {
       in >> query.output_size;  // optional; stays 0 when absent
       // Stats before + solve + stats after, all FIFO on the tenant
       // queue: `cached=` is exact even mid-pipeline.
-      std::vector<serve::ServeRequest> requests;
-      requests.push_back(serve::StatsRequest{tenant});
-      requests.push_back(serve::SolveRequest{tenant, *objective, query});
-      requests.push_back(serve::StatsRequest{tenant});
       SubmitMany(
-          std::move(requests),
+          {serve::StatsRequest{tenant},
+           serve::SolveRequest{tenant, *objective, query},
+           serve::StatsRequest{tenant}},
           [](auto& responses) -> std::string {
             if (!responses[1].ok()) return ErrLine(responses[1].status);
             const UmpSolution& solution = *responses[1].solution();
@@ -398,11 +456,9 @@ bool TextProtocol::Handle(const std::string& line, Done done) {
       if (grid.empty()) {
         done("ERR SWEEP needs at least one e_eps value");
       } else {
-        std::vector<serve::ServeRequest> requests;
-        requests.push_back(serve::SweepRequest{
-            tenant, *objective, std::move(grid), SweepOptions{}});
         SubmitMany(
-            std::move(requests),
+            {serve::SweepRequest{tenant, *objective, std::move(grid),
+                                 SweepOptions{}}},
             [](auto& responses) -> std::string {
               if (!responses[0].ok()) return ErrLine(responses[0].status);
               const SweepResult& sweep = *responses[0].sweep();
@@ -437,10 +493,8 @@ bool TextProtocol::Handle(const std::string& line, Done done) {
   } else if (command == "DROP") {
     ack(serve::DropTenantRequest{tenant}, "OK dropped " + tenant);
   } else if (command == "STATS") {
-    std::vector<serve::ServeRequest> requests;
-    requests.push_back(serve::StatsRequest{tenant});
     SubmitMany(
-        std::move(requests),
+        {serve::StatsRequest{tenant}},
         [](auto& responses) -> std::string {
           if (!responses[0].ok()) return ErrLine(responses[0].status);
           return FormatStats(*responses[0].stats());

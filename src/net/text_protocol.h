@@ -20,11 +20,15 @@
 // directly, the net client passes a function that ships frames. Replies
 // are produced exactly once per line, from whatever thread resolves the
 // last outstanding response.
+// The backend runs tenants in parallel, so a RESTORE line waits until
+// every earlier SNAPSHOT line naming its path has answered; later lines
+// for the restored tenant wait behind it, and all others keep pipelining.
 #ifndef PRIVSAN_NET_TEXT_PROTOCOL_H_
 #define PRIVSAN_NET_TEXT_PROTOCOL_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,10 +63,7 @@ class TextProtocol {
   using ListTenantsFn = std::function<std::vector<std::string>()>;
 
   TextProtocol(SubmitFn submit, ListTenantsFn list_tenants = nullptr,
-               serve::ThreadPool* gen_pool = nullptr)
-      : submit_(std::move(submit)),
-        list_tenants_(std::move(list_tenants)),
-        gen_pool_(gen_pool) {}
+               serve::ThreadPool* gen_pool = nullptr);
 
   // Parses and executes one line; `done` fires exactly once. Returns
   // false when the line is QUIT (after acking "OK bye") — the transport
@@ -73,12 +74,14 @@ class TextProtocol {
  private:
   using Formatter =
       std::function<std::string(std::vector<serve::ServeResponse>&)>;
-  // Submits the batch through the backend and formats once every
-  // response has arrived.
+  struct Backend;  // the SubmitFn plus the RESTORE ordering state
+
+  // Submits the batch through the backend (held back while the RESTORE
+  // ordering rule requires) and formats once every response has arrived.
   void SubmitMany(std::vector<serve::ServeRequest> requests,
                   Formatter format, Done done);
 
-  SubmitFn submit_;
+  std::shared_ptr<Backend> backend_;
   ListTenantsFn list_tenants_;
   serve::ThreadPool* gen_pool_;
 };

@@ -142,7 +142,7 @@ class SanitizerService {
   // `done` runs exactly once with the response — on a worker thread when
   // the job executes, or inline when the request fails before queueing
   // (unknown tenant, admission rejection). `done` must not block for
-  // long and must not call back into the service synchronously.
+  // long or wait on the service; it may Submit more in this callback form.
   void Submit(ServeRequest request, std::function<void(ServeResponse)> done);
 
   // --- Blocking wrappers (Submit + get) -----------------------------------

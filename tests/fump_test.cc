@@ -1,11 +1,16 @@
+// F-UMP (§5.2) through MakeFumpProblem: one set of DP rows per log and
+// one problem per minimum support, solved per (budget, |O|) query without
+// a warm-start hint.
 #include "core/fump.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "core/audit.h"
-#include "core/oump.h"
+#include "core/constraints.h"
+#include "core/ump.h"
 #include "metrics/utility_metrics.h"
 #include "test_fixtures.h"
 
@@ -16,23 +21,21 @@ using testing_fixtures::SmallSyntheticLog;
 using testing_fixtures::TwoUserSharedLog;
 
 TEST(FumpTest, RequiresOutputSize) {
-  FumpOptions options;
-  options.output_size = 0;
-  EXPECT_EQ(SolveFump(TwoUserSharedLog(), PrivacyParams{1.0, 0.5}, options)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  SearchLog log = TwoUserSharedLog();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  auto problem = MakeFumpProblem(log, &rows).value();
+  EXPECT_EQ(
+      problem->Solve({.privacy = PrivacyParams{1.0, 0.5}, .output_size = 0})
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(FumpTest, RejectsBadSupport) {
-  FumpOptions options;
-  options.output_size = 1;
-  options.min_support = 0.0;
-  EXPECT_FALSE(
-      SolveFump(TwoUserSharedLog(), PrivacyParams{1.0, 0.5}, options).ok());
-  options.min_support = 1.5;
-  EXPECT_FALSE(
-      SolveFump(TwoUserSharedLog(), PrivacyParams{1.0, 0.5}, options).ok());
+  SearchLog log = TwoUserSharedLog();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  EXPECT_FALSE(MakeFumpProblem(log, &rows, {.min_support = 0.0}).ok());
+  EXPECT_FALSE(MakeFumpProblem(log, &rows, {.min_support = 1.5}).ok());
 }
 
 TEST(FumpTest, FrequentPairsDetection) {
@@ -50,13 +53,14 @@ TEST(FumpTest, TwoUserAnalyticOptimum) {
   SearchLog log = TwoUserSharedLog();
   PairId q1 = *log.FindPair("q1", "u1");
   PairId q2 = *log.FindPair("q2", "u2");
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  // min_support 0.1: both pairs frequent.
+  auto problem = MakeFumpProblem(log, &rows, {.min_support = 0.1}).value();
 
-  FumpOptions options;
-  options.min_support = 0.1;  // both pairs frequent
-  options.output_size = 2;
   PrivacyParams params = PrivacyParams::FromEEpsilon(4.0, 0.75);
-  FumpResult result = SolveFump(log, params, options).value();
-  EXPECT_NEAR(result.support_distance_sum, 1.25, 1e-6);
+  UmpSolution result =
+      problem->Solve({.privacy = params, .output_size = 2}).value();
+  EXPECT_NEAR(result.objective_value, 1.25, 1e-6);
   EXPECT_NEAR(result.x_relaxed[q1], 0.0, 1e-7);
   EXPECT_NEAR(result.x_relaxed[q2], 2.0, 1e-7);
   EXPECT_EQ(result.x[q2], 2u);
@@ -65,23 +69,28 @@ TEST(FumpTest, TwoUserAnalyticOptimum) {
 TEST(FumpTest, InfeasibleWhenOutputSizeExceedsLambda) {
   SearchLog log = TwoUserSharedLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(4.0, 0.75);  // lambda = 2
-  FumpOptions options;
-  options.min_support = 0.1;
-  options.output_size = 3;
-  EXPECT_EQ(SolveFump(log, params, options).status().code(),
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  auto problem = MakeFumpProblem(log, &rows, {.min_support = 0.1}).value();
+  EXPECT_EQ(problem->Solve({.privacy = params, .output_size = 3})
+                .status()
+                .code(),
             StatusCode::kInfeasible);
 }
 
 TEST(FumpTest, SolutionSatisfiesConstraintsAndAudit) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult oump = SolveOump(log, params).value();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  UmpSolution oump =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
 
-  FumpOptions options;
-  options.min_support = 1.0 / 100;
-  options.output_size = oump.lambda / 2;
-  ASSERT_GT(options.output_size, 0u);
-  FumpResult result = SolveFump(log, params, options).value();
+  const uint64_t output_size = oump.output_size / 2;
+  ASSERT_GT(output_size, 0u);
+  UmpSolution result = MakeFumpProblem(log, &rows, {.min_support = 1.0 / 100})
+                           .value()
+                           ->Solve({.privacy = params,
+                                    .output_size = output_size})
+                           .value();
 
   DpConstraintSystem system = DpConstraintSystem::Build(log, params).value();
   EXPECT_TRUE(system.IsSatisfied(result.x));
@@ -92,15 +101,18 @@ TEST(FumpTest, SolutionSatisfiesConstraintsAndAudit) {
 TEST(FumpTest, RealizedSizeNearRequested) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult oump = SolveOump(log, params).value();
-  FumpOptions options;
-  options.min_support = 1.0 / 100;
-  options.output_size = oump.lambda / 2;
-  FumpResult result = SolveFump(log, params, options).value();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  UmpSolution oump =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
+  const uint64_t output_size = oump.output_size / 2;
+  UmpSolution result = MakeFumpProblem(log, &rows, {.min_support = 1.0 / 100})
+                           .value()
+                           ->Solve({.privacy = params,
+                                    .output_size = output_size})
+                           .value();
   // Flooring loses at most one click per pair.
-  EXPECT_LE(result.realized_output_size, options.output_size);
-  EXPECT_GE(result.realized_output_size + log.num_pairs(),
-            options.output_size);
+  EXPECT_LE(result.output_size, output_size);
+  EXPECT_GE(result.output_size + log.num_pairs(), output_size);
 }
 
 TEST(FumpTest, PrecisionIsOne) {
@@ -109,12 +121,15 @@ TEST(FumpTest, PrecisionIsOne) {
   // support can only improve the objective.
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult oump = SolveOump(log, params).value();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  UmpSolution oump =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
   for (double support : {1.0 / 50, 1.0 / 100, 1.0 / 250}) {
-    FumpOptions options;
-    options.min_support = support;
-    options.output_size = oump.lambda / 2;
-    FumpResult result = SolveFump(log, params, options).value();
+    UmpSolution result = MakeFumpProblem(log, &rows, {.min_support = support})
+                             .value()
+                             ->Solve({.privacy = params,
+                                      .output_size = oump.output_size / 2})
+                             .value();
     PrecisionRecall pr = FrequentPairMetrics(log, result.x, support);
     EXPECT_DOUBLE_EQ(pr.precision, 1.0) << "s=" << support;
   }
@@ -123,15 +138,19 @@ TEST(FumpTest, PrecisionIsOne) {
 TEST(FumpTest, RecallImprovesWithBudget) {
   SearchLog log = SmallSyntheticLog();
   const double support = 1.0 / 100;
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  auto oump_problem = MakeOumpProblem(log, &rows).value();
+  auto fump_problem =
+      MakeFumpProblem(log, &rows, {.min_support = support}).value();
   double prev_recall = -1.0;
   for (double e_eps : {1.01, 1.4, 2.3}) {
     PrivacyParams params = PrivacyParams::FromEEpsilon(e_eps, 0.5);
-    OumpResult oump = SolveOump(log, params).value();
-    if (oump.lambda == 0) continue;  // budget too tight for any output
-    FumpOptions options;
-    options.min_support = support;
-    options.output_size = std::max<uint64_t>(1, oump.lambda / 2);
-    FumpResult result = SolveFump(log, params, options).value();
+    UmpSolution oump = oump_problem->Solve({.privacy = params}).value();
+    if (oump.output_size == 0) continue;  // budget too tight for any output
+    const uint64_t output_size = std::max<uint64_t>(1, oump.output_size / 2);
+    UmpSolution result =
+        fump_problem->Solve({.privacy = params, .output_size = output_size})
+            .value();
     PrecisionRecall pr = FrequentPairMetrics(log, result.x, support);
     EXPECT_GE(pr.recall, prev_recall - 0.1)  // allow small non-monotone noise
         << "e_eps=" << e_eps;
@@ -144,21 +163,25 @@ TEST(FumpTest, ObjectiveIsSupportDistanceSum) {
   // solution.
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult oump = SolveOump(log, params).value();
-  FumpOptions options;
-  options.min_support = 1.0 / 100;
-  options.output_size = oump.lambda / 2;
-  FumpResult result = SolveFump(log, params, options).value();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  UmpSolution oump =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
+  const uint64_t output_size = oump.output_size / 2;
+  UmpSolution result = MakeFumpProblem(log, &rows, {.min_support = 1.0 / 100})
+                           .value()
+                           ->Solve({.privacy = params,
+                                    .output_size = output_size})
+                           .value();
 
   const double total = static_cast<double>(log.total_clicks());
   double recomputed = 0.0;
   for (PairId f : result.frequent_pairs) {
     const double input_support = static_cast<double>(log.pair_total(f)) / total;
     const double output_support =
-        result.x_relaxed[f] / static_cast<double>(options.output_size);
+        result.x_relaxed[f] / static_cast<double>(output_size);
     recomputed += std::abs(output_support - input_support);
   }
-  EXPECT_NEAR(recomputed, result.support_distance_sum, 1e-6);
+  EXPECT_NEAR(recomputed, result.objective_value, 1e-6);
 }
 
 }  // namespace

@@ -4,14 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numeric>
 
 #include "core/audit.h"
-#include "core/dump.h"
-#include "core/fump.h"
-#include "core/oump.h"
+#include "core/constraints.h"
 #include "core/sampler.h"
-#include "core/sanitizer.h"
+#include "core/session.h"
+#include "core/ump.h"
 #include "log/log_io.h"
 #include "log/preprocess.h"
 #include "metrics/utility_metrics.h"
@@ -41,13 +41,15 @@ TEST_P(PipelineGridTest, OumpPipelinePrivateAcrossGrid) {
   PrivacyParams params =
       PrivacyParams::FromEEpsilon(point.e_epsilon, point.delta);
   SearchLog log = testing_fixtures::SmallSyntheticLog();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
 
-  OumpResult oump = SolveOump(log, params).value();
+  UmpSolution oump =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
   AuditReport audit = AuditSolution(log, params, oump.x).value();
   EXPECT_TRUE(audit.satisfies_privacy) << audit.ToString();
 
   SearchLog output = SampleOutput(log, oump.x, 5).value();
-  EXPECT_EQ(output.total_clicks(), oump.lambda);
+  EXPECT_EQ(output.total_clicks(), oump.output_size);
 }
 
 TEST_P(PipelineGridTest, DumpSpePrivateAcrossGrid) {
@@ -55,8 +57,10 @@ TEST_P(PipelineGridTest, DumpSpePrivateAcrossGrid) {
   PrivacyParams params =
       PrivacyParams::FromEEpsilon(point.e_epsilon, point.delta);
   SearchLog log = testing_fixtures::SmallSyntheticLog();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
 
-  DumpResult dump = SolveDump(log, params).value();
+  UmpSolution dump =
+      MakeDumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
   AuditReport audit = AuditSolution(log, params, dump.x).value();
   EXPECT_TRUE(audit.satisfies_privacy) << audit.ToString();
 }
@@ -71,11 +75,11 @@ TEST_P(SeedSweepTest, FullPipelineOnFreshWorkload) {
   config.seed = GetParam();
   SearchLog raw = GenerateSearchLog(config).value();
 
-  SanitizerConfig sanitizer_config;
-  sanitizer_config.privacy = PrivacyParams::FromEEpsilon(1.7, 0.2);
-  sanitizer_config.seed = GetParam() * 31 + 1;
-  Sanitizer sanitizer(sanitizer_config);
-  auto report = sanitizer.Sanitize(raw);
+  SessionOptions options;
+  options.seed = GetParam() * 31 + 1;
+  auto session = SanitizerSession::Create(raw, options);
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto report = session->Sanitize(PrivacyParams::FromEEpsilon(1.7, 0.2));
   if (!report.ok()) {
     // Only acceptable failure: a degenerate workload with nothing shared.
     EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
@@ -101,16 +105,20 @@ TEST(IntegrationTest, OumpDominatesFumpAndDumpInSize) {
   // size (= retained pairs) can never exceed lambda.
   SearchLog log = testing_fixtures::SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
 
-  OumpResult oump = SolveOump(log, params).value();
-  DumpResult dump = SolveDump(log, params).value();
-  EXPECT_LE(static_cast<uint64_t>(dump.retained), oump.lambda);
+  UmpSolution oump =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
+  UmpSolution dump =
+      MakeDumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
+  EXPECT_LE(dump.output_size, oump.output_size);
 
-  FumpOptions fump_options;
-  fump_options.min_support = 1.0 / 100;
-  fump_options.output_size = oump.lambda;
-  FumpResult fump = SolveFump(log, params, fump_options).value();
-  EXPECT_LE(fump.realized_output_size, oump.lambda);
+  UmpSolution fump =
+      MakeFumpProblem(log, &rows, {.min_support = 1.0 / 100})
+          .value()
+          ->Solve({.privacy = params, .output_size = oump.output_size})
+          .value();
+  EXPECT_LE(fump.output_size, oump.output_size);
 }
 
 TEST(IntegrationTest, FumpPreservesSupportsBetterThanOump) {
@@ -119,12 +127,15 @@ TEST(IntegrationTest, FumpPreservesSupportsBetterThanOump) {
   SearchLog log = testing_fixtures::SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
   const double support = 1.0 / 100;
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
 
-  OumpResult oump = SolveOump(log, params).value();
-  FumpOptions options;
-  options.min_support = support;
-  options.output_size = oump.lambda;
-  FumpResult fump = SolveFump(log, params, options).value();
+  UmpSolution oump =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
+  UmpSolution fump =
+      MakeFumpProblem(log, &rows, {.min_support = support})
+          .value()
+          ->Solve({.privacy = params, .output_size = oump.output_size})
+          .value();
 
   const double fump_distance = SupportDistanceSum(log, fump.x, support);
   const double oump_distance = SupportDistanceSum(log, oump.x, support);
@@ -134,7 +145,9 @@ TEST(IntegrationTest, FumpPreservesSupportsBetterThanOump) {
 TEST(IntegrationTest, SampledOutputRoundTripsThroughTsv) {
   SearchLog log = testing_fixtures::SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult oump = SolveOump(log, params).value();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  UmpSolution oump =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
   SearchLog output = SampleOutput(log, oump.x, 17).value();
 
   const std::string path = "/tmp/privsan_integration_roundtrip.tsv";
@@ -169,12 +182,15 @@ TEST(IntegrationTest, LambdaFractionsInPaperBand) {
   // Table 4 reports 7.08%-26.2% of |D| across the grid; assert the synthetic
   // reproduction lands in a compatible order of magnitude at the extremes.
   SearchLog log = testing_fixtures::SmallSyntheticLog();
-  OumpResult loose =
-      SolveOump(log, PrivacyParams::FromEEpsilon(2.3, 0.8)).value();
-  OumpResult tight =
-      SolveOump(log, PrivacyParams::FromEEpsilon(1.001, 1e-4)).value();
-  EXPECT_LT(tight.lambda, loose.lambda);
-  EXPECT_GT(loose.lambda, 0u);
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  auto oump = MakeOumpProblem(log, &rows).value();
+  UmpSolution loose =
+      oump->Solve({.privacy = PrivacyParams::FromEEpsilon(2.3, 0.8)}).value();
+  UmpSolution tight =
+      oump->Solve({.privacy = PrivacyParams::FromEEpsilon(1.001, 1e-4)})
+          .value();
+  EXPECT_LT(tight.output_size, loose.output_size);
+  EXPECT_GT(loose.output_size, 0u);
 }
 
 }  // namespace

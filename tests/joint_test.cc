@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/audit.h"
-#include "core/oump.h"
+#include "core/constraints.h"
+#include "core/ump.h"
 #include "metrics/utility_metrics.h"
 #include "test_fixtures.h"
 
@@ -30,10 +33,12 @@ TEST(JointUmpTest, PureSizeWeightRecoversOump) {
   options.size_weight = 1.0;
   options.distance_weight = 0.0;
   JointUmpResult joint = SolveJointUmp(log, params, options).value();
-  OumpResult oump = SolveOump(log, params).value();
-  EXPECT_NEAR(joint.relaxed_size, oump.lp_objective,
-              1e-5 * (1.0 + oump.lp_objective));
-  EXPECT_EQ(joint.output_size, oump.lambda);
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  UmpSolution oump =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
+  EXPECT_NEAR(joint.relaxed_size, oump.objective_value,
+              1e-5 * (1.0 + oump.objective_value));
+  EXPECT_EQ(joint.output_size, oump.output_size);
 }
 
 TEST(JointUmpTest, SolutionsAreAlwaysPrivate) {
@@ -95,9 +100,11 @@ TEST(JointUmpTest, LambdaReportedForNormalization) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
   JointUmpResult joint = SolveJointUmp(log, params).value();
-  OumpResult oump = SolveOump(log, params).value();
-  EXPECT_EQ(joint.lambda, oump.lambda);
-  EXPECT_LE(joint.output_size, oump.lambda);
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  UmpSolution oump =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
+  EXPECT_EQ(joint.lambda, oump.output_size);
+  EXPECT_LE(joint.output_size, oump.output_size);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/audit.h"
-#include "core/oump.h"
+#include "core/constraints.h"
+#include "core/ump.h"
 #include "log/preprocess.h"
 #include "test_fixtures.h"
 
@@ -34,7 +37,9 @@ TEST(LaplaceStepTest, RejectsWrongSize) {
 TEST(LaplaceStepTest, RepairedCountsSatisfyConstraints) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(1.4, 0.1);
-  OumpResult oump = SolveOump(log, params).value();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  UmpSolution oump =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
 
   LaplaceStepOptions options;
   options.d = 2.0;
@@ -52,7 +57,9 @@ TEST(LaplaceStepTest, RepairedCountsSatisfyConstraints) {
 TEST(LaplaceStepTest, RepairScaleAtMostOne) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(1.4, 0.1);
-  OumpResult oump = SolveOump(log, params).value();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  UmpSolution oump =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
   LaplaceStepOptions options;
   options.d = 1.0;
   options.epsilon_prime = 1.0;
@@ -65,7 +72,9 @@ TEST(LaplaceStepTest, RepairScaleAtMostOne) {
 TEST(LaplaceStepTest, SmallNoiseKeepsCountsClose) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult oump = SolveOump(log, params).value();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  UmpSolution oump =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
   LaplaceStepOptions options;
   options.d = 0.01;        // tiny sensitivity bound
   options.epsilon_prime = 10.0;  // scale d/eps' = 0.001
@@ -85,7 +94,9 @@ TEST(LaplaceStepTest, SmallNoiseKeepsCountsClose) {
 TEST(LaplaceStepTest, DeterministicInSeed) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  OumpResult oump = SolveOump(log, params).value();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  UmpSolution oump =
+      MakeOumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
   LaplaceStepOptions options;
   options.seed = 77;
   LaplaceStepResult a =

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
-#include "core/oump.h"
+#include "core/constraints.h"
 #include "core/privacy_params.h"
+#include "core/ump.h"
 #include "test_fixtures.h"
 
 namespace privsan {
@@ -58,13 +60,15 @@ TEST(PbmpTest, DualityWithOump) {
   ASSERT_GT(pbmp.min_budget, 0.0);
 
   // epsilon = z*, delta chosen so the delta term does not bind.
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  auto problem = MakeOumpProblem(log, &rows).value();
   PrivacyParams params{pbmp.min_budget, 0.999999};
-  OumpResult oump = SolveOump(log, params).value();
-  EXPECT_GE(oump.lp_objective, static_cast<double>(target) - 1e-4);
+  UmpSolution oump = problem->Solve({.privacy = params}).value();
+  EXPECT_GE(oump.objective_value, static_cast<double>(target) - 1e-4);
 
   PrivacyParams tighter{pbmp.min_budget * 0.9, 0.999999};
-  OumpResult less = SolveOump(log, tighter).value();
-  EXPECT_LT(less.lp_objective, static_cast<double>(target));
+  UmpSolution less = problem->Solve({.privacy = tighter}).value();
+  EXPECT_LT(less.objective_value, static_cast<double>(target));
 }
 
 TEST(PbmpTest, FrontierParametersConsistent) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/audit.h"
-#include "core/dump.h"
+#include "core/constraints.h"
+#include "core/ump.h"
 #include "test_fixtures.h"
 
 namespace privsan {
@@ -59,7 +62,9 @@ TEST(QueryDiversityTest, CoversAtLeastAsManyQueriesAsPairDump) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
   QueryDiversityResult qd = SolveQueryDiversity(log, params).value();
-  DumpResult dump = SolveDump(log, params).value();
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  UmpSolution dump =
+      MakeDumpProblem(log, &rows).value()->Solve({.privacy = params}).value();
   EXPECT_GE(qd.queries_retained,
             CountCoveredQueries(log, dump.x));
 }

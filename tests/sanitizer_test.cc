@@ -1,6 +1,8 @@
-#include "core/sanitizer.h"
-
+// Algorithm 1 end to end: SanitizerSession::Create on a raw log, then
+// Sanitize at one (ε, δ).
 #include <gtest/gtest.h>
+
+#include "core/session.h"
 
 #include "test_fixtures.h"
 
@@ -16,29 +18,30 @@ SearchLog RawSyntheticLog() {
 }
 
 TEST(SanitizerTest, RejectsInvalidPrivacy) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams{0.0, 0.5};
-  Sanitizer sanitizer(config);
-  EXPECT_FALSE(sanitizer.Sanitize(Figure1Log()).ok());
+  SanitizerSession session = SanitizerSession::Create(Figure1Log()).value();
+  EXPECT_FALSE(session.Sanitize(PrivacyParams{0.0, 0.5}).ok());
 }
 
 TEST(SanitizerTest, FailsWhenEverythingUnique) {
   SearchLogBuilder builder;
   builder.Add("a", "q1", "u1", 3);
   builder.Add("b", "q2", "u2", 4);
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  Sanitizer sanitizer(config);
-  EXPECT_EQ(sanitizer.Sanitize(builder.Build()).status().code(),
+  SanitizerSession session =
+      SanitizerSession::Create(builder.Build()).value();
+  EXPECT_EQ(session.Sanitize(PrivacyParams::FromEEpsilon(2.0, 0.5))
+                .status()
+                .code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST(SanitizerTest, OumpEndToEnd) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  config.objective = UtilityObjective::kOutputSize;
-  Sanitizer sanitizer(config);
-  SanitizeReport report = sanitizer.Sanitize(RawSyntheticLog()).value();
+  SessionOptions options;
+  options.objective = UtilityObjective::kOutputSize;
+  SanitizeReport report =
+      SanitizerSession::Create(RawSyntheticLog(), options)
+          .value()
+          .Sanitize(PrivacyParams::FromEEpsilon(2.0, 0.5))
+          .value();
 
   EXPECT_TRUE(report.audit.satisfies_privacy);
   EXPECT_GT(report.output_size, 0u);
@@ -47,36 +50,42 @@ TEST(SanitizerTest, OumpEndToEnd) {
 }
 
 TEST(SanitizerTest, FumpEndToEndAutoOutputSize) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  config.objective = UtilityObjective::kFrequentPairs;
-  config.min_support = 1.0 / 100;
-  config.output_size = 0;  // auto: lambda
-  Sanitizer sanitizer(config);
-  SanitizeReport report = sanitizer.Sanitize(RawSyntheticLog()).value();
+  SessionOptions options;
+  options.objective = UtilityObjective::kFrequentPairs;
+  options.fump.min_support = 1.0 / 100;
+  options.output_size = 0;  // auto: lambda
+  SanitizeReport report =
+      SanitizerSession::Create(RawSyntheticLog(), options)
+          .value()
+          .Sanitize(PrivacyParams::FromEEpsilon(2.0, 0.5))
+          .value();
   EXPECT_TRUE(report.audit.satisfies_privacy);
   EXPECT_GT(report.output_size, 0u);
 }
 
 TEST(SanitizerTest, FumpEndToEndExplicitOutputSize) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  config.objective = UtilityObjective::kFrequentPairs;
-  config.min_support = 1.0 / 100;
-  config.output_size = 20;
-  Sanitizer sanitizer(config);
-  SanitizeReport report = sanitizer.Sanitize(RawSyntheticLog()).value();
+  SessionOptions options;
+  options.objective = UtilityObjective::kFrequentPairs;
+  options.fump.min_support = 1.0 / 100;
+  options.output_size = 20;
+  SanitizeReport report =
+      SanitizerSession::Create(RawSyntheticLog(), options)
+          .value()
+          .Sanitize(PrivacyParams::FromEEpsilon(2.0, 0.5))
+          .value();
   EXPECT_LE(report.output_size, 20u);
   EXPECT_TRUE(report.audit.satisfies_privacy);
 }
 
 TEST(SanitizerTest, DumpEndToEnd) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  config.objective = UtilityObjective::kDiversity;
-  config.dump_solver = DumpSolverKind::kSpe;
-  Sanitizer sanitizer(config);
-  SanitizeReport report = sanitizer.Sanitize(RawSyntheticLog()).value();
+  SessionOptions options;
+  options.objective = UtilityObjective::kDiversity;
+  options.dump.solver = DumpSolverKind::kSpe;
+  SanitizeReport report =
+      SanitizerSession::Create(RawSyntheticLog(), options)
+          .value()
+          .Sanitize(PrivacyParams::FromEEpsilon(2.0, 0.5))
+          .value();
   EXPECT_TRUE(report.audit.satisfies_privacy);
   // D-UMP counts are 0/1.
   for (uint64_t c : report.optimal_counts) EXPECT_LE(c, 1u);
@@ -84,11 +93,11 @@ TEST(SanitizerTest, DumpEndToEnd) {
 }
 
 TEST(SanitizerTest, OutputSchemaSubsetOfInput) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  Sanitizer sanitizer(config);
   SearchLog input = RawSyntheticLog();
-  SanitizeReport report = sanitizer.Sanitize(input).value();
+  SanitizeReport report = SanitizerSession::Create(input)
+                              .value()
+                              .Sanitize(PrivacyParams::FromEEpsilon(2.0, 0.5))
+                              .value();
   for (UserId u = 0; u < report.output.num_users(); ++u) {
     EXPECT_TRUE(input.FindUser(report.output.user_name(u)).ok());
   }
@@ -102,28 +111,35 @@ TEST(SanitizerTest, OutputSchemaSubsetOfInput) {
 }
 
 TEST(SanitizerTest, DeterministicInSeed) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  config.seed = 123;
-  Sanitizer sanitizer(config);
+  SessionOptions options;
+  options.seed = 123;
+  const PrivacyParams privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
   SearchLog input = RawSyntheticLog();
-  SanitizeReport a = sanitizer.Sanitize(input).value();
-  SanitizeReport b = sanitizer.Sanitize(input).value();
+  SanitizeReport a = SanitizerSession::Create(input, options)
+                         .value()
+                         .Sanitize(privacy)
+                         .value();
+  SanitizeReport b = SanitizerSession::Create(input, options)
+                         .value()
+                         .Sanitize(privacy)
+                         .value();
   EXPECT_EQ(a.output_size, b.output_size);
   EXPECT_EQ(a.output.num_tuples(), b.output.num_tuples());
   EXPECT_EQ(a.optimal_counts, b.optimal_counts);
 }
 
 TEST(SanitizerTest, LaplaceModeStillSamplable) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
+  SessionOptions options;
   LaplaceStepOptions laplace;
   laplace.d = 1.0;
   laplace.epsilon_prime = 1.0;
   laplace.repair_feasibility = true;
-  config.laplace = laplace;
-  Sanitizer sanitizer(config);
-  SanitizeReport report = sanitizer.Sanitize(RawSyntheticLog()).value();
+  options.laplace = laplace;
+  SanitizeReport report =
+      SanitizerSession::Create(RawSyntheticLog(), options)
+          .value()
+          .Sanitize(PrivacyParams::FromEEpsilon(2.0, 0.5))
+          .value();
   // With repair enabled the audit must still pass.
   EXPECT_TRUE(report.audit.satisfies_privacy) << report.audit.ToString();
   EXPECT_EQ(report.output.total_clicks(), report.output_size);
@@ -139,10 +155,10 @@ TEST(SanitizerTest, ObjectiveNames) {
 }
 
 TEST(SanitizerTest, ReportTimesPopulated) {
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  Sanitizer sanitizer(config);
-  SanitizeReport report = sanitizer.Sanitize(RawSyntheticLog()).value();
+  SanitizeReport report = SanitizerSession::Create(RawSyntheticLog())
+                              .value()
+                              .Sanitize(PrivacyParams::FromEEpsilon(2.0, 0.5))
+                              .value();
   EXPECT_GE(report.solve_seconds, 0.0);
 }
 

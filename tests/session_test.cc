@@ -1,6 +1,6 @@
 // SanitizerSession semantics: warm-started sweeps match per-cell cold
-// solves, AppendUsers matches a from-scratch solve on the concatenated log,
-// and the one-shot wrappers stay equivalent to the session paths.
+// solves, and AppendUsers matches a from-scratch solve on the concatenated
+// log.
 #include "core/session.h"
 
 #include <algorithm>
@@ -12,10 +12,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/dump.h"
-#include "core/oump.h"
-#include "core/sanitizer.h"
-#include "log/preprocess.h"
+#include "core/constraints.h"
+#include "core/ump.h"
 #include "synth/generator.h"
 #include "test_fixtures.h"
 
@@ -370,36 +368,6 @@ TEST(SessionAppendTest, AppendMergesSameUser) {
             Figure1Log().total_clicks() + 5);
 }
 
-TEST(SessionWrapperTest, OneShotWrappersMatchSession) {
-  const SearchLog raw = SmallSyntheticRaw();
-  const SearchLog log = RemoveUniquePairs(raw).log;
-  const PrivacyParams params = PrivacyParams::FromEEpsilon(2.0, 0.5);
-
-  OumpResult wrapper = SolveOump(log, params).value();
-  SanitizerSession session = SanitizerSession::Create(raw).value();
-  UmpSolution solution =
-      session.Solve(UtilityObjective::kOutputSize, Query(2.0, 0.5)).value();
-  EXPECT_NEAR(wrapper.lp_objective, solution.objective_value,
-              1e-6 * (1.0 + solution.objective_value));
-  EXPECT_EQ(wrapper.lambda, solution.output_size);
-}
-
-TEST(SessionWrapperTest, SanitizerDelegatesToSession) {
-  const SearchLog input = SmallSyntheticRaw();
-  SanitizerConfig config;
-  config.privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
-  config.objective = UtilityObjective::kDiversity;
-  config.dump_solver = DumpSolverKind::kSpe;
-  config.seed = 99;
-
-  SanitizeReport wrapper = Sanitizer(config).Sanitize(input).value();
-  SanitizerSession session =
-      SanitizerSession::Create(input, config.ToSessionOptions()).value();
-  SanitizeReport direct = session.Sanitize(config.privacy).value();
-  EXPECT_EQ(wrapper.optimal_counts, direct.optimal_counts);
-  EXPECT_EQ(Tuples(wrapper.output), Tuples(direct.output));
-}
-
 TEST(SessionFumpTest, ZeroOutputSizeResolvesToLambda) {
   SanitizerSession session =
       SanitizerSession::Create(SmallSyntheticRaw()).value();
@@ -424,20 +392,27 @@ TEST(SessionFumpTest, ZeroOutputSizeResolvesToLambda) {
 // & bound — without changing the optimum.
 TEST(SessionDumpTest, IntegerPresolveFixesAndPreservesOptimum) {
   const SearchLog log = testing_fixtures::Figure1Preprocessed();
-  DumpOptions with;
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  DumpSpec with;
   with.solver = DumpSolverKind::kBranchAndBound;
   with.integer_presolve = true;
-  DumpOptions without = with;
+  DumpSpec without = with;
   without.integer_presolve = false;
 
   // Figure 1's largest coefficient is log(39/22) ~ 0.57 (user 083's google
   // clicks); eps = 0.3 < 0.57 forces at least one integer fix.
   PrivacyParams params{0.3, 0.5};
-  DumpResult fixed = SolveDump(log, params, with).value();
-  DumpResult plain = SolveDump(log, params, without).value();
-  EXPECT_GT(fixed.integer_fixed, 0);
-  EXPECT_EQ(plain.integer_fixed, 0);
-  EXPECT_EQ(fixed.retained, plain.retained);
+  UmpSolution fixed = MakeDumpProblem(log, &rows, with)
+                          .value()
+                          ->Solve({.privacy = params})
+                          .value();
+  UmpSolution plain = MakeDumpProblem(log, &rows, without)
+                          .value()
+                          ->Solve({.privacy = params})
+                          .value();
+  EXPECT_GT(fixed.stats.integer_fixed, 0);
+  EXPECT_EQ(plain.stats.integer_fixed, 0);
+  EXPECT_EQ(fixed.output_size, plain.output_size);
   EXPECT_TRUE(fixed.proven_optimal);
 }
 
