@@ -5,8 +5,8 @@
 // can (a) cold re-solve after every batch — rebuild preprocessing, DP rows
 // and the LP from scratch each time (a fresh SanitizerSession per batch) — or
 // (b) enqueue all K batches in the service and let one flush coalesce them
-// into a single incremental re-preprocess + DP-row patch + basis remap,
-// then solve warm. Same final state, one warm solve instead of K cold ones.
+// into a single re-preprocess + DP-row rebuild + basis remap, then solve
+// warm. Same final state, one warm solve instead of K cold ones.
 //
 // Part 2 — multi-tenant solves/sec. T client threads, each owning a tenant,
 // sweep a budget grid through the shared service twice: the first pass
@@ -20,7 +20,7 @@
 //
 // Part 4 — mixed append/solve workload. R rounds of "append a small batch,
 // then solve" through two service configurations: inline flush (the solve
-// pays the coalescing merge + re-preprocess + row patch + basis remap) and
+// pays the coalescing merge + re-preprocess + row rebuild + basis remap) and
 // background flush (the maintenance thread lands the batch between
 // requests, so the solve finds the log already flushed). Reports
 // p50/p95/p99 of the first-solve-after-append and append-ack latencies per
@@ -29,7 +29,7 @@
 //
 // Part 5 — windowed-stream workload. A sliding user population: each tick
 // appends a fresh batch, removes the oldest live batch (RemoveUsers — DP
-// rows patched, basis remapped down) and re-solves. The tenant carries a
+// rows rebuilt, basis remapped down) and re-solves. The tenant carries a
 // privacy budget, so every tick's solve is also an accountant charge. The
 // post-removal solve must warm-start and match a cold solve on the
 // surviving window; a final ExpireWindow retires the whole population
@@ -140,9 +140,7 @@ int main() {
             << cold_root_iterations << " root iterations)\n"
             << "batched warm:    " << warm_seconds << " s ("
             << warm_solution.stats.root_iterations << " root iterations, "
-            << publisher_stats.flushes << " flush, rows copied/rebuilt "
-            << publisher_stats.rows_copied << "/"
-            << publisher_stats.rows_rebuilt << ", repair_aborted "
+            << publisher_stats.flushes << " flush, repair_aborted "
             << publisher_stats.repair_aborted << ")\n"
             << "speedup: " << speedup << "x, objective mismatches: "
             << mismatches << "\n\n";
@@ -165,10 +163,7 @@ int main() {
         .Add("root_iterations", warm_solution.stats.root_iterations)
         .Add("repair_aborted", publisher_stats.repair_aborted)
         .Add("basis_repairs",
-             static_cast<int64_t>(warm_solution.stats.basis_repairs))
-        .Add("rows_copied", static_cast<int64_t>(publisher_stats.rows_copied))
-        .Add("rows_rebuilt",
-             static_cast<int64_t>(publisher_stats.rows_rebuilt));
+             static_cast<int64_t>(warm_solution.stats.basis_repairs));
     report.Add(std::move(record));
   }
   {
@@ -177,36 +172,6 @@ int main() {
         .Add("batches", static_cast<int64_t>(kBatches))
         .Add("speedup", speedup)
         .Add("objective_mismatches", static_cast<int64_t>(mismatches));
-    report.Add(std::move(record));
-  }
-
-  // ---- Part 1b: steady-state small append (the row-patch fast path) -----
-  // One new user clicking one existing tail pair — the common steady-state
-  // event. Most pair totals are untouched, so most DP rows are copied, not
-  // recomputed; this record is what gates PatchRows in CI (the bulk append
-  // above legitimately rebuilds every row).
-  {
-    SanitizerSession session = SanitizerSession::Create(raw).value();
-    const SearchLog& log = session.log();
-    PairId target = 0;
-    for (PairId p = 1; p < log.num_pairs(); ++p) {
-      if (log.PairUserCount(p) < log.PairUserCount(target)) target = p;
-    }
-    SearchLogBuilder one_user;
-    one_user.Add("steady_state_user", log.query_name(log.pair_query(target)),
-                 log.url_name(log.pair_url(target)), 1);
-    WallTimer append_timer;
-    if (!session.AppendUsers(one_user.Build()).ok()) return 1;
-    const AppendStats& append_stats = session.last_append_stats();
-    std::cout << "single-user append: " << append_timer.ElapsedSeconds()
-              << " s, rows copied/rebuilt " << append_stats.rows_copied
-              << "/" << append_stats.rows_rebuilt << "\n\n";
-    bench::JsonRecord record;
-    record.Add("record", "small_append")
-        .Add("seconds", append_stats.seconds)
-        .Add("rows_copied", static_cast<int64_t>(append_stats.rows_copied))
-        .Add("rows_rebuilt",
-             static_cast<int64_t>(append_stats.rows_rebuilt));
     report.Add(std::move(record));
   }
 
@@ -300,18 +265,18 @@ int main() {
   // ---- Part 4: mixed append/solve workload (inline vs background flush) --
   // The steady-state serve shape: one new user trickles in, then the
   // client re-queries its budget. Inline, that first solve pays the whole
-  // append-coalescing pipeline — merge + re-preprocess + row patch + basis
-  // remap + model rebuild + the append's repair pivots. With maintenance
-  // on, the background flush lands the batch, prewarms the models and
-  // refreshes the hot query between requests, so the client's solve finds
-  // a current cache entry (and, at any other budget, an already
-  // re-optimized basis).
+  // append-coalescing pipeline — merge + re-preprocess + row rebuild +
+  // basis remap + model rebuild + the append's repair pivots. With
+  // maintenance on, the background flush lands the batch, prewarms the
+  // models and refreshes the hot query between requests, so the client's
+  // solve finds a current cache entry (and, at any other budget, an
+  // already re-optimized basis).
   std::cout << "\n== mixed append/solve workload ==\n";
   const int kRounds = 6;
   std::vector<SearchLog> round_batches;
   {
     // Each round's batch is one new user clicking the least-shared pair of
-    // the base log (as in Part 1b: most DP rows stay copyable).
+    // the base log.
     const PreprocessResult base_pre =
         RemoveUniquePairs(UserSlice(raw, 0, raw.num_users() * 9 / 10));
     const SearchLog& base_log = base_pre.log;
@@ -471,7 +436,7 @@ int main() {
       return 1;
     }
     // RemoveUsers flushes the queued append first: one coalesced flush and
-    // one row patch per tick, exactly the maintenance-driven expiry shape.
+    // one row rebuild per tick, exactly the maintenance-driven expiry shape.
     if (!stream_service.RemoveUsers("stream", retired).ok()) return 1;
     const Result<UmpSolution> ticked = stream_service.Solve(
         "stream", UtilityObjective::kOutputSize, query);
@@ -503,8 +468,7 @@ int main() {
 
   std::cout << kTicks << " ticks in " << window_seconds << " s (tick p50 "
             << PercentileMs(tick_seconds, 0.50) << " ms); users removed "
-            << window_stats.users_removed << ", rows patched on remove "
-            << window_stats.rows_patched_on_remove
+            << window_stats.users_removed
             << ", remove_warm_started=" << (remove_warm_started ? 1 : 0)
             << ", spent epsilon " << window_budget.spent_epsilon << " over "
             << window_budget.allocations << " charges ("
@@ -519,8 +483,6 @@ int main() {
         .Add("tick_ms_p95", PercentileMs(tick_seconds, 0.95))
         .Add("users_removed",
              static_cast<int64_t>(window_stats.users_removed))
-        .Add("rows_patched_on_remove",
-             static_cast<int64_t>(window_stats.rows_patched_on_remove))
         .Add("remove_warm_started",
              static_cast<int64_t>(remove_warm_started ? 1 : 0))
         .Add("epsilon_spent_micro",

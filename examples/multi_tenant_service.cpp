@@ -94,7 +94,7 @@ int main() {
 
   // 3. New activity arrives as many small appends. Each Append future
   //    resolves on acceptance; the maintenance thread coalesces the queue
-  //    into ONE incremental flush (merge + DP-row patch + basis remap) off
+  //    into ONE flush (merge + DP-row rebuild + basis remap) off
   //    the query path and then re-solves the hot query, so the next client
   //    solve finds a current cache entry.
   const SearchLog growth = Workload(999);
@@ -121,12 +121,10 @@ int main() {
   }
   stats = service.Stats("balanced").value();
   std::cout << "\nappended " << stats.appends_coalesced << " batches in "
-            << stats.flushes << " flush(es), "
-            << stats.maintenance_flushes
-            << " by the maintenance thread; DP rows copied/rebuilt: "
-            << stats.rows_copied << "/" << stats.rows_rebuilt
-            << "; hot-query refreshes: " << stats.refresh_solves
-            << "; new lambda = " << grown->output_size << "\n";
+            << stats.flushes << " flush(es), " << stats.maintenance_flushes
+            << " by the maintenance thread; hot-query refreshes: "
+            << stats.refresh_solves << "; new lambda = " << grown->output_size
+            << "\n";
 
   // 4. Snapshot the tenant and restore it in a "restarted" service under a
   //    tight global memory budget: the restored solve warm-starts from the

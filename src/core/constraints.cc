@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "serve/thread_pool.h"
@@ -82,113 +80,6 @@ Result<DpConstraintSystem> DpConstraintSystem::BuildRows(
   });
   if (failed.load()) return UniquePairError();
   return AssembleRows(std::move(per_user), log.num_pairs());
-}
-
-Result<DpRowPatch> DpConstraintSystem::PatchRows(
-    const SearchLog& new_log, const SearchLog& old_log,
-    const DpConstraintSystem& old_system, serve::ThreadPool* pool) {
-  if (old_system.num_pairs() != old_log.num_pairs()) {
-    return Status::InvalidArgument(
-        "PatchRows: old_system was not built on old_log");
-  }
-
-  // Old pair by name, then per-new-pair: changed iff the pair is new or its
-  // total click count c_ij moved (appended clicks always move it).
-  std::unordered_map<std::string, PairId> old_pair_of_name;
-  old_pair_of_name.reserve(old_log.num_pairs());
-  for (PairId p = 0; p < old_log.num_pairs(); ++p) {
-    old_pair_of_name.emplace(old_log.PairNameKey(p), p);
-  }
-  constexpr PairId kNoPair = static_cast<PairId>(-1);
-  std::vector<uint8_t> changed(new_log.num_pairs(), 0);
-  std::vector<PairId> new_to_old(new_log.num_pairs(), kNoPair);
-  for (PairId p = 0; p < new_log.num_pairs(); ++p) {
-    const auto it = old_pair_of_name.find(new_log.PairNameKey(p));
-    if (it == old_pair_of_name.end()) {
-      changed[p] = 1;  // newly retained (or genuinely new) pair
-    } else {
-      new_to_old[p] = it->second;
-      if (old_log.pair_total(it->second) != new_log.pair_total(p)) {
-        changed[p] = 1;
-      }
-    }
-  }
-
-  std::unordered_map<std::string, size_t> old_row_of_user;
-  old_row_of_user.reserve(old_system.num_rows());
-  for (size_t r = 0; r < old_system.num_rows(); ++r) {
-    old_row_of_user.emplace(old_log.user_name(old_system.RowUser(r)), r);
-  }
-
-  const size_t num_users = new_log.num_users();
-  std::vector<std::vector<DpConstraintEntry>> per_user(num_users);
-  std::atomic<bool> failed{false};
-  std::atomic<size_t> copied{0};
-  std::atomic<size_t> rebuilt{0};
-  serve::ParallelFor(pool, num_users, [&](size_t begin, size_t end) {
-    size_t local_copied = 0;
-    size_t local_rebuilt = 0;
-    for (UserId u = static_cast<UserId>(begin); u < end; ++u) {
-      const auto user_log = new_log.UserLogOf(u);
-      if (user_log.empty()) continue;
-      bool copyable =
-          std::none_of(user_log.begin(), user_log.end(),
-                       [&](const PairCount& cell) {
-                         return changed[cell.pair] != 0;
-                       });
-      if (copyable) {
-        const auto it = old_row_of_user.find(new_log.user_name(u));
-        const std::span<const DpConstraintEntry> old_row =
-            it != old_row_of_user.end()
-                ? old_system.Row(it->second)
-                : std::span<const DpConstraintEntry>{};
-        // An untouched user's log holds the same pairs — but possibly under
-        // permuted ids (Create and the first append derive their raws in
-        // different insertion orders). Walk the new log in its own order
-        // and pull each coefficient out of the old row by (old) PairId,
-        // which old rows are sorted by.
-        copyable = old_row.size() == user_log.size();
-        if (copyable) {
-          std::vector<DpConstraintEntry>& row = per_user[u];
-          row.reserve(user_log.size());
-          for (const PairCount& cell : user_log) {
-            const PairId old_pair = new_to_old[cell.pair];
-            const auto entry = old_pair == kNoPair
-                ? old_row.end()
-                : std::lower_bound(
-                      old_row.begin(), old_row.end(), old_pair,
-                      [](const DpConstraintEntry& e, PairId target) {
-                        return e.pair < target;
-                      });
-            if (entry == old_row.end() || entry->pair != old_pair) {
-              copyable = false;
-              break;
-            }
-            row.push_back(DpConstraintEntry{cell.pair, entry->log_t});
-          }
-          if (!copyable) row.clear();
-        }
-      }
-      if (copyable) {
-        ++local_copied;
-        continue;
-      }
-      ++local_rebuilt;
-      if (!BuildRow(new_log, u, &per_user[u])) {
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-    copied.fetch_add(local_copied, std::memory_order_relaxed);
-    rebuilt.fetch_add(local_rebuilt, std::memory_order_relaxed);
-  });
-  if (failed.load()) return UniquePairError();
-
-  DpRowPatch result;
-  result.system = AssembleRows(std::move(per_user), new_log.num_pairs());
-  result.rows_copied = copied.load();
-  result.rows_rebuilt = rebuilt.load();
-  return result;
 }
 
 DpConstraintSystem DpConstraintSystem::FromRows(

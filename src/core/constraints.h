@@ -10,6 +10,10 @@
 // pairs — where c_ijk = c_ij and t would blow up — must already be removed
 // by Condition-1 preprocessing; Build fails otherwise). The feasible region
 // {Mx <= b, x >= 0} with M, b > 0 is a bounded polytope (Statement 1).
+//
+// The coefficients depend only on the log, so building the rows is one
+// O(nnz) pass; the session (core/session.h) rebuilds them from scratch on
+// every append and removal.
 #ifndef PRIVSAN_CORE_CONSTRAINTS_H_
 #define PRIVSAN_CORE_CONSTRAINTS_H_
 
@@ -34,8 +38,6 @@ struct DpConstraintEntry {
   bool operator==(const DpConstraintEntry&) const = default;
 };
 
-struct DpRowPatch;  // defined below (holds a DpConstraintSystem)
-
 class DpConstraintSystem {
  public:
   // Builds one row per user with a non-empty log. Fails with
@@ -56,23 +58,6 @@ class DpConstraintSystem {
   static Result<DpConstraintSystem> BuildRows(const SearchLog& log,
                                               serve::ThreadPool* pool);
   void SetBudget(double budget) { budget_ = budget; }
-
-  // Incremental BuildRows after an append: `old_system` holds the rows of
-  // `old_log`, and `new_log` is the re-preprocessed log after more clicks
-  // arrived. A user's row coefficients log(c_ij / (c_ij − c_ijk)) change
-  // only when one of their pairs gained clicks — and any appended click on
-  // pair (i,j) raises c_ij — so rows of users holding no pair whose total
-  // changed are copied verbatim (PairIds remapped) and only the rest are
-  // recomputed. The result is bit-identical to BuildRows(new_log): copied
-  // doubles equal freshly computed ones because their inputs are unchanged.
-  // PairIds may be permuted arbitrarily between the two logs (pairs are
-  // matched by name); rows that cannot be safely copied (user log shape
-  // changed, a pair missing from the old row) silently fall back to a
-  // rebuild of that row.
-  static Result<DpRowPatch> PatchRows(const SearchLog& new_log,
-                                      const SearchLog& old_log,
-                                      const DpConstraintSystem& old_system,
-                                      serve::ThreadPool* pool = nullptr);
 
   // Reassembles a system from its parts — the snapshot-restore path
   // (serve/snapshot.h). Performs no validation beyond sizing; callers are
@@ -110,12 +95,6 @@ class DpConstraintSystem {
   std::vector<UserId> row_users_;
   double budget_ = 0.0;
   size_t num_pairs_ = 0;
-};
-
-struct DpRowPatch {
-  DpConstraintSystem system;
-  size_t rows_copied = 0;   // users whose coefficients were untouched
-  size_t rows_rebuilt = 0;  // users holding a changed pair, or new users
 };
 
 }  // namespace privsan

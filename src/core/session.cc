@@ -271,9 +271,13 @@ Result<SanitizerSession> SanitizerSession::FromSnapshot(
 
 Status SanitizerSession::RebuildFromRaw(bool remap_bases) {
   State& s = *state_;
+  // The old log and rows are kept only to map the stored optimal bases
+  // onto the new model.
+  const bool have_bases =
+      remap_bases && (!s.oump_basis.empty() || !s.dump_basis.empty());
   SearchLog old_log;
   DpConstraintSystem old_system;
-  if (remap_bases) {
+  if (have_bases) {
     old_log = std::move(s.log);
     old_system = std::move(s.system);
   }
@@ -281,21 +285,8 @@ Status SanitizerSession::RebuildFromRaw(bool remap_bases) {
   PreprocessResult preprocessed = RemoveUniquePairs(s.raw, s.options.pool);
   s.log = std::move(preprocessed.log);
   s.stats = preprocessed.stats;
-  if (remap_bases) {
-    // Incremental re-derive: copy the rows whose users saw no click-total
-    // movement, recompute the rest. Bit-identical to a full BuildRows.
-    PRIVSAN_ASSIGN_OR_RETURN(
-        DpRowPatch patched,
-        DpConstraintSystem::PatchRows(s.log, old_log, old_system,
-                                      s.options.pool));
-    s.system = std::move(patched.system);
-    s.append_stats.rows_copied = patched.rows_copied;
-    s.append_stats.rows_rebuilt = patched.rows_rebuilt;
-  } else {
-    PRIVSAN_ASSIGN_OR_RETURN(s.system,
-                             DpConstraintSystem::BuildRows(s.log,
-                                                           s.options.pool));
-  }
+  PRIVSAN_ASSIGN_OR_RETURN(
+      s.system, DpConstraintSystem::BuildRows(s.log, s.options.pool));
   for (int i = 0; i < kNumObjectives; ++i) {
     s.had_problem[i] = s.problems[i] != nullptr;
     s.problems[i].reset();
@@ -305,8 +296,6 @@ Status SanitizerSession::RebuildFromRaw(bool remap_bases) {
   // Carry the O-UMP / D-UMP optimal bases over to the resized model (the
   // index maps are shared across objectives). Dropping the problems above
   // also dropped the O-UMP optimum cached for the old log version.
-  const bool have_bases =
-      remap_bases && (!s.oump_basis.empty() || !s.dump_basis.empty());
   const RemapMaps maps =
       have_bases ? BuildRemapMaps(old_log, old_system, s.log, s.system)
                  : RemapMaps{};
@@ -334,7 +323,7 @@ Status SanitizerSession::RemoveUsers(
 
   // Rebuild the raw log from the survivors, in their original id order so
   // a from-scratch build of the same survivor set produces the identical
-  // log (the bit-equality contract of the incremental row patch).
+  // log, and with it bit-identical DP rows.
   SearchLogBuilder builder;
   size_t removed = 0;
   for (UserId u = 0; u < s.raw.num_users(); ++u) {
@@ -354,12 +343,9 @@ Status SanitizerSession::RemoveUsers(
     return Status::OK();  // idempotent: none of the names are present
   }
   s.raw = builder.Build();
-  s.append_stats = {};
   PRIVSAN_RETURN_IF_ERROR(RebuildFromRaw(/*remap_bases=*/true));
   s.remove_stats.removed_users = removed;
-  s.remove_stats.rows_copied = s.append_stats.rows_copied;
-  s.remove_stats.rows_rebuilt = s.append_stats.rows_rebuilt;
-  s.append_stats = {};
+  s.remove_stats.rows_rebuilt = s.system.num_rows();
   s.remove_stats.seconds = timer.ElapsedSeconds();
   return Status::OK();
 }
@@ -375,6 +361,7 @@ Status SanitizerSession::AppendUsers(const SearchLog& more) {
   s.append_stats = {};
   s.append_stats.appended_users = more.num_users();
   PRIVSAN_RETURN_IF_ERROR(RebuildFromRaw(/*remap_bases=*/true));
+  s.append_stats.rows_rebuilt = s.system.num_rows();
   s.append_stats.seconds = timer.ElapsedSeconds();
   return Status::OK();
 }

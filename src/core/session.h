@@ -23,9 +23,7 @@
 //     basis onto the grown model (appended users become basic slack rows,
 //     new pairs enter nonbasic at zero) so the next solve warm-starts from
 //     the prior optimum instead of cold-solving — the serve-path primitive.
-//     The DP rows are patched incrementally (DpConstraintSystem::PatchRows):
-//     only rows of users holding a pair whose click total moved are
-//     recomputed, the rest are copied with remapped PairIds;
+//     The DP rows are rebuilt from scratch (one O(nnz) BuildRows pass);
 //   * Sanitize(privacy): the full Algorithm-1 pipeline (solve → optional
 //     Laplace noise → multinomial sampling → Theorem-1 audit) on the
 //     session's cached state.
@@ -87,23 +85,22 @@ struct SessionOptions {
   serve::ThreadPool* pool = nullptr;
 };
 
-// What the last AppendUsers actually did — the serve path's hot-spot
-// telemetry (rows_copied should dominate once a log is large and appends
-// are small).
+// What the last AppendUsers actually did. Every append rebuilds all DP
+// rows, so rows_copied is always 0; it stays only because perfbench's
+// serve_stream reports the copied-row ratio from it.
 struct AppendStats {
   size_t appended_users = 0;   // raw users added (pre-merge duplicates)
-  size_t rows_copied = 0;      // DP rows reused from the previous system
-  size_t rows_rebuilt = 0;     // DP rows recomputed (changed or new users)
+  size_t rows_copied = 0;      // always 0
+  size_t rows_rebuilt = 0;     // DP rows of the rebuilt system
   double seconds = 0.0;
 };
 
 // What the last RemoveUsers actually did — the deletion mirror of
-// AppendStats (stream/window.h drives removals continuously, so the serve
-// layer surfaces these per tenant).
+// AppendStats.
 struct RemoveStats {
   size_t removed_users = 0;    // named users actually present and removed
-  size_t rows_copied = 0;      // DP rows reused from the previous system
-  size_t rows_rebuilt = 0;     // DP rows recomputed (a removed user's pairs)
+  size_t rows_copied = 0;      // always 0
+  size_t rows_rebuilt = 0;     // DP rows of the rebuilt system
   double seconds = 0.0;
 };
 
@@ -195,11 +192,10 @@ class SanitizerSession {
                                    const SweepOptions& sweep = {});
 
   // Appends the user logs of `more` to the session's raw input (same-name
-  // users merge), re-preprocesses, patches the DP rows incrementally (only
-  // rows whose users' pairs changed are recomputed), and remaps the stored
-  // optimal bases onto the grown problem so the next Solve warm-starts from
-  // the prior optimum. The result of a post-append solve is identical to a
-  // from-scratch solve on the concatenated log.
+  // users merge), re-preprocesses, rebuilds the DP rows, and remaps the
+  // stored optimal bases onto the grown problem so the next Solve
+  // warm-starts from the prior optimum. The result of a post-append solve
+  // is identical to a from-scratch solve on the concatenated log.
   Status AppendUsers(const SearchLog& more);
 
   // What the most recent AppendUsers did; zeros before the first append.
@@ -207,13 +203,12 @@ class SanitizerSession {
 
   // Removes the named users from the session's raw input — the inverse of
   // AppendUsers. The raw log is shrunk, re-preprocessed (a pair can turn
-  // unique once its other holders leave), the DP rows are patched
-  // incrementally (rows of users holding no pair whose total moved are
-  // copied verbatim — bit-identical to a full rebuild on the shrunk log),
-  // and the stored optimal bases are remapped *down* onto the shrunk model
-  // so the next Solve resumes warm. Names not present are ignored
-  // (deletion is idempotent); removing every user leaves a valid empty
-  // session that Solve rejects until users are appended again.
+  // unique once its other holders leave), the DP rows are rebuilt
+  // (bit-identical to a session created on the shrunk log), and the stored
+  // optimal bases are remapped *down* onto the shrunk model so the next
+  // Solve resumes warm. Names not present are ignored (deletion is
+  // idempotent); removing every user leaves a valid empty session that
+  // Solve rejects until users are appended again.
   Status RemoveUsers(const std::vector<std::string>& user_names);
 
   // What the most recent RemoveUsers did; zeros before the first removal.

@@ -143,8 +143,8 @@ class SearchLog {
 
   // Canonical composite name key of pair p, collision-free for arbitrary
   // byte content (the query is length-prefixed, so no separator byte can be
-  // forged by a crafted name). Basis remapping and DP-row patching both
-  // match pairs across logs by this key — they must agree on it.
+  // forged by a crafted name). Basis remapping matches pairs across logs
+  // by this key.
   std::string PairNameKey(PairId p) const;
 
   // Estimated heap footprint of this log (dictionaries + CSR layouts), the

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -46,8 +48,9 @@ bool BipProblem::IsFeasible(const std::vector<uint8_t>& y, double tol) const {
 LpModel BipProblem::ToLpModel() const {
   LpModel model(ObjectiveSense::kMaximize);
   for (int j = 0; j < num_vars(); ++j) {
-    model.AddVariable(0.0, 1.0, 1.0, "y" + std::to_string(j),
-                      /*is_integer=*/true);
+    std::string name = "y";
+    name += std::to_string(j);
+    model.AddVariable(0.0, 1.0, 1.0, std::move(name), /*is_integer=*/true);
   }
   for (int r = 0; r < num_rows; ++r) {
     model.AddConstraint(ConstraintSense::kLessEqual, rhs[r],

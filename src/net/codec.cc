@@ -315,16 +315,12 @@ void WriteTenantStats(std::ostream& out, const serve::TenantStats& stats) {
   WriteScalar<uint64_t>(out, stats.refactorizations);
   WriteScalar<uint64_t>(out, stats.factor_nnz);
   WriteScalar<uint64_t>(out, stats.max_update_run);
-  WriteScalar<uint64_t>(out, stats.rows_copied);
-  WriteScalar<uint64_t>(out, stats.rows_rebuilt);
   WriteScalar<uint64_t>(out, stats.refresh_solves);
   WriteScalar<uint64_t>(out, stats.evictions);
   WriteScalar<uint64_t>(out, stats.reloads);
   WriteScalar<uint64_t>(out, stats.resident_bytes);
-  WriteScalar<uint64_t>(out, stats.fast_lane_hits);
   WriteScalar<uint64_t>(out, stats.admission_rejected);
   WriteScalar<uint64_t>(out, stats.users_removed);
-  WriteScalar<uint64_t>(out, stats.rows_patched_on_remove);
   WriteScalar<uint64_t>(out, stats.epsilon_spent_micro);
   WriteScalar<uint64_t>(out, stats.budget_refusals);
 }
@@ -341,16 +337,12 @@ Status ReadTenantStats(std::istream& in, serve::TenantStats* stats) {
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->refactorizations));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->factor_nnz));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->max_update_run));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->rows_copied));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->rows_rebuilt));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->refresh_solves));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->evictions));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->reloads));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->resident_bytes));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->fast_lane_hits));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->admission_rejected));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->users_removed));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->rows_patched_on_remove));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->epsilon_spent_micro));
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->budget_refusals));
   return Status::OK();

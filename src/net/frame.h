@@ -41,7 +41,7 @@ namespace net {
 // "PSNF" little-endian: 'P' is the first byte on the wire.
 constexpr uint32_t kFrameMagic = 0x464E5350u;
 // Bumped on every payload layout change; peers must match exactly.
-constexpr uint8_t kProtocolVersion = 2;
+constexpr uint8_t kProtocolVersion = 3;
 // Header bytes covered by `length` (magic..request_id).
 constexpr uint32_t kFrameHeaderBytes = 16;
 // Payload cap, mirroring the snapshot codec's element cap: a log big

@@ -47,15 +47,11 @@ std::string FormatStats(const serve::TenantStats& stats) {
       << " refactorizations=" << stats.refactorizations
       << " factor_nnz=" << stats.factor_nnz
       << " max_update_run=" << stats.max_update_run
-      << " rows_copied=" << stats.rows_copied
-      << " rows_rebuilt=" << stats.rows_rebuilt
       << " refresh_solves=" << stats.refresh_solves
       << " evictions=" << stats.evictions << " reloads=" << stats.reloads
-      << " fast_lane_hits=" << stats.fast_lane_hits
       << " admission_rejected=" << stats.admission_rejected
       << " resident_bytes=" << stats.resident_bytes
       << " users_removed=" << stats.users_removed
-      << " rows_patched_on_remove=" << stats.rows_patched_on_remove
       << " epsilon_spent_micro=" << stats.epsilon_spent_micro
       << " budget_refusals=" << stats.budget_refusals;
   return out.str();
@@ -68,9 +64,7 @@ std::string FormatRemoval(std::vector<serve::ServeResponse>& responses) {
   if (!responses[1].ok()) return ErrLine(responses[1].status);
   const serve::TenantStats& stats = *responses[1].stats();
   std::ostringstream out;
-  out << "OK users_removed=" << stats.users_removed
-      << " rows_copied=" << stats.rows_copied
-      << " rows_rebuilt=" << stats.rows_rebuilt;
+  out << "OK users_removed=" << stats.users_removed;
   return out.str();
 }
 
@@ -394,9 +388,7 @@ bool TextProtocol::Handle(const std::string& line, Done done) {
           const serve::TenantStats& stats = *responses[1].stats();
           std::ostringstream out;
           out << "OK flushes=" << stats.flushes
-              << " coalesced=" << stats.appends_coalesced
-              << " rows_copied=" << stats.rows_copied
-              << " rows_rebuilt=" << stats.rows_rebuilt;
+              << " coalesced=" << stats.appends_coalesced;
           return out.str();
         },
         std::move(done));

@@ -17,7 +17,7 @@
 //     queue, so a pipelined CREATE -> APPEND -> SOLVE burst keeps FIFO
 //     semantics without waiting on any future in between.
 //   * Append's future resolves once the batch is accepted into the
-//     tenant's pending queue — the merge/re-preprocess/row-patch work is
+//     tenant's pending queue — the merge/re-preprocess/row-rebuild work is
 //     deferred to the next flush (explicit, pre-solve, or background).
 //
 // A ServeResponse is a Status plus the payload of the verb that produced
@@ -54,8 +54,8 @@ struct CreateTenantRequest {
   std::string tenant;
   SearchLog initial;
   std::optional<SessionOptions> options;
-  stream::BudgetConfig budget;
-  stream::WindowPolicy window;
+  stream::BudgetConfig budget = {};
+  stream::WindowPolicy window = {};
 };
 
 // Enqueues user logs; they coalesce into one incremental AppendUsers at the
@@ -130,8 +130,8 @@ struct SlowLogRequest {
 
 // Removes the named users from the tenant's log — the inverse of Append.
 // Queued appends are flushed first so the removal sees every prior append
-// in FIFO order; the DP rows are patched incrementally and the warm basis
-// is remapped down (core/session.h RemoveUsers).
+// in FIFO order; the DP rows are rebuilt and the warm basis is remapped
+// down (core/session.h RemoveUsers).
 struct RemoveUsersRequest {
   std::string tenant;
   std::vector<std::string> users;
@@ -192,9 +192,6 @@ struct TenantStats {
   uint64_t refactorizations = 0;
   uint64_t factor_nnz = 0;
   uint64_t max_update_run = 0;
-  // From the session's last flush (core/session.h AppendStats).
-  uint64_t rows_copied = 0;
-  uint64_t rows_rebuilt = 0;
   // Hot-query refreshes: after a background flush, the most recent solve
   // query is re-solved off the query path so the repeated-budget query
   // stays a cache hit and the stored basis is re-optimized.
@@ -203,10 +200,6 @@ struct TenantStats {
   // eviction snapshot, and times it was transparently reloaded on access.
   uint64_t evictions = 0;
   uint64_t reloads = 0;
-  // Two-lane scheduling (ServiceOptions::fast_lane): read-only requests
-  // (Stats, cache-hit Solves) answered on the per-tenant fast lane without
-  // waiting behind the heavy queue.
-  uint64_t fast_lane_hits = 0;
   // Admission control (ServiceOptions::max_queue_depth): requests rejected
   // with kResourceExhausted because the tenant's queue was full.
   uint64_t admission_rejected = 0;
@@ -215,10 +208,8 @@ struct TenantStats {
   // under ServiceOptions::memory_budget_bytes.
   uint64_t resident_bytes = 0;
   // Streaming lifecycle (RemoveUsers / ExpireWindow, plus window expiry
-  // driven by the maintenance thread): users removed from the log, and DP
-  // rows the removal path reused instead of recomputing.
+  // driven by the maintenance thread): users removed from the log.
   uint64_t users_removed = 0;
-  uint64_t rows_patched_on_remove = 0;
   // Privacy accountant: cumulative ε spend under the tenant's composition
   // in micro-ε (uint64 so the Prometheus export table stays uniform —
   // 1500000 means ε = 1.5; full-precision doubles come from BUDGET), and

@@ -231,21 +231,6 @@ std::future<ServeResponse> SanitizerService::SubmitInternal(
                  std::move(done));
 }
 
-bool SanitizerService::FastEligible(Tenant& tenant,
-                                    const ServeRequest& request) {
-  std::lock_guard<std::mutex> lock(tenant.cmu);
-  if (!tenant.fast_ready) return false;
-  if (std::holds_alternative<StatsRequest>(request)) return true;
-  if (const auto* solve = std::get_if<SolveRequest>(&request)) {
-    // Pending appends make a cached solution stale-in-flight (the heavy
-    // lane flushes before solving); a miss has real work to do. Both take
-    // the heavy lane.
-    return !tenant.fast_has_pending &&
-           tenant.cache.count(CacheKey(solve->objective, solve->query)) > 0;
-  }
-  return false;
-}
-
 std::future<ServeResponse> SanitizerService::Enqueue(
     const std::shared_ptr<Tenant>& tenant, ServeRequest request,
     bool maintenance, std::function<void(ServeResponse)> done) {
@@ -259,25 +244,14 @@ std::future<ServeResponse> SanitizerService::Enqueue(
     job.promise = std::make_shared<std::promise<ServeResponse>>();
     future = job.promise->get_future();
   }
-  // Fast-lane routing decides before admission: fast jobs answer from
-  // cache/counter state in microseconds, so capping the heavy backlog must
-  // not reject them.
-  const bool fast = !maintenance && options_.fast_lane &&
-                    FastEligible(*tenant, job.request);
   bool start = false;
   bool rejected = false;
   {
     std::lock_guard<std::mutex> lock(tenant->qmu);
     if (!maintenance) tenant->last_access = std::chrono::steady_clock::now();
-    if (fast) {
-      tenant->fast_jobs.push_back(std::move(job));
-      if (!tenant->fast_draining) {
-        tenant->fast_draining = true;
-        start = true;
-      }
-    } else if (options_.max_queue_depth > 0 && !maintenance &&
-               !std::holds_alternative<DropTenantRequest>(job.request) &&
-               tenant->jobs.size() >= options_.max_queue_depth) {
+    if (options_.max_queue_depth > 0 && !maintenance &&
+        !std::holds_alternative<DropTenantRequest>(job.request) &&
+        tenant->jobs.size() >= options_.max_queue_depth) {
       // Admission control. Maintenance jobs are exempt (background flushes
       // shrink the backlog) and so is DropTenant (an operator must always
       // be able to drop a flooded tenant).
@@ -301,11 +275,7 @@ std::future<ServeResponse> SanitizerService::Enqueue(
     return future;
   }
   if (start) {
-    if (fast) {
-      pool_->Submit([this, tenant] { DrainFastQueue(tenant); });
-    } else {
-      pool_->Submit([this, tenant] { DrainQueue(tenant); });
-    }
+    pool_->Submit([this, tenant] { DrainQueue(tenant); });
   }
   return future;
 }
@@ -337,72 +307,6 @@ void SanitizerService::DrainQueue(std::shared_ptr<Tenant> tenant) {
     const double total_ms = trace.queue_ms + ElapsedMs(exec_start);
     RecordRequest(job.request.index(), tenant->name, response.status,
                   total_ms, trace);
-    Finish(job, std::move(response));
-  }
-}
-
-void SanitizerService::DrainFastQueue(std::shared_ptr<Tenant> tenant) {
-  while (true) {
-    ServeJob job;
-    {
-      std::lock_guard<std::mutex> lock(tenant->qmu);
-      if (tenant->fast_jobs.empty()) {
-        tenant->fast_draining = false;
-        return;
-      }
-      job = std::move(tenant->fast_jobs.front());
-      tenant->fast_jobs.pop_front();
-    }
-    obs::RequestTrace trace;
-    trace.queue_ms = ElapsedMs(job.enqueued_at);
-    const auto exec_start = std::chrono::steady_clock::now();
-    ServeResponse response;
-    bool requeue = false;
-    {
-      std::lock_guard<std::mutex> lock(tenant->cmu);
-      if (!tenant->fast_gate.ok()) {
-        response = {tenant->fast_gate, {}};
-      } else if (std::get_if<StatsRequest>(&job.request) != nullptr) {
-        ++tenant->stats.fast_lane_hits;
-        response = {Status::OK(), tenant->stats};
-      } else if (auto* solve = std::get_if<SolveRequest>(&job.request)) {
-        auto it = tenant->cache.find(CacheKey(solve->objective, solve->query));
-        if (it != tenant->cache.end() && !tenant->fast_has_pending) {
-          ++tenant->stats.cache_hits;
-          ++tenant->stats.fast_lane_hits;
-          response = {Status::OK(), it->second};
-        } else {
-          // Lost the race with a flush/append since submit: the cached
-          // result is gone or stale. Fall back to the heavy lane.
-          requeue = true;
-        }
-      } else {
-        response = {Status::Internal("non-fast job on fast lane"), {}};
-      }
-    }
-    if (requeue) {
-      // Already admitted once — push straight onto the heavy queue. The
-      // job keeps its original enqueued_at, so its eventual trace charges
-      // both waits to the queue stage; it is recorded on the heavy lane.
-      bool start = false;
-      {
-        std::lock_guard<std::mutex> lock(tenant->qmu);
-        tenant->jobs.push_back(std::move(job));
-        if (!tenant->draining) {
-          tenant->draining = true;
-          start = true;
-        }
-      }
-      if (start) {
-        pool_->Submit([this, tenant] { DrainQueue(tenant); });
-      }
-      continue;
-    }
-    // The fast lane is one cache/counter probe — charge it to the
-    // cache-lookup stage.
-    trace.cache_ms = ElapsedMs(exec_start);
-    RecordRequest(job.request.index(), tenant->name, response.status,
-                  trace.queue_ms + trace.cache_ms, trace);
     Finish(job, std::move(response));
   }
 }
@@ -464,19 +368,12 @@ Status SanitizerService::FlushLocked(Tenant& tenant,
     }
   } guard{flush_start, trace};
   // Coalesce the whole queue into one log: K queued appends become a
-  // single merge + incremental re-preprocess + row patch + basis remap.
+  // single merge + re-preprocess + row rebuild + basis remap.
   SearchLogBuilder builder;
   for (const SearchLog& log : tenant.pending) builder.AddAll(log);
   const size_t coalesced = tenant.pending.size();
   tenant.pending.clear();
   tenant.pending_bytes = 0;
-  {
-    // Landing the queue un-stales cached solves for the fast lane even if
-    // the append itself fails below — the pending queue is empty either
-    // way, and the cache is invalidated right after.
-    std::lock_guard<std::mutex> lock(tenant.cmu);
-    tenant.fast_has_pending = false;
-  }
   const SearchLog batch = builder.Build();
   // Feed the retention window before the append lands: every user in this
   // flush was active "now", whether new or re-appearing.
@@ -489,10 +386,6 @@ Status SanitizerService::FlushLocked(Tenant& tenant,
     std::lock_guard<std::mutex> lock(tenant.cmu);
     ++tenant.stats.flushes;
     tenant.stats.appends_coalesced += coalesced;
-    tenant.stats.rows_copied =
-        tenant.session->last_append_stats().rows_copied;
-    tenant.stats.rows_rebuilt =
-        tenant.session->last_append_stats().rows_rebuilt;
   }
   // The log changed: every cached solution is stale.
   InvalidateCache(tenant);
@@ -520,7 +413,6 @@ ServeResponse SanitizerService::Execute(Tenant& tenant, ServeRequest& request,
     {
       std::lock_guard<std::mutex> lock(tenant.cmu);
       ++tenant.stats.appends_enqueued;
-      tenant.fast_has_pending = true;
     }
     RefreshResidentBytes(tenant);
     return {Status::OK(), {}};
@@ -552,8 +444,7 @@ ServeResponse SanitizerService::Execute(Tenant& tenant, ServeRequest& request,
       // before the next client solve. Best-effort — a failure leaves the
       // lazy solve path intact.
       (void)tenant.session->PrewarmProblems();
-      if (options_.refresh_hot_query_after_flush &&
-          tenant.last_solve_query.has_value()) {
+      if (tenant.last_solve_query.has_value()) {
         const auto [objective, query] = *tenant.last_solve_query;
         if (ExecuteSolve(tenant, objective, query, nullptr,
                          /*charge=*/false)
@@ -617,7 +508,14 @@ ServeResponse SanitizerService::Execute(Tenant& tenant, ServeRequest& request,
     if (Status flushed = FlushLocked(tenant, trace); !flushed.ok()) {
       return {flushed, {}};
     }
-    if (Status billed = ChargeBudget(tenant, sanitize->privacy.epsilon,
+    // With the §4.2 noise step on, the counts themselves are an ε′ query
+    // on the same log: the release spends ε + ε′ under sequential
+    // composition, charged as one allocation.
+    const std::optional<LaplaceStepOptions>& laplace =
+        tenant.session->options().laplace;
+    const double epsilon = sanitize->privacy.epsilon +
+                           (laplace.has_value() ? laplace->epsilon_prime : 0.0);
+    if (Status billed = ChargeBudget(tenant, epsilon,
                                      sanitize->privacy.delta, "Sanitize");
         !billed.ok()) {
       return {billed, {}};
@@ -665,13 +563,6 @@ ServeResponse SanitizerService::Execute(Tenant& tenant, ServeRequest& request,
     tenant.dropped = true;
     tenant.pending.clear();
     tenant.pending_bytes = 0;
-    {
-      // Close the fast lane: jobs already queued there answer NotFound.
-      std::lock_guard<std::mutex> lock(tenant.cmu);
-      tenant.fast_ready = false;
-      tenant.fast_gate = Status::NotFound("no such tenant: " + tenant.name);
-      tenant.fast_has_pending = false;
-    }
     InvalidateCache(tenant);
     RefreshResidentBytes(tenant);
     return {manager_.Remove(tenant.name), {}};
@@ -727,14 +618,11 @@ Status SanitizerService::ExecuteRemove(Tenant& tenant,
   const auto remove_start = std::chrono::steady_clock::now();
   PRIVSAN_RETURN_IF_ERROR(tenant.session->RemoveUsers(users));
   if (trace != nullptr) trace->solve_ms += ElapsedMs(remove_start);
-  const RemoveStats& rs = tenant.session->last_remove_stats();
   tenant.window.Forget(users);
   {
     std::lock_guard<std::mutex> lock(tenant.cmu);
-    tenant.stats.users_removed += rs.removed_users;
-    tenant.stats.rows_patched_on_remove += rs.rows_copied;
-    tenant.stats.rows_copied = rs.rows_copied;
-    tenant.stats.rows_rebuilt = rs.rows_rebuilt;
+    tenant.stats.users_removed +=
+        tenant.session->last_remove_stats().removed_users;
   }
   // The log shrank: every cached solution is stale.
   InvalidateCache(tenant);
@@ -837,10 +725,6 @@ ServeResponse SanitizerService::ExecuteCreate(Tenant& tenant,
   for (UserId u = 0; u < request.initial.num_users(); ++u) {
     tenant.window.Observe(request.initial.user_name(u), now_secs);
   }
-  {
-    std::lock_guard<std::mutex> lock(tenant.cmu);
-    tenant.fast_ready = true;
-  }
   RefreshResidentBytes(tenant);
   return {Status::OK(), {}};
 }
@@ -872,10 +756,6 @@ ServeResponse SanitizerService::ExecuteRestore(Tenant& tenant,
     tenant.stats.epsilon_spent_micro = static_cast<uint64_t>(
         tenant.accountant.SpentEpsilon() * 1e6 + 0.5);
     tenant.stats.budget_refusals = tenant.accountant.refusals();
-  }
-  {
-    std::lock_guard<std::mutex> lock(tenant.cmu);
-    tenant.fast_ready = true;
   }
   RefreshResidentBytes(tenant);
   return {Status::OK(), {}};
@@ -931,10 +811,6 @@ constexpr TenantStatField kTenantStatFields[] = {
     {"privsan_tenant_max_update_run",
      "Longest Forrest-Tomlin update run between refactorizations", "gauge",
      &TenantStats::max_update_run},
-    {"privsan_tenant_rows_copied", "Rows copied by the last flush", "gauge",
-     &TenantStats::rows_copied},
-    {"privsan_tenant_rows_rebuilt", "Rows rebuilt by the last flush",
-     "gauge", &TenantStats::rows_rebuilt},
     {"privsan_tenant_refresh_solves_total",
      "Hot-query refresh solves after background flushes", "counter",
      &TenantStats::refresh_solves},
@@ -944,9 +820,6 @@ constexpr TenantStatField kTenantStatFields[] = {
     {"privsan_tenant_reloads_total",
      "Transparent reloads from the eviction snapshot", "counter",
      &TenantStats::reloads},
-    {"privsan_tenant_fast_lane_hits_total",
-     "Requests answered on the read-only fast lane", "counter",
-     &TenantStats::fast_lane_hits},
     {"privsan_tenant_admission_rejected_total",
      "Requests rejected by the per-tenant queue-depth cap", "counter",
      &TenantStats::admission_rejected},
@@ -956,9 +829,6 @@ constexpr TenantStatField kTenantStatFields[] = {
     {"privsan_tenant_users_removed_total",
      "Users removed by RemoveUsers and window expiry", "counter",
      &TenantStats::users_removed},
-    {"privsan_tenant_rows_patched_on_remove_total",
-     "DP rows copied unchanged across removals (patched, not rebuilt)",
-     "counter", &TenantStats::rows_patched_on_remove},
     {"privsan_tenant_epsilon_spent_micro",
      "Cumulative composed epsilon spend, in micro-epsilon", "gauge",
      &TenantStats::epsilon_spent_micro},
@@ -1015,21 +885,16 @@ void SanitizerService::RegisterMetrics() {
     writer->Header("privsan_tenants", "Registered tenants", "gauge");
     writer->Value("privsan_tenants", {},
                   static_cast<double>(tenants.size()));
-    writer->Header("privsan_tenant_queue_depth",
-                   "Queued jobs per tenant and lane", "gauge");
+    writer->Header("privsan_tenant_queue_depth", "Queued jobs per tenant",
+                   "gauge");
     for (const std::shared_ptr<Tenant>& tenant : tenants) {
-      size_t heavy = 0, fast = 0;
+      size_t depth = 0;
       {
         std::lock_guard<std::mutex> lock(tenant->qmu);
-        heavy = tenant->jobs.size();
-        fast = tenant->fast_jobs.size();
+        depth = tenant->jobs.size();
       }
-      writer->Value("privsan_tenant_queue_depth",
-                    {{"tenant", tenant->name}, {"lane", "heavy"}},
-                    static_cast<double>(heavy));
-      writer->Value("privsan_tenant_queue_depth",
-                    {{"tenant", tenant->name}, {"lane", "fast"}},
-                    static_cast<double>(fast));
+      writer->Value("privsan_tenant_queue_depth", {{"tenant", tenant->name}},
+                    static_cast<double>(depth));
     }
     for (const TenantStatField& field : kTenantStatFields) {
       writer->Header(field.name, field.help, field.type);
@@ -1122,7 +987,7 @@ void SanitizerService::MaintenanceTick() {
       }
       // Drive the retention window: when the policy says users have aged
       // out, queue an expiry job (which flushes, removes, and re-warms via
-      // the normal heavy-lane path). Only for healthy, non-dropped
+      // the tenant's normal queue). Only for healthy, non-dropped
       // tenants — expiry must not resurrect or reload anything by itself.
       if (!want_flush && tenant->window.policy().active() &&
           tenant->initialized && !tenant->dropped &&

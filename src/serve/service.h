@@ -15,10 +15,13 @@
 //     first job, so pipelined CREATE -> APPEND -> SOLVE keeps FIFO
 //     semantics.
 //   * Batched appends. Appends only enqueue; the queue is coalesced into a
-//     single merge + incremental re-preprocess + row patch + basis remap
-//     per flush (explicit Flush, automatic before a solve, or — with
-//     maintenance enabled — in the background on queue depth/age, taking
-//     the coalescing work off the query path entirely).
+//     single merge + re-preprocess + row rebuild + basis remap per flush
+//     (explicit Flush, automatic before a solve, or — with maintenance
+//     enabled — in the background on queue depth/age, taking the
+//     coalescing work off the query path entirely). A background flush
+//     that landed appends also re-solves the tenant's most recent solve
+//     query (hot-query refresh), so the post-append simplex run happens
+//     off the query path too.
 //   * Background maintenance + global memory budget. A service-owned
 //     maintenance thread (ServiceOptions::maintenance_interval_ms > 0)
 //     flushes aging append queues and enforces
@@ -82,13 +85,6 @@ struct ServiceOptions {
   size_t flush_queue_depth = 8;
   // ... or once the oldest queued batch is older than this.
   int flush_max_age_ms = 50;
-  // After a background flush, re-solve the tenant's most recent solve
-  // query off the query path: the flush-invalidated cache entry is
-  // repopulated (a repeated-budget query stays O(1) across appends) and
-  // the remapped basis is re-optimized, so the next client solve — at any
-  // budget — dual-warm-starts from an optimum instead of paying the
-  // append's repair pivots inline.
-  bool refresh_hot_query_after_flush = true;
   // Global cap on the summed resident size of all tenants (sessions +
   // result caches, as reported by TenantStats::resident_bytes); 0 = no
   // cap. Enforced by the maintenance thread via LRU eviction of idle
@@ -97,7 +93,7 @@ struct ServiceOptions {
   // Directory for eviction spill snapshots (must exist and be writable).
   std::string spill_directory = ".";
 
-  // --- Admission control and two-lane scheduling --------------------------
+  // --- Admission control --------------------------------------------------
   // Per-tenant queue-depth cap: a Submit that would queue job number
   // max_queue_depth+1 on a tenant resolves immediately with
   // kResourceExhausted instead of queueing unboundedly (0 = unlimited).
@@ -105,15 +101,6 @@ struct ServiceOptions {
   // the backlog shrinking, and an operator can always drop a flooded
   // tenant. Rejections count in TenantStats::admission_rejected.
   size_t max_queue_depth = 0;
-  // Route Stats and cache-hit-eligible Solves onto a per-tenant read-only
-  // fast lane answered from the cache/counter state alone, so a
-  // multi-second Sweep cannot block a cheap probe. Opt-in because it
-  // relaxes the strict cross-verb FIFO contract: a fast-lane reply may
-  // overtake earlier heavy requests of the same tenant (fast-lane
-  // requests still answer in their own submission order, and a Solve
-  // whose result could be stale — pending appends, cache miss — always
-  // takes the heavy lane).
-  bool fast_lane = false;
 
   // --- Observability ------------------------------------------------------
   // A request whose total latency (queue wait + execution) reaches this
@@ -197,18 +184,12 @@ class SanitizerService {
   std::future<ServeResponse> SubmitInternal(
       ServeRequest request, std::function<void(ServeResponse)> done);
   // Enqueues a job and wakes a drain worker if none is active. Applies
-  // max_queue_depth admission and fast-lane routing.
+  // max_queue_depth admission.
   std::future<ServeResponse> Enqueue(const std::shared_ptr<Tenant>& tenant,
                                      ServeRequest request, bool maintenance,
                                      std::function<void(ServeResponse)> done);
-  // True when the fast lane should take `request` right now (fast_lane on,
-  // tenant ready, Stats or cache-hit Solve with no pending appends).
-  bool FastEligible(Tenant& tenant, const ServeRequest& request);
   // Pops and executes jobs until the tenant's queue is empty.
   void DrainQueue(std::shared_ptr<Tenant> tenant);
-  // Same for the read-only fast lane (under cmu alone); a Solve whose
-  // cache entry disappeared since submit re-queues onto the heavy lane.
-  void DrainFastQueue(std::shared_ptr<Tenant> tenant);
   // Executes one request under tenant->mu. `maintenance` marks jobs the
   // maintenance thread enqueued (background flushes). `trace` accumulates
   // the request's stage timings (never null on the drain paths).

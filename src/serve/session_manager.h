@@ -5,19 +5,18 @@
 // the pending-append queue, the budget-keyed result cache, counters, and
 // the eviction lifecycle. Three mutexes split the state by latency class:
 //
-//   * `qmu` guards the cheap scheduling state — the FIFO work queues (the
-//     heavy lane and, with ServiceOptions::fast_lane, the read-only fast
-//     lane), the draining flags, and the LRU timestamp. Submit only ever
-//     takes qmu, so enqueueing never waits behind a running solve.
+//   * `qmu` guards the cheap scheduling state — the FIFO work queue, the
+//     draining flag, and the LRU timestamp. Submit only ever takes qmu,
+//     so enqueueing never waits behind a running solve.
 //   * `mu` guards the heavy state — the session itself and the pending
-//     appends. Exactly one heavy-queue job holds mu at a time (the drain
-//     loop pops under qmu, executes under mu), so the lock *is* the
-//     concurrency story for one tenant, and distinct tenants proceed
-//     fully in parallel.
-//   * `cmu` is the leaf lock for the read-mostly state — result cache,
-//     counters, lifecycle mirrors. Heavy jobs take it briefly inside mu
-//     for each cache/counter touch; fast-lane jobs take it alone, which
-//     is how a Stats probe answers while a Sweep holds mu for seconds.
+//     appends. Exactly one job holds mu at a time (the drain loop pops
+//     under qmu, executes under mu), so the lock *is* the concurrency
+//     story for one tenant, and distinct tenants proceed fully in
+//     parallel.
+//   * `cmu` is the leaf lock for the result cache and the counters. Jobs
+//     take it briefly inside mu for each cache/counter touch; the metrics
+//     collector and Submit's admission-rejected counter take it alone,
+//     which is how a scrape answers while a Sweep holds mu for seconds.
 //
 // qmu and mu are never held together, and cmu is only ever acquired last:
 // a drain worker pops under qmu, then executes under mu, touching cmu per
@@ -80,11 +79,6 @@ struct Tenant {
   bool draining = false;      // a worker is draining `jobs`
   bool flush_scheduled = false;  // a maintenance flush is queued/in flight
   std::chrono::steady_clock::time_point last_access{};  // LRU clock
-  // The read-only fast lane (ServiceOptions::fast_lane): Stats and
-  // cache-hit-eligible Solves queue here and are answered under `cmu`
-  // alone, so a slow Sweep holding `mu` cannot block a cheap probe.
-  std::deque<ServeJob> fast_jobs;
-  bool fast_draining = false;  // a worker is draining `fast_jobs`
 
   // --- Session state, guarded by `mu` ------------------------------------
   std::mutex mu;
@@ -117,12 +111,10 @@ struct Tenant {
   stream::PrivacyAccountant accountant;
   stream::WindowState window;
 
-  // --- Read-mostly state, guarded by `cmu` -------------------------------
+  // --- Cache and counters, guarded by `cmu` ------------------------------
   // The leaf lock of the tenant (acquired alone, or briefly inside `mu`,
-  // never the other way around). It guards exactly what the fast lane
-  // reads — the result cache, the counters, and a few mirror flags of the
-  // `mu` lifecycle — so Stats and cached Solves answer without waiting
-  // behind a running solve.
+  // never the other way around), so a metrics scrape reads the counters
+  // without waiting behind a running solve.
   std::mutex cmu;
   // Budget-keyed result cache: canonical query key -> solution. Insertion
   // order drives FIFO eviction; the whole cache is invalidated on flush.
@@ -130,15 +122,6 @@ struct Tenant {
   std::vector<std::string> cache_order;
   uint64_t cache_bytes = 0;  // estimated footprint of `cache`
   TenantStats stats;
-  // Mirrors of the `mu` lifecycle, refreshed by the jobs that change it.
-  // fast_ready gates fast-lane eligibility at submit time (false until the
-  // create/restore job succeeded, false again after Drop); fast_gate is
-  // the status a fast job answers when the tenant went away under it;
-  // fast_has_pending mirrors !pending.empty() — queued appends make a
-  // cached solution stale-in-flight, so such Solves take the heavy lane.
-  bool fast_ready = false;
-  Status fast_gate = Status::OK();
-  bool fast_has_pending = false;
 };
 
 class SessionManager {

@@ -392,7 +392,7 @@ TEST(AsyncServiceTest, CallbackSubmitDeliversExactlyOnce) {
 // kResourceExhausted; DropTenant stays admissible on a full queue.
 TEST(AsyncServiceTest, AdmissionControlRejectsFloodedTenant) {
   serve::ServiceOptions options;
-  options.num_threads = 1;  // one worker: a slow job blocks the lane
+  options.num_threads = 1;  // one worker: a slow job blocks the queue
   options.max_queue_depth = 2;
   serve::SanitizerService service(options);
   ASSERT_TRUE(service.CreateTenant("t", Synthetic(52)).ok());
@@ -421,78 +421,10 @@ TEST(AsyncServiceTest, AdmissionControlRejectsFloodedTenant) {
       EXPECT_TRUE(status.ok()) << status;
     }
   }
-  // Depth 2 against a burst of 10 on a blocked lane: most must bounce.
+  // Depth 2 against a burst of 10 on a blocked queue: most must bounce.
   EXPECT_GE(rejected, 7u);
   EXPECT_TRUE(sweep.get().ok());
   EXPECT_TRUE(drop.get().ok());
-}
-
-// The read-only fast lane: with fast_lane on, a Stats probe submitted
-// behind a multi-cell Sweep overtakes it instead of waiting out the queue.
-TEST(AsyncServiceTest, FastLaneStatsOvertakesHeavyQueue) {
-  serve::ServiceOptions options;
-  options.num_threads = 2;  // heavy lane + fast lane
-  options.fast_lane = true;
-  serve::SanitizerService service(options);
-  ASSERT_TRUE(
-      service.CreateTenant("t", Synthetic(54, /*users=*/120, /*events=*/6000))
-          .ok());
-
-  std::vector<UmpQuery> grid;
-  for (int i = 0; i < 12; ++i) grid.push_back(Query(1.3 + 0.1 * i, 0.5));
-  std::future<serve::ServeResponse> sweep = service.Submit(
-      serve::SweepRequest{"t", UtilityObjective::kOutputSize, grid, {}});
-
-  std::future<serve::ServeResponse> stats =
-      service.Submit(serve::StatsRequest{"t"});
-  serve::ServeResponse response = stats.get();
-  ASSERT_TRUE(response.ok()) << response.status;
-  ASSERT_NE(response.stats(), nullptr);
-  // The probe rode the fast lane (answered under cmu, not queued behind
-  // the sweep) — the counter is the deterministic witness.
-  EXPECT_GE(response.stats()->fast_lane_hits, 1u);
-  EXPECT_TRUE(sweep.get().ok());
-}
-
-// A cached Solve is fast-lane eligible; a pending append (stale-in-flight
-// cache) or a cache miss routes it back to the heavy lane, so results
-// always reflect every earlier append.
-TEST(AsyncServiceTest, FastLaneServesCachedSolvesAndYieldsOnAppends) {
-  serve::ServiceOptions options;
-  options.fast_lane = true;
-  serve::SanitizerService service(options);
-  ASSERT_TRUE(service.CreateTenant("t", Synthetic(55)).ok());
-  const UmpQuery query = Query(2.0, 0.5);
-
-  // Prime the cache on the heavy lane. Note every StatsOf below is itself
-  // one fast-lane hit (Stats rides the fast lane too), so the expected
-  // counts are exact arithmetic, not inequalities.
-  const uint64_t first =
-      service.Solve("t", UtilityObjective::kOutputSize, query)
-          .value()
-          .output_size;
-  const uint64_t fast_before = StatsOf(service, "t").fast_lane_hits;
-
-  // Same query again: eligible, served from the cache on the fast lane.
-  const Result<UmpSolution> again =
-      service.Solve("t", UtilityObjective::kOutputSize, query);
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_EQ(again->output_size, first);
-  // + the cached solve + this StatsOf.
-  EXPECT_EQ(StatsOf(service, "t").fast_lane_hits, fast_before + 2);
-
-  // Queue an append: the cached result is stale-in-flight, so the same
-  // query must take the heavy lane (flush first, then re-solve).
-  ASSERT_TRUE(
-      service.Append("t", Synthetic(56, /*users=*/10, /*events=*/400)).ok());
-  const uint64_t fast_mid = StatsOf(service, "t").fast_lane_hits;
-  const Result<UmpSolution> after =
-      service.Solve("t", UtilityObjective::kOutputSize, query);
-  ASSERT_TRUE(after.ok()) << after.status();
-  serve::TenantStats stats = StatsOf(service, "t");
-  // Only this StatsOf hit the fast lane — the solve took the heavy lane.
-  EXPECT_EQ(stats.fast_lane_hits, fast_mid + 1);
-  EXPECT_GE(stats.flushes, 1u);  // the append landed first
 }
 
 // A Solve queued behind a multi-cell Sweep on a single worker must show up
@@ -500,7 +432,7 @@ TEST(AsyncServiceTest, FastLaneServesCachedSolvesAndYieldsOnAppends) {
 // the solve stage — the trace decomposition the SLOWLOG verb exists for.
 TEST(AsyncServiceTest, QueuedSolveTracesNonzeroQueueWait) {
   serve::ServiceOptions options;
-  options.num_threads = 1;  // one worker: the sweep blocks the lane
+  options.num_threads = 1;  // one worker: the sweep blocks the queue
   options.slow_request_threshold_ms = 0;  // record every request
   serve::SanitizerService service(options);
   ASSERT_TRUE(

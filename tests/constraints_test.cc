@@ -167,15 +167,5 @@ TEST(ConstraintsTest, FromRowsRoundTripsParts) {
   }
 }
 
-TEST(ConstraintsTest, PatchRowsRejectsMismatchedOldState) {
-  const SearchLog log = Figure1Preprocessed();
-  const DpConstraintSystem system =
-      DpConstraintSystem::BuildRows(log).value();
-  const SearchLog empty;
-  // old_system claims rows over `log` but old_log is empty.
-  const auto result = DpConstraintSystem::PatchRows(log, empty, system);
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
 }  // namespace
 }  // namespace privsan

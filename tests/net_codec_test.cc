@@ -508,16 +508,12 @@ TEST(CodecTest, RoundTripsStatsPayload) {
   stats.refactorizations = 9;
   stats.factor_nnz = 10;
   stats.max_update_run = 11;
-  stats.rows_copied = 12;
-  stats.rows_rebuilt = 13;
   stats.refresh_solves = 14;
   stats.evictions = 15;
   stats.reloads = 16;
-  stats.fast_lane_hits = 17;
   stats.admission_rejected = 18;
   stats.resident_bytes = 1 << 20;
   stats.users_removed = 19;
-  stats.rows_patched_on_remove = 20;
   stats.epsilon_spent_micro = 693147;
   stats.budget_refusals = 21;
 
@@ -528,15 +524,25 @@ TEST(CodecTest, RoundTripsStatsPayload) {
   EXPECT_EQ(out->maintenance_flushes, 4u);
   EXPECT_EQ(out->cache_misses, 7u);
   EXPECT_EQ(out->max_update_run, 11u);
-  EXPECT_EQ(out->rows_rebuilt, 13u);
+  EXPECT_EQ(out->refresh_solves, 14u);
   EXPECT_EQ(out->reloads, 16u);
-  EXPECT_EQ(out->fast_lane_hits, 17u);
   EXPECT_EQ(out->admission_rejected, 18u);
   EXPECT_EQ(out->resident_bytes, uint64_t{1} << 20);
   EXPECT_EQ(out->users_removed, 19u);
-  EXPECT_EQ(out->rows_patched_on_remove, 20u);
   EXPECT_EQ(out->epsilon_spent_micro, 693147u);
   EXPECT_EQ(out->budget_refusals, 21u);
+
+  // A version-2 peer still writes the four counters this layout dropped;
+  // its stats frame must be refused, never misparsed.
+  std::string wire =
+      net::EncodeFrame(net::EncodeResponse({Status::OK(), stats}, 23));
+  wire[8] = 2;  // version byte
+  FrameDecoder decoder;
+  decoder.Feed(wire);
+  Frame frame;
+  const Result<bool> next = decoder.Next(&frame);
+  ASSERT_FALSE(next.ok());
+  EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --- Malformed payloads -----------------------------------------------------

@@ -1,6 +1,6 @@
 // serve subsystem foundations: ThreadPool semantics, and the shard-aware
-// entry points (RemoveUniquePairs, DpConstraintSystem::BuildRows/PatchRows)
-// being bit-identical to their serial counterparts.
+// entry points (RemoveUniquePairs, DpConstraintSystem::BuildRows) being
+// bit-identical to their serial counterparts.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -182,134 +182,6 @@ TEST(ShardedBuildRowsTest, UniquePairStillFails) {
   const auto result = DpConstraintSystem::BuildRows(log, &pool);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-}
-
-// Replays `base` then `extra` through one builder — the same merge
-// AppendUsers performs — and preprocesses the result.
-SearchLog MergedPreprocessed(const SearchLog& base, const SearchLog& extra) {
-  SearchLogBuilder builder;
-  builder.AddAll(base);
-  builder.AddAll(extra);
-  return RemoveUniquePairs(builder.Build()).log;
-}
-
-TEST(PatchRowsTest, MatchesFullRebuildBitForBitAndCopiesRows) {
-  const SearchLog full = Synthetic(/*seed=*/23, /*users=*/120,
-                                   /*events=*/6000);
-  const UserId cut = full.num_users() * 3 / 4;
-  const SearchLog base = UserSlice(full, 0, cut);
-  const SearchLog extra = UserSlice(full, cut, full.num_users());
-
-  const SearchLog old_log = RemoveUniquePairs(base).log;
-  const DpConstraintSystem old_system =
-      DpConstraintSystem::BuildRows(old_log).value();
-  const SearchLog new_log = MergedPreprocessed(base, extra);
-
-  serve::ThreadPool pool(4);
-  const DpRowPatch patch =
-      DpConstraintSystem::PatchRows(new_log, old_log, old_system, &pool)
-          .value();
-  const DpConstraintSystem rebuilt =
-      DpConstraintSystem::BuildRows(new_log).value();
-  ExpectSystemsIdentical(rebuilt, patch.system);
-  EXPECT_EQ(patch.rows_copied + patch.rows_rebuilt, rebuilt.num_rows());
-  EXPECT_GT(patch.rows_rebuilt, 0u);  // appended users at minimum
-}
-
-TEST(PatchRowsTest, SmallAppendCopiesUntouchedRows) {
-  // One new user clicking one existing pair: only that pair's holders (and
-  // the new user) are rebuilt; in a Zipf log most rows are untouched.
-  const SearchLog base = Synthetic(/*seed=*/29, /*users=*/100,
-                                   /*events=*/5000);
-  const SearchLog old_log = RemoveUniquePairs(base).log;
-  const DpConstraintSystem old_system =
-      DpConstraintSystem::BuildRows(old_log).value();
-  // The least-shared pair keeps the blast radius small.
-  PairId target = 0;
-  for (PairId p = 1; p < old_log.num_pairs(); ++p) {
-    if (old_log.PairUserCount(p) < old_log.PairUserCount(target)) target = p;
-  }
-  SearchLogBuilder extra;
-  extra.Add("fresh_user", old_log.query_name(old_log.pair_query(target)),
-            old_log.url_name(old_log.pair_url(target)), 1);
-  const SearchLog new_log = MergedPreprocessed(base, extra.Build());
-
-  const DpRowPatch patch =
-      DpConstraintSystem::PatchRows(new_log, old_log, old_system).value();
-  const DpConstraintSystem rebuilt =
-      DpConstraintSystem::BuildRows(new_log).value();
-  ExpectSystemsIdentical(rebuilt, patch.system);
-  // holders(target) + the new user change; everyone else is copied.
-  EXPECT_EQ(patch.rows_rebuilt, old_log.PairUserCount(target) + 1);
-  EXPECT_GT(patch.rows_copied, patch.rows_rebuilt);
-}
-
-TEST(PatchRowsTest, AppendingToExistingUserRebuildsOnlyTouchedRows) {
-  // bob gains clicks on (q1, u1): exactly bob's and alice's rows depend on
-  // that pair's total; carol's row must be copied.
-  SearchLogBuilder base_builder;
-  base_builder.Add("alice", "q1", "u1", 2);
-  base_builder.Add("bob", "q1", "u1", 3);
-  base_builder.Add("carol", "q2", "u2", 1);
-  base_builder.Add("dave", "q2", "u2", 4);
-  const SearchLog base = base_builder.Build();
-  const SearchLog old_log = RemoveUniquePairs(base).log;
-  const DpConstraintSystem old_system =
-      DpConstraintSystem::BuildRows(old_log).value();
-
-  SearchLogBuilder extra_builder;
-  extra_builder.Add("bob", "q1", "u1", 5);
-  const SearchLog new_log = MergedPreprocessed(base, extra_builder.Build());
-
-  const DpRowPatch patch =
-      DpConstraintSystem::PatchRows(new_log, old_log, old_system).value();
-  const DpConstraintSystem rebuilt =
-      DpConstraintSystem::BuildRows(new_log).value();
-  ExpectSystemsIdentical(rebuilt, patch.system);
-  EXPECT_EQ(patch.rows_rebuilt, 2u);  // alice and bob
-  EXPECT_EQ(patch.rows_copied, 2u);   // carol and dave
-}
-
-TEST(PatchRowsTest, NewlySharedPairRebuildsItsHolders) {
-  // (q3, u3) is unique to alice in the base log (dropped by preprocessing);
-  // erin's append makes it shared, so alice's row changes shape.
-  SearchLogBuilder base_builder;
-  base_builder.Add("alice", "q1", "u1", 2);
-  base_builder.Add("bob", "q1", "u1", 3);
-  base_builder.Add("alice", "q3", "u3", 7);
-  const SearchLog base = base_builder.Build();
-  const SearchLog old_log = RemoveUniquePairs(base).log;
-  const DpConstraintSystem old_system =
-      DpConstraintSystem::BuildRows(old_log).value();
-  ASSERT_EQ(old_log.num_pairs(), 1u);
-
-  SearchLogBuilder extra_builder;
-  extra_builder.Add("erin", "q3", "u3", 1);
-  const SearchLog new_log = MergedPreprocessed(base, extra_builder.Build());
-  ASSERT_EQ(new_log.num_pairs(), 2u);
-
-  const DpRowPatch patch =
-      DpConstraintSystem::PatchRows(new_log, old_log, old_system).value();
-  const DpConstraintSystem rebuilt =
-      DpConstraintSystem::BuildRows(new_log).value();
-  ExpectSystemsIdentical(rebuilt, patch.system);
-  // alice (new pair in her log), erin (new user); bob untouched.
-  EXPECT_EQ(patch.rows_rebuilt, 2u);
-  EXPECT_EQ(patch.rows_copied, 1u);
-}
-
-TEST(PatchRowsTest, EmptyOldStateDegeneratesToFullBuild) {
-  const SearchLog new_log = RemoveUniquePairs(Synthetic()).log;
-  const SearchLog empty;
-  const DpConstraintSystem empty_system =
-      DpConstraintSystem::BuildRows(empty).value();
-  const DpRowPatch patch =
-      DpConstraintSystem::PatchRows(new_log, empty, empty_system).value();
-  const DpConstraintSystem rebuilt =
-      DpConstraintSystem::BuildRows(new_log).value();
-  ExpectSystemsIdentical(rebuilt, patch.system);
-  EXPECT_EQ(patch.rows_copied, 0u);
-  EXPECT_EQ(patch.rows_rebuilt, rebuilt.num_rows());
 }
 
 }  // namespace

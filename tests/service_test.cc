@@ -93,9 +93,6 @@ TEST(ServiceTest, AppendQueueCoalescesIntoOneFlush) {
   stats = service.Stats("t").value();
   EXPECT_EQ(stats.flushes, 1u);
   EXPECT_EQ(stats.appends_coalesced, static_cast<uint64_t>(kBatches));
-  // Half the user base arrived: every row was touched or new, but the
-  // patch accounting must still cover the whole system.
-  EXPECT_GT(stats.rows_rebuilt, 0u);
 
   // Result equals a from-scratch solve on the whole log.
   SanitizerSession scratch =

@@ -94,25 +94,34 @@ TEST(StreamRemoveTest, RemoveMatchesFullRebuildBitExactly) {
   }
 }
 
-TEST(StreamRemoveTest, RemoveReportsStatsAndPatchesRows) {
-  // Two disjoint user clusters: removing cluster-A users cannot move any
-  // pair total cluster B holds, so B's rows must take the copy path.
+TEST(StreamRemoveTest, AppendAndRemoveReportRebuiltRows) {
+  // Every append and removal rebuilds the DP rows from scratch: no row is
+  // copied, and rows_rebuilt is the rebuilt system's row count.
   SearchLogBuilder builder;
   builder.Add("a1", "qa", "ua", 3);
   builder.Add("a2", "qa", "ua", 2);
   builder.Add("a3", "qa", "ua", 4);
   builder.Add("b1", "qb", "ub", 5);
   builder.Add("b2", "qb", "ub", 1);
-  builder.Add("b3", "qb", "ub", 2);
   SanitizerSession session =
       SanitizerSession::Create(builder.Build()).value();
+
+  SearchLogBuilder more;
+  more.Add("b3", "qb", "ub", 2);
+  ASSERT_TRUE(session.AppendUsers(more.Build()).ok());
+  const AppendStats& appended = session.last_append_stats();
+  EXPECT_EQ(appended.appended_users, 1u);
+  EXPECT_EQ(appended.rows_copied, 0u);
+  EXPECT_EQ(appended.rows_rebuilt, 6u);
+  EXPECT_EQ(appended.rows_rebuilt, session.Snapshot().system.num_rows());
+
   ASSERT_TRUE(session.RemoveUsers({"a3", "no-such-user"}).ok());
-  const RemoveStats& stats = session.last_remove_stats();
-  EXPECT_EQ(stats.removed_users, 1u);  // absent names are ignored
+  const RemoveStats& removed = session.last_remove_stats();
+  EXPECT_EQ(removed.removed_users, 1u);  // absent names are ignored
   EXPECT_EQ(session.raw_log().num_users(), 5u);
-  // b1..b3 are untouched (copied); a1, a2 hold the shrunk pair (rebuilt).
-  EXPECT_EQ(stats.rows_copied, 3u);
-  EXPECT_EQ(stats.rows_rebuilt, 2u);
+  EXPECT_EQ(removed.rows_copied, 0u);
+  EXPECT_EQ(removed.rows_rebuilt, 5u);
+  EXPECT_EQ(removed.rows_rebuilt, session.Snapshot().system.num_rows());
 }
 
 TEST(StreamRemoveTest, RemoveThenSolveResumesWarmWithColdObjective) {
@@ -398,6 +407,29 @@ TEST(StreamServiceTest, BudgetExhaustionReturnsTypedStatus) {
             static_cast<uint64_t>(std::log(2.0) * 1e6 + 0.5));
 }
 
+// With the §4.2 noise step on, the counts are an ε′ query on the log and
+// the sampler spends ε on top: one Sanitize is one allocation of ε + ε′.
+TEST(StreamServiceTest, LaplaceSanitizeChargesEpsilonPlusEpsilonPrime) {
+  serve::SanitizerService service(QuietOptions());
+  SessionOptions options;
+  LaplaceStepOptions laplace;
+  laplace.epsilon_prime = 0.25;
+  options.laplace = laplace;
+  serve::CreateTenantRequest create{"t", Synthetic(32), options};
+  create.budget.max_epsilon = 10.0;
+  create.budget.composition = stream::Composition::kBasic;
+  ASSERT_TRUE(service.Submit(create).get().status.ok());
+
+  const PrivacyParams privacy = PrivacyParams::FromEEpsilon(2.0, 0.5);
+  const Result<SanitizeReport> report = service.Sanitize("t", privacy);
+  ASSERT_TRUE(report.ok()) << report.status();
+
+  const serve::BudgetStatus budget = service.Budget("t").value();
+  EXPECT_EQ(budget.allocations, 1u);
+  EXPECT_DOUBLE_EQ(budget.spent_epsilon, privacy.epsilon + 0.25);
+  EXPECT_DOUBLE_EQ(budget.spent_delta, privacy.delta);
+}
+
 TEST(StreamServiceTest, RemoveUsersFlowsThroughServiceAndStaysWarm) {
   const SearchLog raw = Synthetic(33);
   serve::SanitizerService service(QuietOptions());
@@ -406,8 +438,8 @@ TEST(StreamServiceTest, RemoveUsersFlowsThroughServiceAndStaysWarm) {
       service.Solve("t", UtilityObjective::kOutputSize, Query(2.0, 0.5))
           .ok());
 
-  // Two fresh users on a brand-new shared pair: disjoint from everything
-  // the removal touches, so their DP rows must take the copy path.
+  // Two fresh users on a brand-new shared pair, queued ahead of the
+  // removal (which lands them first).
   SearchLogBuilder fresh;
   fresh.Add("fresh_a", "zz_query", "zz_url", 2);
   fresh.Add("fresh_b", "zz_query", "zz_url", 3);
@@ -421,7 +453,6 @@ TEST(StreamServiceTest, RemoveUsersFlowsThroughServiceAndStaysWarm) {
   ASSERT_TRUE(service.RemoveUsers("t", doomed).ok());
   const serve::TenantStats stats = service.Stats("t").value();
   EXPECT_EQ(stats.users_removed, doomed.size());
-  EXPECT_GT(stats.rows_patched_on_remove, 0u);
 
   // The removal invalidated the cache; the re-solve is a miss that warm
   // starts from the down-remapped basis and matches a cold solve.

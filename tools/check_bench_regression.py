@@ -52,7 +52,6 @@ METRIC_RULES = {
     # more stable than an absolute rate; the warm-start flag must simply
     # never regress to 0.
     "speedup": ("high", 0.6),
-    "rows_copied": ("high", DEFAULT_TOL),
     "restored_warm_started": ("high", 0.0),
     # Distributed cluster bench (bench_distributed_throughput). The
     # aggregate rate crosses two real processes, so it is noisier than the
@@ -69,12 +68,9 @@ METRIC_RULES = {
     # deterministic for the fixed dataset: fewer users removed means the
     # removal path silently skipped work, and a post-removal solve falling
     # back cold means the basis down-remap regressed — zero tolerance on
-    # both. rows_patched_on_remove counts DP rows the removal reused
-    # instead of recomputing (higher is better, like rows_copied). A
-    # budget refusal with the bench's generous budget is an accountant
-    # regression outright.
+    # both. A budget refusal with the bench's generous budget is an
+    # accountant regression outright.
     "users_removed": ("high", 0.0),
-    "rows_patched_on_remove": ("high", DEFAULT_TOL),
     "remove_warm_started": ("high", 0.0),
     "budget_refusals": ("low", 0.0),
     # Factorization microbench (bench_micro_factorization): fill is

@@ -19,7 +19,7 @@
 //   FLUSH <tenant>                          coalesce + apply queued appends
 //   SOLVE <tenant> <OUMP|FUMP|DUMP> <e_eps> <delta> [output_size]
 //   SWEEP <tenant> <OUMP|FUMP|DUMP> <delta> <e_eps...>   warm-started sweep
-//   REMOVE <tenant> <user...>               delete users (DP rows patched,
+//   REMOVE <tenant> <user...>               delete users (DP rows rebuilt,
 //                                           basis remapped down)
 //   EXPIRE <tenant> <cutoff_secs>           remove users last active before
 //                                           the cutoff (unix seconds)
@@ -194,10 +194,6 @@ int main(int argc, char** argv) {
   }
 
   serve::SanitizerService service(options);
-  // NOTE: the fast lane stays off — the text SOLVE reply derives its
-  // `cached=` flag from a Stats/Solve/Stats sandwich, which needs strict
-  // cross-verb FIFO; keeping both transports on the heavy lane also keeps
-  // binary and text behaviorally identical for the same script.
   net::TextProtocol protocol(
       [&service](serve::ServeRequest request,
                  std::function<void(serve::ServeResponse)> respond) {
