@@ -39,11 +39,51 @@ std::vector<uint64_t> FloorCounts(const DpConstraintSystem& system,
   return x;
 }
 
+RoundingIndex::RoundingIndex(const DpConstraintSystem& system)
+    : pair_begin(system.num_pairs() + 1, 0) {
+  const size_t n = system.num_pairs();
+  std::vector<double> max_weight(n, 0.0);
+  size_t nnz = 0;
+  for (size_t r = 0; r < system.num_rows(); ++r) {
+    for (const DpConstraintEntry& e : system.Row(r)) {
+      ++pair_begin[e.pair + 1];
+      max_weight[e.pair] = std::max(max_weight[e.pair], e.log_t);
+    }
+    nnz += system.Row(r).size();
+  }
+  PRIVSAN_CHECK(nnz <= UINT32_MAX && system.num_rows() <= UINT32_MAX);
+  std::partial_sum(pair_begin.begin(), pair_begin.end(), pair_begin.begin());
+  rows.resize(nnz);
+  weights.resize(nnz);
+  std::vector<uint32_t> next(pair_begin.begin(), pair_begin.end() - 1);
+  for (size_t r = 0; r < system.num_rows(); ++r) {
+    for (const DpConstraintEntry& e : system.Row(r)) {
+      const uint32_t k = next[e.pair]++;
+      rows[k] = static_cast<uint32_t>(r);
+      weights[k] = e.log_t;
+    }
+  }
+  fill_order.resize(n);
+  std::iota(fill_order.begin(), fill_order.end(), 0);
+  std::stable_sort(fill_order.begin(), fill_order.end(),
+                   [&](PairId a, PairId b) {
+                     return max_weight[a] < max_weight[b];
+                   });
+}
+
 std::vector<uint64_t> RoundCounts(const DpConstraintSystem& system,
+                                  std::span<const double> relaxed,
+                                  const RoundingOptions& options) {
+  return RoundCounts(system, RoundingIndex(system), relaxed, options);
+}
+
+std::vector<uint64_t> RoundCounts(const DpConstraintSystem& system,
+                                  const RoundingIndex& index,
                                   std::span<const double> relaxed,
                                   const RoundingOptions& options) {
   const size_t n = relaxed.size();
   PRIVSAN_CHECK(n == system.num_pairs());
+  PRIVSAN_CHECK(index.pair_begin.size() == n + 1);
   PRIVSAN_CHECK(options.caps.empty() || options.caps.size() == n);
 
   // Stage 1: floor.
@@ -62,20 +102,16 @@ std::vector<uint64_t> RoundCounts(const DpConstraintSystem& system,
   for (size_t r = 0; r < system.num_rows(); ++r) {
     row_lhs[r] = system.RowLhs(r, std::span<const uint64_t>(x));
   }
-  std::vector<std::vector<std::pair<size_t, double>>> pair_rows(n);
-  std::vector<double> max_weight(n, 0.0);
-  for (size_t r = 0; r < system.num_rows(); ++r) {
-    for (const DpConstraintEntry& e : system.Row(r)) {
-      pair_rows[e.pair].emplace_back(r, e.log_t);
-      max_weight[e.pair] = std::max(max_weight[e.pair], e.log_t);
-    }
-  }
   auto admit = [&](PairId p) {
     if (!options.caps.empty() && x[p] + 1 > options.caps[p]) return false;
-    for (const auto& [r, weight] : pair_rows[p]) {
-      if (row_lhs[r] + weight > system.budget() + 1e-12) return false;
+    const uint32_t begin = index.pair_begin[p], end = index.pair_begin[p + 1];
+    for (uint32_t k = begin; k < end; ++k) {
+      const double lhs = row_lhs[index.rows[k]] + index.weights[k];
+      if (lhs > system.budget() + 1e-12) return false;
     }
-    for (const auto& [r, weight] : pair_rows[p]) row_lhs[r] += weight;
+    for (uint32_t k = begin; k < end; ++k) {
+      row_lhs[index.rows[k]] += index.weights[k];
+    }
     ++x[p];
     ++total;
     return true;
@@ -101,15 +137,10 @@ std::vector<uint64_t> RoundCounts(const DpConstraintSystem& system,
   // Stage 3: greedy fill, cheapest worst-row weight first; keep sweeping
   // until a full pass admits nothing.
   if (options.greedy_fill) {
-    std::vector<PairId> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](PairId a, PairId b) {
-      return max_weight[a] < max_weight[b];
-    });
     bool progress = true;
     while (progress && !reached_target()) {
       progress = false;
-      for (PairId p : order) {
+      for (PairId p : index.fill_order) {
         if (reached_target()) break;
         if (admit(p)) progress = true;
       }

@@ -33,7 +33,30 @@ struct RoundingOptions {
   std::span<const uint64_t> caps;
 };
 
-// Rounds `relaxed` (indexed by PairId) against `system`'s rows.
+// The parts of rounding that depend on the rows alone, not on the budget
+// or the relaxed point: each pair's rows and coefficients in row order,
+// and the greedy fill's order (pairs by ascending largest coefficient, ties
+// by PairId). A caller that rounds against one row set at many budgets
+// builds it once; it is stale once the rows are rebuilt.
+struct RoundingIndex {
+  explicit RoundingIndex(const DpConstraintSystem& system);
+
+  // Pair p's entries are [pair_begin[p], pair_begin[p + 1]) of `rows` and
+  // `weights` (its coefficient in each row).
+  std::vector<uint32_t> pair_begin;
+  std::vector<uint32_t> rows;
+  std::vector<double> weights;
+  std::vector<PairId> fill_order;
+};
+
+// Rounds `relaxed` (indexed by PairId) against `system`'s rows; `index`
+// must have been built from the same rows.
+std::vector<uint64_t> RoundCounts(const DpConstraintSystem& system,
+                                  const RoundingIndex& index,
+                                  std::span<const double> relaxed,
+                                  const RoundingOptions& options = {});
+
+// Same, building the index for this one call.
 std::vector<uint64_t> RoundCounts(const DpConstraintSystem& system,
                                   std::span<const double> relaxed,
                                   const RoundingOptions& options = {});

@@ -38,8 +38,10 @@
 // while a solve is running — are single-threaded. Debug builds assert
 // overlapping calls. For cross-thread use, serialize access per session or
 // go through serve::SanitizerService (the only concurrency-safe entry
-// point); parallelism *within* one session's preprocessing comes from
-// SessionOptions::pool instead.
+// point). Within one session, preprocessing and DP-row construction shard
+// across SessionOptions::pool; every LP solve runs its per-pivot column
+// passes on the lp helper threads (lp/column_blocks.h) whatever the pool,
+// with results bit-identical to a serial solve.
 #ifndef PRIVSAN_CORE_SESSION_H_
 #define PRIVSAN_CORE_SESSION_H_
 

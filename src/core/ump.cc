@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "core/dump.h"
@@ -153,7 +154,17 @@ class OumpProblem final : public UmpProblem {
 
     RoundingOptions rounding;
     if (spec_.cap_counts_at_input) rounding.caps = caps_;
-    solution.x = RoundCounts(*system_, solution.x_relaxed, rounding);
+    // The rows stay fixed for the problem's life (the session drops it with
+    // its log version), so one index serves every later budget. It is kept
+    // from the second answer on: a problem answered once (a one-shot
+    // release) holds no second copy of its rows.
+    ++answers_;
+    if (!rounding_index_ && answers_ > 1) rounding_index_.emplace(*system_);
+    std::optional<RoundingIndex> first_answer_index;
+    const RoundingIndex& index = rounding_index_
+                                     ? *rounding_index_
+                                     : first_answer_index.emplace(*system_);
+    solution.x = RoundCounts(*system_, index, solution.x_relaxed, rounding);
     for (uint64_t v : solution.x) solution.output_size += v;
     solution.stats.wall_seconds = timer.ElapsedSeconds();
     return solution;
@@ -172,6 +183,9 @@ class OumpProblem final : public UmpProblem {
   // log version.
   lp::LpSolution optimum_;
   double optimum_budget_ = 0.0;
+  // The rounding index of the problem's rows, kept from its second answer.
+  std::optional<RoundingIndex> rounding_index_;
+  int64_t answers_ = 0;
 };
 
 // ---- F-UMP ------------------------------------------------------------------

@@ -1,0 +1,63 @@
+// Fork-join over fixed column blocks: the simplex's per-pivot O(nnz)
+// passes (the fused primal PRICE pass, the exact reduced costs, and the
+// dual phase's pivot row, candidate scan and reduced-cost update) run on
+// the calling thread plus a process-wide set of helper threads.
+//
+// Determinism. Block b covers columns [b * kColumnBlockSize,
+// min(n, (b + 1) * kColumnBlockSize)), so the blocks depend on the column
+// count alone. A body that writes only its own block's columns and keeps
+// per-block partial results, merged by the caller in block order, computes
+// bit for bit what one serial loop over [0, n) computes — which thread runs
+// a block never changes a result.
+//
+// Helpers. At most hardware_concurrency() - 1 of them, started at the first
+// pass with two or more blocks, and a pass wakes no more of them than it
+// has blocks beyond the caller's. One pass at a time uses the helpers: a
+// pass with fewer than two blocks, or one that finds them busy with another
+// thread's pass, runs every block inline on the calling thread, through
+// the same body. Between passes a helper spins somewhat longer than a
+// medium pivot's serial part (FTRAN, BTRAN, LU update) and then parks on
+// an atomic wait, so an idle process burns no CPU. The caller claims
+// blocks like a helper and waits only for blocks a helper has already
+// claimed; with no helper (one vCPU, a forked child) it runs them all. The
+// helpers are joined at exit.
+//
+// serve::ThreadPool is not used: a solve makes thousands of passes of tens
+// of microseconds each, and a ParallelFor call allocates its loop state,
+// queues through a mutex and sleeps on a condition variable every time.
+#ifndef PRIVSAN_LP_COLUMN_BLOCKS_H_
+#define PRIVSAN_LP_COLUMN_BLOCKS_H_
+
+namespace privsan {
+namespace lp {
+
+inline constexpr int kColumnBlockSize = 512;
+
+// Number of blocks a pass over `n` columns is split into.
+inline int ColumnBlockCount(int n) {
+  return n <= 0 ? 0 : (n - 1) / kColumnBlockSize + 1;
+}
+
+using ColumnBlockFn = void (*)(const void* body, int block, int begin,
+                               int end);
+
+// Calls fn(body, block, begin, end) exactly once for every block of
+// [0, n) and returns when all of them have finished. Blocks may run
+// concurrently; fn must not throw.
+void RunColumnBlocks(int n, ColumnBlockFn fn, const void* body);
+
+// body(block, begin, end) for every block of [0, n), as RunColumnBlocks.
+template <typename Body>
+void ForEachColumnBlock(int n, const Body& body) {
+  RunColumnBlocks(
+      n,
+      [](const void* b, int block, int begin, int end) {
+        (*static_cast<const Body*>(b))(block, begin, end);
+      },
+      &body);
+}
+
+}  // namespace lp
+}  // namespace privsan
+
+#endif  // PRIVSAN_LP_COLUMN_BLOCKS_H_

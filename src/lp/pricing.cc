@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "lp/column_blocks.h"
+
 namespace privsan {
 namespace lp {
 
@@ -26,7 +28,8 @@ double PriceColumn(const PricingView& view, int j, int& sign) {
 
 // ---- PrimalPricer -----------------------------------------------------------
 
-PrimalPricer::PrimalPricer(int n_total) : gamma_(n_total, 1.0) {}
+PrimalPricer::PrimalPricer(int n_total)
+    : gamma_(n_total, 1.0), block_best_(ColumnBlockCount(n_total)) {}
 
 void PrimalPricer::ResetReference() {
   std::fill(gamma_.begin(), gamma_.end(), 1.0);
@@ -62,27 +65,36 @@ PrimalPricer::Choice PrimalPricer::PriceAfterPivot(
   d[leaving_var] = -theta_d;
   gamma_[leaving_var] = std::max(gamma_q * inv_pivot_sq, 1.0);
 
-  Choice choice;
-  double best = 0.0;
-  const int n = static_cast<int>(gamma_.size());
-  for (int j = 0; j < n; ++j) {
-    if (view.state[j] == VarStatus::kBasic) continue;
-    if (j != leaving_var) {
-      const double alpha = a.ColumnDot(j, rho);
-      d[j] -= theta_d * alpha;
-      const double weight = alpha * alpha * inv_pivot_sq * gamma_q;
-      if (weight > gamma_[j]) gamma_[j] = weight;
+  auto price_block = [&](int block, int begin, int end) {
+    Choice choice;
+    double best = 0.0;
+    for (int j = begin; j < end; ++j) {
+      if (view.state[j] == VarStatus::kBasic) continue;
+      if (j != leaving_var) {
+        const double alpha = a.ColumnDot(j, rho);
+        d[j] -= theta_d * alpha;
+        const double weight = alpha * alpha * inv_pivot_sq * gamma_q;
+        if (weight > gamma_[j]) gamma_[j] = weight;
+      }
+      int sign = 0;
+      const double violation = PriceColumn(view, j, sign);
+      if (sign == 0) continue;
+      const double score = violation * violation / gamma_[j];
+      if (score > best) {
+        best = score;
+        choice = Choice{j, sign};
+      }
     }
-    int sign = 0;
-    const double violation = PriceColumn(view, j, sign);
-    if (sign == 0) continue;
-    const double score = violation * violation / gamma_[j];
-    if (score > best) {
-      best = score;
-      choice = Choice{j, sign};
-    }
+    block_best_[block] = BlockBest{best, choice};
+  };
+  ForEachColumnBlock(static_cast<int>(gamma_.size()), price_block);
+  // In block order with a strict comparison: the lowest index keeps ties,
+  // as in one serial scan.
+  BlockBest best;
+  for (const BlockBest& block : block_best_) {
+    if (block.score > best.score) best = block;
   }
-  return choice;
+  return best.choice;
 }
 
 // ---- DualPricer -------------------------------------------------------------

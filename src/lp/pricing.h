@@ -71,7 +71,9 @@ class PrimalPricer {
   // computes alpha_j = A_j^T rho (entries summed in row order), applies
   // d_j -= (d_q / pivot) alpha_j and the Devex update
   // w_j = max(w_j, (alpha_j / pivot)^2 w_q), and prices j; the result
-  // equals ChooseEntering(view, false) on the updated values.
+  // equals ChooseEntering(view, false) on the updated values. The pass runs
+  // over column blocks (lp/column_blocks.h), each keeping its own best
+  // column; the values and the pick are those of one serial pass.
   Choice PriceAfterPivot(const SparseMatrix& a,
                          const std::vector<double>& rho,
                          const PricingView& view, int entering,
@@ -81,7 +83,15 @@ class PrimalPricer {
   std::span<const double> weights() const { return gamma_; }
 
  private:
+  // The best column of one block of the fused pass; cache-line sized so
+  // blocks on different threads do not share a line.
+  struct alignas(64) BlockBest {
+    double score = 0.0;
+    Choice choice;
+  };
+
   std::vector<double> gamma_;
+  std::vector<BlockBest> block_best_;  // one per column block
 };
 
 class DualPricer {

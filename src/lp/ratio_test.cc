@@ -69,21 +69,15 @@ PrimalRatioChoice PrimalRatioTest(std::span<const double> dir,
   return choice;
 }
 
-DualRatioChoice DualRatioTest(std::span<const double> alpha,
-                              std::span<const double> reduced_costs,
-                              std::span<const VarStatus> state,
-                              std::span<const double> lower,
-                              std::span<const double> upper, bool below,
-                              double violation,
-                              const SimplexOptions& options) {
-  struct DualCand {
-    double ratio;
-    double abs_alpha;
-    int j;
-  };
-  std::vector<DualCand> heap;
-  const int n = static_cast<int>(state.size());
-  for (int j = 0; j < n; ++j) {
+int ScanDualCandidates(int begin, int end, std::span<const double> alpha,
+                       std::span<const double> reduced_costs,
+                       std::span<const VarStatus> state,
+                       std::span<const double> lower,
+                       std::span<const double> upper, bool below,
+                       const SimplexOptions& options,
+                       std::span<DualCandidate> out) {
+  int found = 0;
+  for (int j = begin; j < end; ++j) {
     const VarStatus st = state[j];
     if (st == VarStatus::kBasic || lower[j] == upper[j]) continue;
     const double a = alpha[j];
@@ -99,21 +93,29 @@ DualRatioChoice DualRatioTest(std::span<const double> alpha,
       ok = st == VarStatus::kAtLower ? a > 0.0 : a < 0.0;
     }
     if (!ok) continue;
-    heap.push_back(
-        DualCand{std::abs(reduced_costs[j]) / std::abs(a), std::abs(a), j});
+    out[found++] =
+        DualCandidate{std::abs(reduced_costs[j]) / std::abs(a), std::abs(a), j};
   }
+  return found;
+}
+
+DualRatioChoice DualRatioTest(std::span<DualCandidate> candidates,
+                              std::span<const VarStatus> state,
+                              std::span<const double> lower,
+                              std::span<const double> upper,
+                              double violation) {
   // Min-heap on (ratio, -|alpha|, j): `later(a, b)` holds when a pops after b.
-  auto later = [](const DualCand& a, const DualCand& b) {
+  auto later = [](const DualCandidate& a, const DualCandidate& b) {
     if (a.ratio != b.ratio) return a.ratio > b.ratio;
     if (a.abs_alpha != b.abs_alpha) return a.abs_alpha < b.abs_alpha;
     return a.j > b.j;
   };
-  std::make_heap(heap.begin(), heap.end(), later);
+  std::make_heap(candidates.begin(), candidates.end(), later);
   DualRatioChoice choice;
   double remaining = violation;
-  for (auto end = heap.end(); end != heap.begin(); --end) {
-    std::pop_heap(heap.begin(), end, later);
-    const DualCand& c = *(end - 1);
+  for (auto end = candidates.end(); end != candidates.begin(); --end) {
+    std::pop_heap(candidates.begin(), end, later);
+    const DualCandidate& c = *(end - 1);
     const double capacity = state[c.j] == VarStatus::kFree
                                 ? std::numeric_limits<double>::infinity()
                                 : c.abs_alpha * (upper[c.j] - lower[c.j]);

@@ -9,7 +9,8 @@
 //     A bounded entering variable may also "bound flip": travel to its own
 //     opposite bound without any basis change.
 //   * DualRatioTest — the bound-flip dual ratio test: walk the
-//     sign-eligible columns in ascending |d_j / alpha_j| order (larger
+//     sign-eligible columns (ScanDualCandidates collects them, one column
+//     block at a time) in ascending |d_j / alpha_j| order (larger
 //     |alpha_j|, then lower index, first on ties), popped off a heap so a
 //     pivot pays only for the candidates it visits; a candidate
 //     whose whole range cannot absorb the leaving variable's violation is
@@ -64,16 +65,38 @@ struct DualRatioChoice {
   std::vector<int> bound_flips;
 };
 
-// `alpha` is the leaving slot's pivot row, one entry per variable (the
-// entries of basic columns are not read); `below` and `violation` describe
-// the leaving variable's bound violation (from DualPricer::ChooseLeaving).
-DualRatioChoice DualRatioTest(std::span<const double> alpha,
-                              std::span<const double> reduced_costs,
+// A column that may enter in the dual ratio test, keyed by its dual step
+// ratio |d_j| / |alpha_j|.
+struct DualCandidate {
+  double ratio = 0.0;
+  double abs_alpha = 0.0;
+  int j = 0;
+};
+
+// Writes to the front of `out` (at least end - begin long) every column of
+// [begin, end) eligible to enter, and returns how many: nonbasic, not
+// fixed, |alpha_j| above the pivot tolerance, and alpha_j of the sign that
+// moves the leaving variable toward its violated bound (`below`: it lies
+// below its lower bound). `alpha` is the leaving slot's pivot row, one
+// entry per variable (the entries of basic columns are not read).
+int ScanDualCandidates(int begin, int end, std::span<const double> alpha,
+                       std::span<const double> reduced_costs,
+                       std::span<const VarStatus> state,
+                       std::span<const double> lower,
+                       std::span<const double> upper, bool below,
+                       const SimplexOptions& options,
+                       std::span<DualCandidate> out);
+
+// The ratio test over `candidates`, every eligible column from
+// ScanDualCandidates in any order: the walk follows (ratio, -|alpha|, j),
+// a total order, so the collection order cannot change the choice.
+// `violation` is the leaving variable's bound violation (from
+// DualPricer::ChooseLeaving). `candidates` is reordered in place.
+DualRatioChoice DualRatioTest(std::span<DualCandidate> candidates,
                               std::span<const VarStatus> state,
                               std::span<const double> lower,
-                              std::span<const double> upper, bool below,
-                              double violation,
-                              const SimplexOptions& options);
+                              std::span<const double> upper,
+                              double violation);
 
 }  // namespace lp
 }  // namespace privsan

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "lp/basis_rep.h"
+#include "lp/column_blocks.h"
 #include "lp/lu_factorization.h"
 #include "lp/presolve.h"
 #include "lp/pricing.h"
@@ -240,9 +241,11 @@ void ComputeReducedCosts(const Work& w, const std::vector<double>& cost,
   for (int i = 0; i < w.m; ++i) y[i] = cost[w.basis[i]];
   w.rep->Btran(y);
   d.resize(w.n_total);
-  for (int j = 0; j < w.n_total; ++j) {
-    d[j] = w.state[j] == kBasic ? 0.0 : cost[j] - w.cols.ColumnDot(j, y);
-  }
+  ForEachColumnBlock(w.n_total, [&](int, int begin, int end) {
+    for (int j = begin; j < end; ++j) {
+      d[j] = w.state[j] == kBasic ? 0.0 : cost[j] - w.cols.ColumnDot(j, y);
+    }
+  });
 }
 
 // rho = B^-T e_slot: the BTRAN half of the pivot row alpha = rho^T A. Both
@@ -451,6 +454,12 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
   std::vector<double> rho(m), direction(m), flip_delta(m);
   // The pivot row over the nonbasic columns (0 on basic ones).
   std::vector<double> alpha(w.n_total);
+  // The ratio test's entering candidates. Block b scans into the front of
+  // its own columns' range of `scanned` and counts them in found[b], so the
+  // scan allocates nothing; the merge packs them in block order.
+  std::vector<DualCandidate> scanned(w.n_total);
+  std::vector<int> found(ColumnBlockCount(w.n_total));
+  std::vector<DualCandidate> candidates;
   // Reduced costs, maintained incrementally across pivots off the same
   // alpha row that drives the ratio test; recomputed at refactorizations.
   std::vector<double> d(w.n_total);
@@ -498,14 +507,25 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
     ++w.dual_iterations;
 
     // The pivot row: feeds eligibility, the ratio test, and the
-    // reduced-cost update.
+    // reduced-cost update. Each block scans its columns for entering
+    // candidates right after forming their alpha.
     ComputeRho(w, leaving_slot, rho);
-    for (int j = 0; j < w.n_total; ++j) {
-      alpha[j] = w.state[j] == kBasic ? 0.0 : w.cols.ColumnDot(j, rho);
+    ForEachColumnBlock(w.n_total, [&](int block, int begin, int end) {
+      for (int j = begin; j < end; ++j) {
+        alpha[j] = w.state[j] == kBasic ? 0.0 : w.cols.ColumnDot(j, rho);
+      }
+      found[block] =
+          ScanDualCandidates(begin, end, alpha, d, w.state, w.lb, w.ub, below,
+                             options, std::span(scanned).subspan(begin));
+    });
+    candidates.clear();
+    for (size_t b = 0; b < found.size(); ++b) {
+      const auto first = scanned.begin() + b * kColumnBlockSize;
+      candidates.insert(candidates.end(), first, first + found[b]);
     }
 
-    const DualRatioChoice ratio = DualRatioTest(
-        alpha, d, w.state, w.lb, w.ub, below, leaving.violation, options);
+    const DualRatioChoice ratio = DualRatioTest(candidates, w.state, w.lb,
+                                                w.ub, leaving.violation);
     if (ratio.entering < 0) return DualStatus::kPrimalInfeasible;
     const int entering = ratio.entering;
 
@@ -571,9 +591,11 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
     // Reduced-cost update along the alpha row (dual step theta keeps every
     // d on its feasible side by the min-ratio choice above).
     const double theta_d = d[entering] / pivot;
-    for (int j = 0; j < w.n_total; ++j) {
-      if (w.state[j] != kBasic) d[j] -= theta_d * alpha[j];
-    }
+    ForEachColumnBlock(w.n_total, [&](int, int begin, int end) {
+      for (int j = begin; j < end; ++j) {
+        if (w.state[j] != kBasic) d[j] -= theta_d * alpha[j];
+      }
+    });
     d[leaving_var] = -theta_d;
     d[entering] = 0.0;
   }

@@ -33,6 +33,11 @@
 //  * Presolve (lp/presolve.h) strips fixed variables, empty and singleton
 //    rows, and bound-implied empty columns before phase 1 and maps the
 //    reduced solution (primal, duals, and basis) back afterward.
+//  * Column passes (lp/column_blocks.h): the per-pivot loops over the
+//    columns — the fused PRICE pass, the exact reduced costs, the dual
+//    pivot row with its candidate scan, and the dual reduced-cost update —
+//    run in fixed column blocks on the calling thread plus shared helper
+//    threads, bit-identical to one serial loop.
 //
 // Warm start: Solve(model, hint) starts from a caller-supplied basis —
 // typically the parent node's optimal basis in branch & bound. Bound

@@ -57,14 +57,21 @@ std::string FormatStats(const serve::TenantStats& stats) {
   return out.str();
 }
 
-// REMOVE and EXPIRE: a removal followed by Stats on the same tenant
-// queue, so the counters reflect exactly this removal.
+// REMOVE and EXPIRE: the removal bracketed by two Stats on the same tenant
+// queue. TenantStats::users_removed is cumulative, so this removal's count
+// is the difference.
 std::string FormatRemoval(std::vector<serve::ServeResponse>& responses) {
-  if (!responses[0].ok()) return ErrLine(responses[0].status);
   if (!responses[1].ok()) return ErrLine(responses[1].status);
-  const serve::TenantStats& stats = *responses[1].stats();
+  if (!responses[0].ok()) return ErrLine(responses[0].status);
+  if (!responses[2].ok()) return ErrLine(responses[2].status);
+  const serve::TenantStats* before = responses[0].stats();
+  const serve::TenantStats* after = responses[2].stats();
+  if (before == nullptr || after == nullptr) {
+    return ErrLine(Status::Internal("Stats returned no payload"));
+  }
+  const uint64_t removed = after->users_removed - before->users_removed;
   std::ostringstream out;
-  out << "OK users_removed=" << stats.users_removed;
+  out << "OK users_removed=" << removed;
   return out.str();
 }
 
@@ -301,7 +308,8 @@ bool TextProtocol::Handle(const std::string& line, Done done) {
     if (users.empty()) {
       done("ERR usage: REMOVE <tenant> <user...>");
     } else {
-      SubmitMany({serve::RemoveUsersRequest{tenant, std::move(users)},
+      SubmitMany({serve::StatsRequest{tenant},
+                  serve::RemoveUsersRequest{tenant, std::move(users)},
                   serve::StatsRequest{tenant}},
                  FormatRemoval, std::move(done));
     }
@@ -310,7 +318,8 @@ bool TextProtocol::Handle(const std::string& line, Done done) {
     if (!(in >> cutoff)) {
       done("ERR usage: EXPIRE <tenant> <cutoff_secs>");
     } else {
-      SubmitMany({serve::ExpireWindowRequest{tenant, cutoff},
+      SubmitMany({serve::StatsRequest{tenant},
+                  serve::ExpireWindowRequest{tenant, cutoff},
                   serve::StatsRequest{tenant}},
                  FormatRemoval, std::move(done));
     }

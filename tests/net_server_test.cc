@@ -147,9 +147,11 @@ TEST(NetServerTest, AdmissionRejectionCrossesTheWireTyped) {
                   .value()
                   .ok());
   // Park the single worker on a slow sweep, then flood appends past the
-  // queue depth. The flood batches are generated up front — building them
-  // between Sends would give the parked worker time to finish the sweep
-  // and drain queue slots, letting extra appends through.
+  // queue depth. The sweep solves every cell cold: a warm O-UMP sweep is
+  // one LP plus scaled answers, too quick to hold the worker. The flood
+  // batches are generated up front — building them between Sends would
+  // give the parked worker time to finish the sweep and drain queue slots,
+  // letting extra appends through.
   const int kFlood = 10;
   std::vector<SearchLog> floods;
   for (int i = 0; i < kFlood; ++i) floods.push_back(Synthetic(50 + i));
@@ -157,9 +159,11 @@ TEST(NetServerTest, AdmissionRejectionCrossesTheWireTyped) {
   for (double delta : {0.2, 0.5, 0.8}) {
     for (int i = 0; i < 6; ++i) grid.push_back(Query(1.5 + 0.2 * i, delta));
   }
+  SweepOptions cold_cells;
+  cold_cells.warm_start = false;
   ASSERT_TRUE(client
                   .Send(serve::SweepRequest{
-                      "t", UtilityObjective::kOutputSize, grid, {}})
+                      "t", UtilityObjective::kOutputSize, grid, cold_cells})
                   .ok());
   for (int i = 0; i < kFlood; ++i) {
     ASSERT_TRUE(client.Send(serve::AppendRequest{"t", floods[i]}).ok());

@@ -11,24 +11,12 @@
 
 #include "core/session.h"
 #include "synth/generator.h"
+#include "test_fixtures.h"
 
 namespace privsan {
 namespace {
 
-// The medium synthetic-log profile of the repository benchmark.
-SyntheticLogConfig MediumConfig(uint64_t seed) {
-  SyntheticLogConfig config;
-  config.seed = seed;
-  config.num_users = 400;
-  config.num_queries = 2500;
-  config.url_pool = 3000;
-  config.max_urls_per_query = 4;
-  config.num_events = 36000;
-  config.query_zipf = 0.9;
-  config.url_zipf = 1.3;
-  config.user_zipf = 0.5;
-  return config;
-}
+using testing_fixtures::MediumConfig;
 
 class OumpStallTest : public ::testing::TestWithParam<uint64_t> {};
 

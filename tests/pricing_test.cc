@@ -2,9 +2,11 @@
 // the plain formulas they stand for. After one PrimalPricer::PriceAfterPivot
 // the reduced costs and Devex weights must sit exactly where a dense A^T rho
 // and the textbook updates put them, and its pick must be what a separate
-// full Devex scan picks. DualRatioTest must return the entering column and
-// the bound flips, in order, that a full sort of the candidates by
-// (ratio, -|alpha|, j) yields.
+// full Devex scan picks, also when the pass spans several column blocks
+// and ties sit in different blocks. DualRatioTest must return the entering
+// column and the bound flips, in order, that a full sort of the candidates
+// by (ratio, -|alpha|, j) yields, whatever order ScanDualCandidates
+// collected them in.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,14 +34,14 @@ constexpr VarStatus kFree = VarStatus::kFree;
 constexpr int kCancelling = 5;  // alpha_j sums to exactly 0
 constexpr int kFixed = 7;       // lower == upper
 constexpr int kFreeCol = 9;     // free, both directions price
-constexpr int kTieA = 20;       // kTieA and kTieB are identical columns
-constexpr int kTieB = 21;
+constexpr int kTieA = 20;       // tie_b is a copy of column kTieA
 
 // One primal pivot's data. `state` is already past the basis swap: the
 // entering column is basic and the leaving variable nonbasic.
 struct PivotCase {
   int m = 12;
   int n = 40;
+  int tie_b = 21;
   std::vector<std::vector<double>> dense;  // m x n, the reference's A
   SparseMatrix a;
   std::vector<double> rho, d, lower, upper;
@@ -49,19 +51,25 @@ struct PivotCase {
   double pivot = 0.0;
 };
 
-PivotCase MakePivotCase(uint64_t seed, bool boost_ties) {
+// A wide case has more than one column block (lp/column_blocks.h), and its
+// tied columns sit in different blocks.
+PivotCase MakePivotCase(uint64_t seed, bool boost_ties, bool wide = false) {
   Rng rng(seed);
   PivotCase c;
+  if (wide) {
+    c.n = 1300;
+    c.tie_b = 700;
+  }
   c.dense.assign(c.m, std::vector<double>(c.n, 0.0));
   for (int j = 0; j < c.n; ++j) {
-    if (j == kCancelling || j == kTieB) continue;
+    if (j == kCancelling || j == c.tie_b) continue;
     for (int i = 0; i < c.m; ++i) {
       if (rng.NextBool(0.4)) c.dense[i][j] = rng.NextDouble(-2.0, 2.0);
     }
   }
   c.dense[1][kCancelling] = 1.5;
   c.dense[2][kCancelling] = -1.5;
-  for (int i = 0; i < c.m; ++i) c.dense[i][kTieB] = c.dense[i][kTieA];
+  for (int i = 0; i < c.m; ++i) c.dense[i][c.tie_b] = c.dense[i][kTieA];
   std::vector<Triplet> triplets;
   for (int i = 0; i < c.m; ++i) {
     for (int j = 0; j < c.n; ++j) {
@@ -92,7 +100,7 @@ PivotCase MakePivotCase(uint64_t seed, bool boost_ties) {
   c.upper[kFreeCol] = kInf;
   c.state[kFreeCol] = kFree;
   c.state[kCancelling] = kAtLower;
-  for (int j : {kTieA, kTieB}) {
+  for (int j : {kTieA, c.tie_b}) {
     c.upper[j] = kInf;
     c.state[j] = kAtLower;
     c.d[j] = boost_ties ? -1e6 : -0.75;
@@ -113,7 +121,7 @@ TEST(PrimalPricerTest, FusedPassMatchesDenseReferenceAndFullScan) {
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE(seed);
     const bool boost_ties = seed % 4 == 0;
-    PivotCase c = MakePivotCase(seed, boost_ties);
+    PivotCase c = MakePivotCase(seed, boost_ties, /*wide=*/seed > 20);
     PrimalPricer pricer(c.n);
     const PricingView view = ViewOf(c, 1e-7);
 
@@ -153,14 +161,14 @@ TEST(PrimalPricerTest, FusedPassMatchesDenseReferenceAndFullScan) {
     }
     EXPECT_EQ(c.d[kCancelling], d0[kCancelling]);
     EXPECT_EQ(pricer.weights()[kCancelling], w0[kCancelling]);
-    EXPECT_EQ(c.d[kTieA], c.d[kTieB]);
-    EXPECT_EQ(pricer.weights()[kTieA], pricer.weights()[kTieB]);
+    EXPECT_EQ(c.d[kTieA], c.d[c.tie_b]);
+    EXPECT_EQ(pricer.weights()[kTieA], pricer.weights()[c.tie_b]);
 
     const PrimalPricer::Choice scan = pricer.ChooseEntering(view, false);
     EXPECT_EQ(choice.entering, scan.entering);
     EXPECT_EQ(choice.sign, scan.sign);
     EXPECT_NE(choice.entering, kFixed);
-    EXPECT_NE(choice.entering, kTieB);  // lowest index wins the tie
+    EXPECT_NE(choice.entering, c.tie_b);  // lowest index wins the tie
     if (boost_ties) {
       EXPECT_EQ(choice.entering, kTieA);
       ++tie_picks;
@@ -272,8 +280,19 @@ TEST(DualRatioTestTest, HeapOrderMatchesFullSortIncludingTies) {
 
     const DualRatioChoice expected = SortedDualRatioTest(
         alpha, d, state, lower, upper, below, violation, options.pivot_tol);
-    const DualRatioChoice got = DualRatioTest(alpha, d, state, lower, upper,
-                                              below, violation, options);
+    // Collect in blocks of 7 columns, the last block first: the walk must
+    // not depend on the order in which candidates were collected.
+    std::vector<DualCandidate> candidates;
+    for (int begin = (n - 1) / 7 * 7; begin >= 0; begin -= 7) {
+      std::vector<DualCandidate> block(7);
+      const int found = ScanDualCandidates(begin, std::min(n, begin + 7),
+                                           alpha, d, state, lower, upper,
+                                           below, options, block);
+      candidates.insert(candidates.end(), block.begin(),
+                        block.begin() + found);
+    }
+    const DualRatioChoice got =
+        DualRatioTest(candidates, state, lower, upper, violation);
     EXPECT_EQ(got.entering, expected.entering);
     EXPECT_EQ(got.bound_flips, expected.bound_flips);
 

@@ -54,6 +54,22 @@ inline SearchLog TwoUserSharedLog() {
   return builder.Build();
 }
 
+// The medium synthetic-log profile of the repository benchmark: 400 users,
+// about 3.3k pairs after preprocessing.
+inline SyntheticLogConfig MediumConfig(uint64_t seed) {
+  SyntheticLogConfig config;
+  config.seed = seed;
+  config.num_users = 400;
+  config.num_queries = 2500;
+  config.url_pool = 3000;
+  config.max_urls_per_query = 4;
+  config.num_events = 36000;
+  config.query_zipf = 0.9;
+  config.url_zipf = 1.3;
+  config.user_zipf = 0.5;
+  return config;
+}
+
 // A deterministic synthetic log, preprocessed, suitable for solver tests
 // (a few hundred pairs, ~30 users).
 inline SearchLog SmallSyntheticLog(uint64_t seed = 7) {

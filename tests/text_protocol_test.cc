@@ -73,12 +73,9 @@ TEST(TextProtocolTest, RestoreWaitsForTheSnapshotOfItsFile) {
   EXPECT_EQ(replies[5], "OK restored t5");
 }
 
-// The same script on the real service: the restored tenant exists, and its
-// first solve resumes warm from the snapshot's basis.
-TEST(TextProtocolTest, PipelinedSnapshotThenRestoreOnTheService) {
-  const std::string path =
-      ::testing::TempDir() + "/privsan_text_protocol_restore.snap";
-  std::remove(path.c_str());
+// Pipelines `script` into a text protocol over a two-worker service and
+// returns the replies in line order.
+std::vector<std::string> RunOnService(const std::vector<std::string>& script) {
   serve::ServiceOptions options;
   options.num_threads = 2;
   serve::SanitizerService service(options);
@@ -87,27 +84,49 @@ TEST(TextProtocolTest, PipelinedSnapshotThenRestoreOnTheService) {
                  std::function<void(serve::ServeResponse)> respond) {
         service.Submit(std::move(request), std::move(respond));
       });
-
-  const std::vector<std::string> script = {
-      "CREATE t",           "GEN t 40 2000 7",
-      "FLUSH t",            "SOLVE t OUMP 2.0 0.5",
-      "SNAPSHOT t " + path, "RESTORE t2 " + path,
-      "SOLVE t2 OUMP 2.0 0.5"};
   std::vector<std::promise<std::string>> promises(script.size());
-  std::vector<std::future<std::string>> replies;
-  for (auto& promise : promises) replies.push_back(promise.get_future());
+  std::vector<std::future<std::string>> futures;
+  for (auto& promise : promises) futures.push_back(promise.get_future());
   for (size_t i = 0; i < script.size(); ++i) {
     protocol.Handle(script[i], [&promises, i](std::string reply) {
       promises[i].set_value(std::move(reply));
     });
   }
-  std::string last;
-  for (size_t i = 0; i < script.size(); ++i) {
-    last = replies[i].get();
-    EXPECT_EQ(last.rfind("OK", 0), 0u) << script[i] << ": " << last;
-  }
-  EXPECT_NE(last.find("warm=1"), std::string::npos) << last;
+  std::vector<std::string> replies;
+  for (auto& future : futures) replies.push_back(future.get());
+  return replies;
+}
+
+// The same script on the real service: the restored tenant exists, and its
+// first solve resumes warm from the snapshot's basis.
+TEST(TextProtocolTest, PipelinedSnapshotThenRestoreOnTheService) {
+  const std::string path =
+      ::testing::TempDir() + "/privsan_text_protocol_restore.snap";
   std::remove(path.c_str());
+  const std::vector<std::string> script = {
+      "CREATE t",           "GEN t 40 2000 7",
+      "FLUSH t",            "SOLVE t OUMP 2.0 0.5",
+      "SNAPSHOT t " + path, "RESTORE t2 " + path,
+      "SOLVE t2 OUMP 2.0 0.5"};
+  const std::vector<std::string> replies = RunOnService(script);
+  for (size_t i = 0; i < script.size(); ++i) {
+    EXPECT_EQ(replies[i].rfind("OK", 0), 0u) << script[i] << ": " << replies[i];
+  }
+  EXPECT_NE(replies.back().find("warm=1"), std::string::npos)
+      << replies.back();
+  std::remove(path.c_str());
+}
+
+// REMOVE and EXPIRE answer how many users this request removed, not the
+// tenant's running total.
+TEST(TextProtocolTest, RemovalRepliesCountThisRequestOnly) {
+  const std::vector<std::string> replies = RunOnService(
+      {"CREATE t", "GEN t 40 2000 7", "APPEND t zz1 zq zl 2",
+       "APPEND t zz2 zq zl 3", "FLUSH t", "REMOVE t zz1",
+       "EXPIRE t 1"});  // cutoff at unix second 1: nothing expires
+  ASSERT_EQ(replies.size(), 7u);
+  EXPECT_EQ(replies[5], "OK users_removed=1");
+  EXPECT_EQ(replies[6], "OK users_removed=0");
 }
 
 }  // namespace
