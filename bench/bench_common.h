@@ -156,6 +156,17 @@ inline int DumpObjectiveMismatches(const SweepResult& warm,
   return mismatches;
 }
 
+// Main/root-LP iterations summed over a sweep's cells — the cleanest
+// cross-cell warm-start signal (branch & bound tree totals vary with the
+// search order).
+inline uint64_t RootIterations(const SweepResult& sweep) {
+  uint64_t total = 0;
+  for (const UmpSolution& cell : sweep.cells) {
+    total += cell.stats.root_iterations;
+  }
+  return total;
+}
+
 // Paired per-cell-cold baseline + warm-started run of one grid through one
 // session. Cold runs first — cold solves never touch the session's stored
 // bases, so the warm sweep still chains from a clean slate.
@@ -258,13 +269,13 @@ inline JsonRecord SweepComparisonRecord(const std::string& label,
   record.Add("record", "sweep_aggregate")
       .Add("label", label)
       .Add("cells", static_cast<int64_t>(warm.cells.size()))
-      .Add("warm_solves", warm.warm_solves)
-      .Add("warm_total_simplex_iterations", warm.total_simplex_iterations)
-      .Add("cold_total_simplex_iterations", cold.total_simplex_iterations)
-      .Add("warm_total_dual_iterations", warm.total_dual_iterations)
-      .Add("cold_total_dual_iterations", cold.total_dual_iterations)
-      .Add("warm_root_iterations", warm.total_root_iterations)
-      .Add("cold_root_iterations", cold.total_root_iterations)
+      .Add("warm_solves", warm.warm_cells())
+      .Add("warm_total_simplex_iterations", warm.totals().simplex_iterations)
+      .Add("cold_total_simplex_iterations", cold.totals().simplex_iterations)
+      .Add("warm_total_dual_iterations", warm.totals().dual_iterations)
+      .Add("cold_total_dual_iterations", cold.totals().dual_iterations)
+      .Add("warm_root_iterations", RootIterations(warm))
+      .Add("cold_root_iterations", RootIterations(cold))
       .Add("warm_seconds", warm.wall_seconds)
       .Add("cold_seconds", cold.wall_seconds)
       .Add("objective_mismatches",

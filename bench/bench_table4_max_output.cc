@@ -84,10 +84,10 @@ int main() {
             << "  (" << bench::Percent(min_lambda / total, 2) << " .. "
             << bench::Percent(max_lambda / total, 2)
             << " of |D|; paper reports 7.08% .. 26.2% — see fidelity note)\n";
-  std::cout << "sweep: " << warm.warm_solves << "/" << grid.size()
+  std::cout << "sweep: " << warm.warm_cells() << "/" << grid.size()
             << " warm-started cells; simplex iterations "
-            << warm.total_simplex_iterations << " warm vs "
-            << cold.total_simplex_iterations << " cold; "
+            << warm.totals().simplex_iterations << " warm vs "
+            << cold.totals().simplex_iterations << " cold; "
             << bench::Shorten(warm.wall_seconds, 2) << "s warm vs "
             << bench::Shorten(cold.wall_seconds, 2) << "s cold; "
             << mismatches << " objective mismatches\n";

@@ -63,7 +63,7 @@ int main() {
             .SweepBudgets(UtilityObjective::kFrequentPairs, grid,
                           sweep_options)
             .value();
-    total_iterations += sweep.total_simplex_iterations;
+    total_iterations += sweep.totals().simplex_iterations;
 
     const std::string label =
         "1/" + std::to_string(static_cast<int>(1.0 / support + 0.5));

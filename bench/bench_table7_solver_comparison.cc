@@ -106,11 +106,11 @@ void RunPart(SanitizerSession& session, const PartSpec& part,
     report.Add(bench::SweepComparisonRecord(
         part.name + "_" + DumpSolverKindToString(kind), warm, cold,
         row_mismatches));
-    warm_total += warm.total_simplex_iterations;
-    cold_total += cold.total_simplex_iterations;
-    warm_root += warm.total_root_iterations;
-    cold_root += cold.total_root_iterations;
-    warm_solves += warm.warm_solves;
+    warm_total += warm.totals().simplex_iterations;
+    cold_total += cold.totals().simplex_iterations;
+    warm_root += bench::RootIterations(warm);
+    cold_root += bench::RootIterations(cold);
+    warm_solves += warm.warm_cells();
     mismatches += row_mismatches;
   }
   table.Print(std::cout);

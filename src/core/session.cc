@@ -466,6 +466,18 @@ Result<UmpSolution> SanitizerSession::Solve(UtilityObjective objective,
   return SolveInternal(objective, query, /*warm=*/true);
 }
 
+lp::SolveStats SweepResult::totals() const {
+  lp::SolveStats totals;
+  for (const UmpSolution& cell : cells) totals += cell.stats;
+  return totals;
+}
+
+uint64_t SweepResult::warm_cells() const {
+  uint64_t warm = 0;
+  for (const UmpSolution& cell : cells) warm += cell.stats.warm_started;
+  return warm;
+}
+
 Result<SweepResult> SanitizerSession::SweepBudgets(
     UtilityObjective objective, const std::vector<UmpQuery>& grid,
     const SweepOptions& sweep) {
@@ -489,14 +501,6 @@ Result<SweepResult> SanitizerSession::SweepBudgets(
       error = cell.status();
       break;
     }
-    result.total_simplex_iterations += cell->stats.simplex_iterations;
-    result.total_dual_iterations += cell->stats.dual_iterations;
-    result.total_root_iterations += cell->stats.root_iterations;
-    result.repair_aborted += cell->stats.repair_aborted;
-    if (cell->stats.warm_started) ++result.warm_solves;
-    result.factor_nnz = std::max(result.factor_nnz, cell->stats.factor_nnz);
-    result.max_update_run =
-        std::max(result.max_update_run, cell->stats.max_update_run);
     result.cells.push_back(std::move(*cell));
   }
   s.fump_min_support = saved_support;

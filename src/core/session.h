@@ -146,21 +146,12 @@ struct SweepOptions {
 
 struct SweepResult {
   std::vector<UmpSolution> cells;  // one per grid entry, in order
-  // Aggregates across all cells.
-  int64_t total_simplex_iterations = 0;
-  int64_t total_dual_iterations = 0;
-  // Main/root-LP iterations only — the cleanest cross-cell warm-start
-  // signal (branch & bound tree totals vary with the search order).
-  int64_t total_root_iterations = 0;
-  int64_t warm_solves = 0;  // cells whose main/root LP ran from a warm basis
-  // Warm solves whose dual repair hit the configured pivot cap and fell
-  // back cold (UmpStats::repair_aborted summed across cells).
-  int64_t repair_aborted = 0;
-  // Peak factorization fill and longest update run between
-  // refactorizations, maxed across cells (UmpStats carries them per cell).
-  size_t factor_nnz = 0;
-  int max_update_run = 0;
   double wall_seconds = 0.0;
+
+  // The cells' solver effort folded with lp::SolveStats::operator+=.
+  lp::SolveStats totals() const;
+  // Cells whose main/root LP ran from a warm basis.
+  uint64_t warm_cells() const;
 };
 
 class SanitizerSession {

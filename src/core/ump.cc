@@ -44,19 +44,6 @@ const char* DumpSolverKindToString(DumpSolverKind kind) {
 
 namespace {
 
-void FillLpStats(const lp::LpSolution& lp, UmpStats* stats) {
-  stats->simplex_iterations += lp.iterations;
-  stats->dual_iterations += lp.dual_iterations;
-  stats->refactorizations += lp.refactorizations;
-  stats->basis_repairs += lp.basis_repairs;
-  if (lp.repair_aborted) ++stats->repair_aborted;
-  if (lp.warm_started) ++stats->warm_solves;
-  // Peaks, not sums: the fill and update-run figures compare against the
-  // problem size, so the worst solve is the meaningful one.
-  stats->factor_nnz = std::max(stats->factor_nnz, lp.factor_nnz);
-  stats->max_update_run = std::max(stats->max_update_run, lp.max_update_run);
-}
-
 // Appends one <= row per DP constraint (rhs rebound per query) and records
 // each pair's largest coefficient — the source of the implied bound
 // x_p <= B / max_weight[p] that keeps every variable finitely bounded.
@@ -132,9 +119,9 @@ class OumpProblem final : public UmpProblem {
         return Status::Internal(std::string("O-UMP LP solve failed: ") +
                                 lp::SolveStatusToString(lp.status));
       }
-      solution.stats.warm_started = lp.warm_started;
-      solution.stats.root_iterations = lp.iterations;
-      FillLpStats(lp, &solution.stats);
+      solution.stats.warm_started = lp.stats.warm_solves > 0;
+      solution.stats.root_iterations = lp.stats.simplex_iterations;
+      solution.stats += lp.stats;
       optimum_ = std::move(lp);
       optimum_budget_ = budget;
     } else {
@@ -306,12 +293,12 @@ class FumpProblem final : public UmpProblem {
       SetVariableBounds(budget, output_size, static_cast<double>(lp_cap));
       lp = solver_.Solve(model_);
       solution.used_precision_caps = lp.status == lp::SolveStatus::kOptimal;
-      FillLpStats(lp, &solution.stats);
+      solution.stats += lp.stats;
     }
     if (!solution.used_precision_caps) {
       SetVariableBounds(budget, output_size, lp::kInfinity);
       lp = solver_.Solve(model_);
-      FillLpStats(lp, &solution.stats);
+      solution.stats += lp.stats;
     }
     if (lp.status == lp::SolveStatus::kInfeasible) {
       return Status::Infeasible(
@@ -322,8 +309,8 @@ class FumpProblem final : public UmpProblem {
       return Status::Internal(std::string("F-UMP LP solve failed: ") +
                               lp::SolveStatusToString(lp.status));
     }
-    solution.stats.warm_started = lp.warm_started;
-    solution.stats.root_iterations = lp.iterations;
+    solution.stats.warm_started = lp.stats.warm_solves > 0;
+    solution.stats.root_iterations = lp.stats.simplex_iterations;
     // Scale the optimal deviation sum back to support units.
     solution.objective_value = lp.objective / output_size;
     solution.x_relaxed.assign(lp.x.begin(),
@@ -510,14 +497,9 @@ class DumpProblem final : public UmpProblem {
         PRIVSAN_ASSIGN_OR_RETURN(
             lp::BipSolution s, SolveBipLpRounding(bip_, simplex_, basis_hint));
         y = std::move(s.y);
-        solution.stats.simplex_iterations = s.lp_iterations;
-        solution.stats.dual_iterations = s.lp_dual_iterations;
-        solution.stats.refactorizations = s.lp_refactorizations;
-        solution.stats.basis_repairs = s.lp_basis_repairs;
-        if (s.lp_repair_aborted) solution.stats.repair_aborted = 1;
-        solution.stats.root_iterations = s.lp_iterations;
-        solution.stats.warm_started = s.lp_warm_started;
-        if (s.lp_warm_started) solution.stats.warm_solves = 1;
+        solution.stats += s.stats;
+        solution.stats.root_iterations = s.stats.simplex_iterations;
+        solution.stats.warm_started = s.stats.warm_solves > 0;
         solution.basis = std::move(s.basis);
         break;
       }
@@ -547,13 +529,8 @@ class DumpProblem final : public UmpProblem {
           y[j] = bnb.x[j] > 0.5 ? 1 : 0;
         }
         solution.proven_optimal = bnb.proven_optimal;
-        solution.stats.simplex_iterations = bnb.lp_iterations;
-        solution.stats.dual_iterations = bnb.lp_dual_iterations;
-        solution.stats.refactorizations = bnb.lp_refactorizations;
-        solution.stats.basis_repairs = bnb.lp_basis_repairs;
-        solution.stats.repair_aborted = bnb.repair_aborted;
+        solution.stats += bnb.stats;
         solution.stats.nodes_explored = bnb.nodes_explored;
-        solution.stats.warm_solves = bnb.warm_solves;
         solution.stats.warm_started = bnb.root_warm_started;
         solution.stats.root_iterations = bnb.root_lp_iterations;
         solution.stats.integer_fixed = fixed;

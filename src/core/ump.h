@@ -127,31 +127,17 @@ struct WarmStartHint {
   bool empty() const { return basis.empty(); }
 };
 
-// Uniform solver effort block, comparable across objectives.
-struct UmpStats {
-  int64_t simplex_iterations = 0;    // primal + dual pivots, all LP solves
-  int64_t dual_iterations = 0;       // dual pivots (warm-start restores)
-  int refactorizations = 0;
-  // Singular refactorizations repaired in place (dependent columns swapped
-  // for row slacks) instead of failing over to a cold solve.
-  int basis_repairs = 0;
-  // Warm solves whose dual repair exceeded the configured pivot cap
-  // (SimplexOptions::warm_repair_pivot_cap) and fell back to a cold solve
-  // — the serve path's "this append was too large to repair" signal.
-  int64_t repair_aborted = 0;
-  int64_t nodes_explored = 0;        // branch & bound only
-  int64_t warm_solves = 0;           // LP solves that ran from a warm basis
+// Uniform solver effort block, comparable across objectives: the effort of
+// every LP solve behind the answer (lp::SolveStats, folded with its +=;
+// repair_aborted is the serve path's "this append was too large to repair"
+// signal), plus what only a UMP answer knows.
+struct UmpStats : lp::SolveStats {
   bool warm_started = false;         // the main/root LP ran from the hint
   // Iterations of the main LP alone (for D-UMP branch & bound: the root
   // relaxation) — the part a cross-cell WarmStartHint shrinks directly.
-  int64_t root_iterations = 0;
+  uint64_t root_iterations = 0;
+  int64_t nodes_explored = 0;        // branch & bound only
   int integer_fixed = 0;             // D-UMP presolve: y_j fixed to 0
-  // Peak basis-factorization nonzeros any FTRAN/BTRAN traversed (factors +
-  // update file) — the fill the simplex kernel's work is proportional to.
-  size_t factor_nnz = 0;
-  // Longest run of basis updates between refactorizations across all LP
-  // solves — how far apart the Forrest–Tomlin scheme pushes them.
-  int max_update_run = 0;
   double wall_seconds = 0.0;
 };
 

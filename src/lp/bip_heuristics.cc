@@ -135,13 +135,7 @@ Result<BipSolution> SolveBipLpRounding(const BipProblem& problem,
                          << SolveStatusToString(lp.status)
                          << "; falling back to greedy rounding order";
     Result<BipSolution> greedy = SolveBipGreedy(problem);
-    if (greedy.ok()) {
-      greedy->lp_iterations = lp.iterations;
-      greedy->lp_dual_iterations = lp.dual_iterations;
-      greedy->lp_refactorizations = lp.refactorizations;
-      greedy->lp_basis_repairs = lp.basis_repairs;
-      greedy->lp_repair_aborted = lp.repair_aborted;
-    }
+    if (greedy.ok()) greedy->stats = lp.stats;
     return greedy;
   }
   std::vector<int> order(problem.num_vars());
@@ -152,13 +146,8 @@ Result<BipSolution> SolveBipLpRounding(const BipProblem& problem,
   });
   Result<BipSolution> rounded = AdmitGreedily(problem, order);
   if (rounded.ok()) {
-    rounded->lp_iterations = lp.iterations;
-    rounded->lp_dual_iterations = lp.dual_iterations;
-    rounded->lp_refactorizations = lp.refactorizations;
-    rounded->lp_basis_repairs = lp.basis_repairs;
-    rounded->lp_repair_aborted = lp.repair_aborted;
+    rounded->stats = lp.stats;
     rounded->basis = std::move(lp.basis);
-    rounded->lp_warm_started = lp.warm_started;
   }
   return rounded;
 }

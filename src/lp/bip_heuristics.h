@@ -52,16 +52,11 @@ struct BipSolution {
   std::vector<uint8_t> y;
   int64_t selected = 0;  // objective: number of y_j == 1
   // LP effort behind the solution (zero for the pure greedy).
-  int64_t lp_iterations = 0;
-  int64_t lp_dual_iterations = 0;
-  int lp_refactorizations = 0;
-  int lp_basis_repairs = 0;
-  bool lp_repair_aborted = false;
+  SolveStats stats;
   // Optimal basis of the LP relaxation (empty for the pure greedy and when
   // the LP fell back), reusable as a warm-start hint for the next solve of
   // a structurally identical relaxation.
   Basis basis;
-  bool lp_warm_started = false;
 };
 
 Result<BipSolution> SolveBipGreedy(const BipProblem& problem);

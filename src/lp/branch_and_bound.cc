@@ -115,15 +115,10 @@ BnbResult SolveBranchAndBound(const LpModel& model,
       v.lower = std::get<1>(*it);
       v.upper = std::get<2>(*it);
     }
-    result.lp_iterations += lp.iterations;
-    result.lp_dual_iterations += lp.dual_iterations;
-    result.lp_refactorizations += lp.refactorizations;
-    result.lp_basis_repairs += lp.basis_repairs;
-    if (lp.repair_aborted) ++result.repair_aborted;
-    if (lp.warm_started) ++result.warm_solves;
+    result.stats += lp.stats;
     if (is_root) {
-      result.root_warm_started = lp.warm_started;
-      result.root_lp_iterations = lp.iterations;
+      result.root_warm_started = lp.stats.warm_solves > 0;
+      result.root_lp_iterations = lp.stats.simplex_iterations;
       if (lp.status == SolveStatus::kOptimal) result.root_basis = lp.basis;
     }
 

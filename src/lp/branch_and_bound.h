@@ -45,22 +45,13 @@ struct BnbResult {
   std::vector<double> x;        // incumbent point (structural variables)
   int64_t nodes_explored = 0;
   double wall_seconds = 0.0;
-  // Aggregate LP effort across all node solves.
-  int64_t lp_iterations = 0;
-  int64_t lp_dual_iterations = 0;
-  int lp_refactorizations = 0;
-  // Singular bases repaired in place across node solves (swap dependent
-  // columns for row slacks, lp/simplex.h RepairPolicy).
-  int lp_basis_repairs = 0;
-  // Node warm starts whose dual repair hit warm_repair_pivot_cap and fell
-  // back to a cold solve.
-  int64_t repair_aborted = 0;
-  // Node LPs that ran from the parent basis (vs cold phase-1 solves).
-  int64_t warm_solves = 0;
+  // LP effort summed over every node solve; warm_solves counts the node
+  // LPs that ran from the parent basis.
+  SolveStats stats;
   // Iterations of the root relaxation alone — the part a `root_hint` from a
   // neighbouring budget cell shrinks (tree totals are not comparable across
   // runs, since a different root vertex reorders the search).
-  int64_t root_lp_iterations = 0;
+  uint64_t root_lp_iterations = 0;
   // Optimal basis of the root relaxation, reusable as `root_hint` for the
   // next solve of a structurally identical model. Empty if the root LP did
   // not reach optimality.

@@ -20,6 +20,20 @@
 namespace privsan {
 namespace lp {
 
+SolveStats& SolveStats::operator+=(const SolveStats& other) {
+  simplex_iterations += other.simplex_iterations;
+  dual_iterations += other.dual_iterations;
+  refactorizations += other.refactorizations;
+  basis_repairs += other.basis_repairs;
+  warm_solves += other.warm_solves;
+  repair_aborted += other.repair_aborted;
+  // Peaks, not sums: the fill and update-run figures compare against the
+  // problem size, so the worst solve is the meaningful one.
+  factor_nnz = std::max(factor_nnz, other.factor_nnz);
+  max_update_run = std::max(max_update_run, other.max_update_run);
+  return *this;
+}
+
 const char* SolveStatusToString(SolveStatus status) {
   switch (status) {
     case SolveStatus::kOptimal:
@@ -65,12 +79,7 @@ struct Work {
   // otherwise); the solve runs scaled, BuildSolution maps back.
   ScalingFactors scaling;
 
-  int64_t iterations = 0;
-  int64_t dual_iterations = 0;
-  int refactorizations = 0;
-  int basis_repairs = 0;
-  size_t factor_nnz = 0;   // peak rep->nonzeros() observed
-  int max_update_run = 0;  // longest update run between refactorizations
+  SolveStats stats;
 };
 
 // The update file is largest right before a refactorization wipes it, so
@@ -78,9 +87,11 @@ struct Work {
 // peak traversal cost and the longest update run.
 void SampleRepStats(Work& w) {
   if (w.rep == nullptr) return;
-  w.max_update_run =
-      std::max(w.max_update_run, w.rep->updates_since_refactor());
-  w.factor_nnz = std::max(w.factor_nnz, w.rep->nonzeros());
+  w.stats.max_update_run =
+      std::max(w.stats.max_update_run,
+               static_cast<uint64_t>(w.rep->updates_since_refactor()));
+  w.stats.factor_nnz =
+      std::max(w.stats.factor_nnz, static_cast<uint64_t>(w.rep->nonzeros()));
 }
 
 enum class PhaseStatus { kOptimal, kUnbounded, kIterationLimit, kSingular };
@@ -190,7 +201,7 @@ bool FactorizeAndRecompute(Work& w, const SimplexOptions& options) {
   SampleRepStats(w);
   for (int attempt = 0;; ++attempt) {
     if (w.rep->Refactorize(w.cols, w.basis)) {
-      ++w.refactorizations;
+      ++w.stats.refactorizations;
       RecomputeBasics(w);
       return true;
     }
@@ -198,7 +209,7 @@ bool FactorizeAndRecompute(Work& w, const SimplexOptions& options) {
         attempt >= options.max_basis_repairs || !RepairSingularBasis(w)) {
       return false;
     }
-    ++w.basis_repairs;
+    ++w.stats.basis_repairs;
   }
 }
 
@@ -302,10 +313,11 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
   };
 
   while (true) {
-    if (w.iterations >= options.max_iterations) {
+    if (static_cast<int64_t>(w.stats.simplex_iterations) >=
+        options.max_iterations) {
       return PhaseStatus::kIterationLimit;
     }
-    ++w.iterations;
+    ++w.stats.simplex_iterations;
 
     switch (MaybeRefactor(w, options, drift_countdown)) {
       case RefactorCheck::kNone:
@@ -480,7 +492,8 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
   int drift_countdown = options.drift_check_interval;
 
   for (int64_t iter = 0; iter < budget; ++iter) {
-    if (w.iterations >= options.max_iterations) {
+    if (static_cast<int64_t>(w.stats.simplex_iterations) >=
+        options.max_iterations) {
       return DualStatus::kIterationLimit;
     }
 
@@ -503,8 +516,8 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
     const int leaving_slot = leaving.slot;
     const bool below = leaving.below;
 
-    ++w.iterations;
-    ++w.dual_iterations;
+    ++w.stats.simplex_iterations;
+    ++w.stats.dual_iterations;
 
     // The pivot row: feeds eligibility, the ratio test, and the
     // reduced-cost update. Each block scans its columns for entering
@@ -744,12 +757,7 @@ LpSolution BuildSolution(Work& w, const LpModel& model, SolveStatus status,
   SampleRepStats(w);  // the final update run ended here, not at a refactor
   LpSolution solution;
   solution.status = status;
-  solution.iterations = w.iterations;
-  solution.dual_iterations = w.dual_iterations;
-  solution.refactorizations = w.refactorizations;
-  solution.basis_repairs = w.basis_repairs;
-  solution.factor_nnz = w.factor_nnz;
-  solution.max_update_run = w.max_update_run;
+  solution.stats = w.stats;
   if (status != SolveStatus::kOptimal) return solution;
 
   solution.x.assign(w.x.begin(), w.x.begin() + w.n_struct);
@@ -863,10 +871,8 @@ LpSolution SolveImpl(const LpModel& model, const SimplexOptions& options_) {
   // that price identically in problems like O-UMP. `finish` reports the
   // objective and duals from the exact costs.
   std::vector<double> phase2_cost = w.cost;
-  if (options_.perturb_costs) {
-    PerturbCosts(phase2_cost);
-    PerturbCosts(phase1_cost);
-  }
+  PerturbCosts(phase2_cost);
+  PerturbCosts(phase1_cost);
 
   // --- Phase 1 -------------------------------------------------------------
   if (!artificials.empty()) {
@@ -1018,12 +1024,12 @@ LpSolution WarmSolveImpl(const LpModel& model, const SimplexOptions& options_,
   // unrepairable one falls back to a cold solve.
   if (!FactorizeAndRecompute(w, options_)) {
     fallback = true;
-    failed.basis_repairs = w.basis_repairs;
+    failed.stats = w.stats;
     return failed;
   }
 
   std::vector<double> phase2_cost = w.cost;
-  if (options_.perturb_costs) PerturbCosts(phase2_cost);
+  PerturbCosts(phase2_cost);
 
   // Dual feasibility repair: bound changes never move reduced costs, but a
   // state flip above (or a hint from a structurally shifted model — new
@@ -1066,32 +1072,27 @@ LpSolution WarmSolveImpl(const LpModel& model, const SimplexOptions& options_,
   }
 
   auto finish = [&](SolveStatus status) {
-    LpSolution solution = BuildSolution(w, model, status, maximize);
-    solution.warm_started = true;
-    return solution;
+    w.stats.warm_solves = 1;
+    return BuildSolution(w, model, status, maximize);
   };
   // The caller folds these counters into the cold solve it runs next.
   auto fall_back = [&](bool repair_aborted = false) {
     fallback = true;
     SampleRepStats(w);
-    failed.iterations = w.iterations;
-    failed.dual_iterations = w.dual_iterations;
-    failed.refactorizations = w.refactorizations;
-    failed.basis_repairs = w.basis_repairs;
-    failed.repair_aborted = repair_aborted;
-    failed.factor_nnz = w.factor_nnz;
-    failed.max_update_run = w.max_update_run;
+    failed.stats = w.stats;
+    failed.stats.repair_aborted = repair_aborted ? 1 : 0;
     return failed;
   };
 
   switch (RunDualPhase(w, dual_cost, options_)) {
     case DualStatus::kOptimal:
       break;
-    case DualStatus::kPrimalInfeasible:
-      if (options_.confirm_warm_infeasible) return fall_back();
-      return finish(SolveStatus::kInfeasible);
     case DualStatus::kRepairAborted:
       return fall_back(/*repair_aborted=*/true);
+    // A "primal infeasible" verdict from a warm basis is re-derived by
+    // the cold phase 1, so a stale basis never prunes a branch & bound
+    // node.
+    case DualStatus::kPrimalInfeasible:
     case DualStatus::kIterationLimit:
     case DualStatus::kSingular:
       return fall_back();
@@ -1125,12 +1126,7 @@ LpSolution SolveWithRetry(const LpModel& model,
   retry.bland_trigger = 8;
   retry.pivot_tol = 1e-8;
   LpSolution second = SolveImpl(model, retry);
-  second.iterations += first.iterations;
-  second.refactorizations += first.refactorizations;
-  second.basis_repairs += first.basis_repairs;
-  second.factor_nnz = std::max(second.factor_nnz, first.factor_nnz);
-  second.max_update_run = std::max(second.max_update_run,
-                                   first.max_update_run);
+  second.stats += first.stats;
   return second;
 }
 
@@ -1159,22 +1155,15 @@ LpSolution SimplexSolver::Solve(const LpModel& model) const {
 
 LpSolution SimplexSolver::Solve(const LpModel& model,
                                 const Basis* hint) const {
-  LpSolution warm_counters;
+  SolveStats fallen_back;  // the effort of a warm attempt that fell back
   if (hint != nullptr && !hint->empty()) {
     bool fallback = false;
     LpSolution warm = WarmSolveImpl(model, options_, *hint, fallback);
     if (!fallback) return warm;
-    warm_counters = std::move(warm);
+    fallen_back = warm.stats;
   }
   LpSolution cold = ColdSolve(model, options_);
-  cold.iterations += warm_counters.iterations;
-  cold.dual_iterations += warm_counters.dual_iterations;
-  cold.refactorizations += warm_counters.refactorizations;
-  cold.basis_repairs += warm_counters.basis_repairs;
-  cold.repair_aborted = warm_counters.repair_aborted;
-  cold.factor_nnz = std::max(cold.factor_nnz, warm_counters.factor_nnz);
-  cold.max_update_run =
-      std::max(cold.max_update_run, warm_counters.max_update_run);
+  cold.stats += fallen_back;
   return cold;
 }
 

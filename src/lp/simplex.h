@@ -141,7 +141,7 @@ struct SimplexOptions {
 
   // Pivot budget of the warm-start dual repair phase: a warm basis is
   // near-optimal, so a long dual run signals a stale hint and the solver
-  // bails out to a cold solve (reported as LpSolution::repair_aborted).
+  // bails out to a cold solve (reported as SolveStats::repair_aborted).
   // <= 0 picks the measured default of 4 * rows + 1000.
   int64_t warm_repair_pivot_cap = 0;
 
@@ -161,18 +161,55 @@ struct SimplexOptions {
 
   // Presolve before cold solves (never applied to warm starts).
   bool presolve = true;
-
-  // When a warm-started dual simplex concludes "primal infeasible",
-  // re-derive the verdict with a cold phase-1 solve. Costs extra work on
-  // infeasible nodes but makes branch & bound pruning immune to a stale
-  // warm basis.
-  bool confirm_warm_infeasible = true;
-
-  // Deterministic multiplicative cost perturbation (~1e-9 relative) that
-  // breaks the massive dual degeneracy of uniform-cost objectives like
-  // O-UMP. The reported objective and duals use the exact costs.
-  bool perturb_costs = true;
 };
+
+// Solver effort, the one definition of every counter the simplex reports:
+// LpSolution, BipSolution, BnbResult, UmpStats and serve::TenantStats all
+// carry it unchanged. `+=` is the only merge rule — counts add, the two
+// kernel-health peaks take the maximum.
+struct SolveStats {
+  uint64_t simplex_iterations = 0;  // primal + dual pivots
+  // Dual-simplex pivots spent restoring a warm basis (a subset of the
+  // above).
+  uint64_t dual_iterations = 0;
+  uint64_t refactorizations = 0;
+  // Singular refactorizations repaired in place (dependent columns swapped
+  // for row slacks) instead of aborting the solve.
+  uint64_t basis_repairs = 0;
+  uint64_t warm_solves = 0;  // solves answered from a warm basis
+  // Warm solves whose dual repair exceeded warm_repair_pivot_cap and fell
+  // back to a cold solve (whose effort is counted above).
+  uint64_t repair_aborted = 0;
+  // Peak nonzeros one FTRAN/BTRAN traversed (factors + update file) — the
+  // fill the kernel work is proportional to.
+  uint64_t factor_nnz = 0;
+  // Longest run of basis updates between consecutive refactorizations —
+  // how far apart the update scheme pushes them.
+  uint64_t max_update_run = 0;
+
+  SolveStats& operator+=(const SolveStats& other);
+};
+
+// Every SolveStats field by name, in wire order, for the codecs and the
+// tests that walk them.
+struct SolveStatsField {
+  const char* name;
+  uint64_t SolveStats::* field;
+};
+inline constexpr SolveStatsField kSolveStatsFields[] = {
+    {"simplex_iterations", &SolveStats::simplex_iterations},
+    {"dual_iterations", &SolveStats::dual_iterations},
+    {"refactorizations", &SolveStats::refactorizations},
+    {"basis_repairs", &SolveStats::basis_repairs},
+    {"warm_solves", &SolveStats::warm_solves},
+    {"repair_aborted", &SolveStats::repair_aborted},
+    {"factor_nnz", &SolveStats::factor_nnz},
+    {"max_update_run", &SolveStats::max_update_run},
+};
+static_assert(sizeof(kSolveStatsFields) / sizeof(kSolveStatsFields[0]) *
+                      sizeof(uint64_t) ==
+                  sizeof(SolveStats),
+              "every SolveStats field needs a kSolveStatsFields line");
 
 struct LpSolution {
   SolveStatus status = SolveStatus::kNumericalFailure;
@@ -186,25 +223,10 @@ struct LpSolution {
   // Optimal basis (structural + slack variables), usable as a warm-start
   // hint for a re-solve after bound changes. Populated when kOptimal.
   Basis basis;
-  int64_t iterations = 0;
-  // Dual-simplex pivots spent restoring a warm basis (subset of the work;
-  // also counted in `iterations`).
-  int64_t dual_iterations = 0;
-  int refactorizations = 0;
-  // Singular refactorizations repaired in place (dependent columns swapped
-  // for row slacks) instead of aborting the solve.
-  int basis_repairs = 0;
-  // Whether this solve ran from a warm basis (no phase 1).
-  bool warm_started = false;
-  // The warm-start dual repair exceeded warm_repair_pivot_cap and the
-  // solver fell back to a cold solve (whose effort is included above).
-  bool repair_aborted = false;
-  // Peak nonzeros one FTRAN/BTRAN traversed (factors + update file) across
-  // the solve — the fill the kernel work is proportional to.
-  size_t factor_nnz = 0;
-  // Longest run of basis updates between consecutive refactorizations —
-  // how far apart the update scheme pushes them.
-  int max_update_run = 0;
+  // The effort of this solve, including a warm attempt that fell back
+  // cold. warm_solves is 1 when the answer came from the warm basis (no
+  // phase 1), repair_aborted 1 when the warm repair hit its cap.
+  SolveStats stats;
 };
 
 class SimplexSolver {

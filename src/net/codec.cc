@@ -106,43 +106,28 @@ Result<UtilityObjective> ReadObjective(std::istream& in) {
 }
 
 void WriteStats(std::ostream& out, const UmpStats& stats) {
-  WriteScalar<int64_t>(out, stats.simplex_iterations);
-  WriteScalar<int64_t>(out, stats.dual_iterations);
-  WriteScalar<int32_t>(out, stats.refactorizations);
-  WriteScalar<int32_t>(out, stats.basis_repairs);
-  WriteScalar<int64_t>(out, stats.repair_aborted);
-  WriteScalar<int64_t>(out, stats.nodes_explored);
-  WriteScalar<int64_t>(out, stats.warm_solves);
+  for (const lp::SolveStatsField& f : lp::kSolveStatsFields) {
+    WriteScalar<uint64_t>(out, stats.*f.field);
+  }
   WriteScalar<uint8_t>(out, stats.warm_started ? 1 : 0);
-  WriteScalar<int64_t>(out, stats.root_iterations);
+  WriteScalar<uint64_t>(out, stats.root_iterations);
+  WriteScalar<int64_t>(out, stats.nodes_explored);
   WriteScalar<int32_t>(out, stats.integer_fixed);
-  WriteScalar<uint64_t>(out, static_cast<uint64_t>(stats.factor_nnz));
-  WriteScalar<int32_t>(out, stats.max_update_run);
   WriteScalar<double>(out, stats.wall_seconds);
 }
 
 Status ReadStats(std::istream& in, UmpStats* stats) {
-  int32_t i32 = 0;
-  uint8_t u8 = 0;
-  uint64_t u64 = 0;
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->simplex_iterations));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->dual_iterations));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &i32));
-  stats->refactorizations = i32;
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &i32));
-  stats->basis_repairs = i32;
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->repair_aborted));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->nodes_explored));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->warm_solves));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &u8));
-  stats->warm_started = u8 != 0;
+  for (const lp::SolveStatsField& f : lp::kSolveStatsFields) {
+    PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &(stats->*f.field)));
+  }
+  uint8_t warm = 0;
+  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &warm));
+  stats->warm_started = warm != 0;
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->root_iterations));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &i32));
-  stats->integer_fixed = i32;
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &u64));
-  stats->factor_nnz = static_cast<size_t>(u64);
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &i32));
-  stats->max_update_run = i32;
+  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->nodes_explored));
+  int32_t fixed = 0;
+  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &fixed));
+  stats->integer_fixed = fixed;
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->wall_seconds));
   return Status::OK();
 }
@@ -200,13 +185,6 @@ Result<UmpSolution> ReadSolution(std::istream& in) {
 void WriteSweep(std::ostream& out, const SweepResult& sweep) {
   WriteScalar<uint64_t>(out, sweep.cells.size());
   for (const UmpSolution& cell : sweep.cells) WriteSolution(out, cell);
-  WriteScalar<int64_t>(out, sweep.total_simplex_iterations);
-  WriteScalar<int64_t>(out, sweep.total_dual_iterations);
-  WriteScalar<int64_t>(out, sweep.total_root_iterations);
-  WriteScalar<int64_t>(out, sweep.warm_solves);
-  WriteScalar<int64_t>(out, sweep.repair_aborted);
-  WriteScalar<uint64_t>(out, static_cast<uint64_t>(sweep.factor_nnz));
-  WriteScalar<int32_t>(out, sweep.max_update_run);
   WriteScalar<double>(out, sweep.wall_seconds);
 }
 
@@ -219,17 +197,6 @@ Result<SweepResult> ReadSweep(std::istream& in) {
     PRIVSAN_ASSIGN_OR_RETURN(UmpSolution cell, ReadSolution(in));
     sweep.cells.push_back(std::move(cell));
   }
-  uint64_t u64 = 0;
-  int32_t i32 = 0;
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &sweep.total_simplex_iterations));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &sweep.total_dual_iterations));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &sweep.total_root_iterations));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &sweep.warm_solves));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &sweep.repair_aborted));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &u64));
-  sweep.factor_nnz = static_cast<size_t>(u64);
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &i32));
-  sweep.max_update_run = i32;
   PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &sweep.wall_seconds));
   return sweep;
 }
@@ -304,47 +271,15 @@ Result<SanitizeReport> ReadReport(std::istream& in) {
 }
 
 void WriteTenantStats(std::ostream& out, const serve::TenantStats& stats) {
-  WriteScalar<uint64_t>(out, stats.appends_enqueued);
-  WriteScalar<uint64_t>(out, stats.flushes);
-  WriteScalar<uint64_t>(out, stats.appends_coalesced);
-  WriteScalar<uint64_t>(out, stats.maintenance_flushes);
-  WriteScalar<uint64_t>(out, stats.solves);
-  WriteScalar<uint64_t>(out, stats.cache_hits);
-  WriteScalar<uint64_t>(out, stats.cache_misses);
-  WriteScalar<uint64_t>(out, stats.repair_aborted);
-  WriteScalar<uint64_t>(out, stats.refactorizations);
-  WriteScalar<uint64_t>(out, stats.factor_nnz);
-  WriteScalar<uint64_t>(out, stats.max_update_run);
-  WriteScalar<uint64_t>(out, stats.refresh_solves);
-  WriteScalar<uint64_t>(out, stats.evictions);
-  WriteScalar<uint64_t>(out, stats.reloads);
-  WriteScalar<uint64_t>(out, stats.resident_bytes);
-  WriteScalar<uint64_t>(out, stats.admission_rejected);
-  WriteScalar<uint64_t>(out, stats.users_removed);
-  WriteScalar<uint64_t>(out, stats.epsilon_spent_micro);
-  WriteScalar<uint64_t>(out, stats.budget_refusals);
+  for (const serve::TenantStatField& f : serve::kTenantStatFields) {
+    WriteScalar<uint64_t>(out, stats.*f.field);
+  }
 }
 
 Status ReadTenantStats(std::istream& in, serve::TenantStats* stats) {
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->appends_enqueued));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->flushes));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->appends_coalesced));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->maintenance_flushes));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->solves));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->cache_hits));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->cache_misses));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->repair_aborted));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->refactorizations));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->factor_nnz));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->max_update_run));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->refresh_solves));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->evictions));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->reloads));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->resident_bytes));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->admission_rejected));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->users_removed));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->epsilon_spent_micro));
-  PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &stats->budget_refusals));
+  for (const serve::TenantStatField& f : serve::kTenantStatFields) {
+    PRIVSAN_RETURN_IF_ERROR(ReadScalar(in, &(stats->*f.field)));
+  }
   return Status::OK();
 }
 

@@ -148,26 +148,26 @@ void Router::StopBackend(Backend* backend) {
 
 namespace {
 
-// Raises a backend's kernel-health peaks from one reply: the per-solve
-// figures of a Solve or Sweep reply, or a Stats reply's cumulative tenant
-// view. The peak gauges race benignly across worker threads — a lost max
-// costs one scrape of staleness.
+// Raises a backend's kernel-health peaks from any reply that carries solver
+// effort: a Solve, Sweep or Sanitize answer, or a Stats reply's cumulative
+// tenant view. The peak gauges race benignly across worker threads — a
+// lost max costs one scrape of staleness.
 void ObserveKernelHealth(obs::Gauge* factor_nnz, obs::Gauge* max_update_run,
                          const serve::ServeResponse& response) {
-  double nnz = 0.0;
-  double run = 0.0;
+  lp::SolveStats stats;
   if (const UmpSolution* s = response.solution()) {
-    nnz = static_cast<double>(s->stats.factor_nnz);
-    run = static_cast<double>(s->stats.max_update_run);
+    stats = s->stats;
   } else if (const SweepResult* s = response.sweep()) {
-    nnz = static_cast<double>(s->factor_nnz);
-    run = static_cast<double>(s->max_update_run);
+    stats = s->totals();
+  } else if (const SanitizeReport* r = response.report()) {
+    stats = r->stats;
   } else if (const serve::TenantStats* t = response.stats()) {
-    nnz = static_cast<double>(t->factor_nnz);
-    run = static_cast<double>(t->max_update_run);
+    stats = *t;
   } else {
     return;
   }
+  const double nnz = static_cast<double>(stats.factor_nnz);
+  const double run = static_cast<double>(stats.max_update_run);
   if (nnz > factor_nnz->Value()) factor_nnz->Set(nnz);
   if (run > max_update_run->Value()) max_update_run->Set(run);
 }

@@ -37,23 +37,10 @@ std::string ErrLine(const Status& status) {
 
 std::string FormatStats(const serve::TenantStats& stats) {
   std::ostringstream out;
-  out << "OK appends_enqueued=" << stats.appends_enqueued
-      << " flushes=" << stats.flushes
-      << " appends_coalesced=" << stats.appends_coalesced
-      << " maintenance_flushes=" << stats.maintenance_flushes
-      << " solves=" << stats.solves << " cache_hits=" << stats.cache_hits
-      << " cache_misses=" << stats.cache_misses
-      << " repair_aborted=" << stats.repair_aborted
-      << " refactorizations=" << stats.refactorizations
-      << " factor_nnz=" << stats.factor_nnz
-      << " max_update_run=" << stats.max_update_run
-      << " refresh_solves=" << stats.refresh_solves
-      << " evictions=" << stats.evictions << " reloads=" << stats.reloads
-      << " admission_rejected=" << stats.admission_rejected
-      << " resident_bytes=" << stats.resident_bytes
-      << " users_removed=" << stats.users_removed
-      << " epsilon_spent_micro=" << stats.epsilon_spent_micro
-      << " budget_refusals=" << stats.budget_refusals;
+  out << "OK";
+  for (const serve::TenantStatField& f : serve::kTenantStatFields) {
+    out << ' ' << f.key << '=' << stats.*f.field;
+  }
   return out.str();
 }
 
@@ -465,9 +452,9 @@ bool TextProtocol::Handle(const std::string& line, Done done) {
               const SweepResult& sweep = *responses[0].sweep();
               std::ostringstream out;
               out << "OK cells=" << sweep.cells.size()
-                  << " warm_solves=" << sweep.warm_solves
+                  << " warm_solves=" << sweep.warm_cells()
                   << " simplex_iterations="
-                  << sweep.total_simplex_iterations << " objectives=";
+                  << sweep.totals().simplex_iterations << " objectives=";
               for (size_t i = 0; i < sweep.cells.size(); ++i) {
                 out << (i > 0 ? "," : "") << sweep.cells[i].objective_value;
               }

@@ -168,9 +168,15 @@ const char* RequestName(const ServeRequest& request);
 
 // --- Responses -------------------------------------------------------------
 
-// Serve-path counters for one tenant. All counters are monotonic;
-// resident_bytes is a gauge refreshed whenever the tenant's state changes.
-struct TenantStats {
+// Serve-path counters for one tenant, plus the effort of every solve it
+// ran — a cache-missing Solve, each Sweep cell, a Sanitize — folded into
+// the lp::SolveStats base with its +=. Sustained growth of repair_aborted
+// means this tenant's appends are too large to repair and the cap (or the
+// flush cadence) needs tuning; a shrinking max_update_run or ballooning
+// factor_nnz flags the tenant whose DP systems degrade the Forrest–Tomlin
+// update scheme. All counters are monotonic; the two solver peaks,
+// resident_bytes and epsilon_spent_micro are gauges.
+struct TenantStats : lp::SolveStats {
   uint64_t appends_enqueued = 0;   // Append() calls accepted into the queue
   uint64_t flushes = 0;            // AppendUsers calls actually performed
   uint64_t appends_coalesced = 0;  // queued appends merged into those flushes
@@ -180,18 +186,6 @@ struct TenantStats {
   uint64_t solves = 0;  // cache-missing Solves, Sweep cells, Sanitizes
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-  // Warm solves whose dual repair hit SimplexOptions::warm_repair_pivot_cap
-  // and fell back cold — sustained growth means this tenant's appends are
-  // too large to repair and the cap (or flush cadence) needs tuning.
-  uint64_t repair_aborted = 0;
-  // Simplex kernel health, maxed over this tenant's solves: basis
-  // refactorization count, peak factorization fill (nonzeros an FTRAN
-  // traverses), and the longest update run between refactorizations. A
-  // shrinking update run or ballooning fill flags the tenant whose DP
-  // systems degrade the Forrest–Tomlin update scheme.
-  uint64_t refactorizations = 0;
-  uint64_t factor_nnz = 0;
-  uint64_t max_update_run = 0;
   // Hot-query refreshes: after a background flush, the most recent solve
   // query is re-solved off the query path so the repeated-budget query
   // stays a cache hit and the stored basis is re-optimized.
@@ -211,12 +205,84 @@ struct TenantStats {
   // driven by the maintenance thread): users removed from the log.
   uint64_t users_removed = 0;
   // Privacy accountant: cumulative ε spend under the tenant's composition
-  // in micro-ε (uint64 so the Prometheus export table stays uniform —
-  // 1500000 means ε = 1.5; full-precision doubles come from BUDGET), and
-  // charges refused with kBudgetExhausted.
+  // in micro-ε (uint64 so the field table below stays uniform — 1500000
+  // means ε = 1.5; full-precision doubles come from BUDGET), and charges
+  // refused with kBudgetExhausted.
   uint64_t epsilon_spent_micro = 0;
   uint64_t budget_refusals = 0;
 };
+
+// One TenantStats field: its STATS key, Prometheus help text and type, and
+// the member. Its Prometheus family is privsan_tenant_<key>, with _total
+// appended for a counter.
+struct TenantStatField {
+  const char* key;
+  const char* help;
+  const char* type;  // "counter" or "gauge"
+  uint64_t TenantStats::* field;
+};
+
+// Every TenantStats field, in wire order. This table alone drives the
+// binary codec in both directions, the text STATS line and the
+// privsan_tenant_* families; a new counter is one line here.
+inline constexpr TenantStatField kTenantStatFields[] = {
+    {"appends_enqueued", "Append batches accepted into the pending queue",
+     "counter", &TenantStats::appends_enqueued},
+    {"flushes", "AppendUsers flushes performed", "counter",
+     &TenantStats::flushes},
+    {"appends_coalesced", "Queued appends merged into flushes", "counter",
+     &TenantStats::appends_coalesced},
+    {"maintenance_flushes", "Flushes initiated by the maintenance thread",
+     "counter", &TenantStats::maintenance_flushes},
+    {"solves", "LP solves executed (misses + sweeps)", "counter",
+     &TenantStats::solves},
+    {"cache_hits", "Result-cache hits", "counter", &TenantStats::cache_hits},
+    {"cache_misses", "Result-cache misses", "counter",
+     &TenantStats::cache_misses},
+    {"simplex_iterations",
+     "Simplex iterations (primal + dual) across this tenant's solves",
+     "counter", &TenantStats::simplex_iterations},
+    {"dual_iterations", "Dual-simplex pivots spent restoring warm bases",
+     "counter", &TenantStats::dual_iterations},
+    {"warm_solves", "LP solves answered from a warm basis", "counter",
+     &TenantStats::warm_solves},
+    {"repair_aborted",
+     "Warm solves whose dual repair hit the pivot cap and fell back cold",
+     "counter", &TenantStats::repair_aborted},
+    {"refactorizations", "Basis refactorizations across this tenant's solves",
+     "counter", &TenantStats::refactorizations},
+    {"basis_repairs", "Singular bases repaired in place by row slacks",
+     "counter", &TenantStats::basis_repairs},
+    {"factor_nnz", "Peak basis-factorization nonzeros", "gauge",
+     &TenantStats::factor_nnz},
+    {"max_update_run",
+     "Longest Forrest-Tomlin update run between refactorizations", "gauge",
+     &TenantStats::max_update_run},
+    {"refresh_solves", "Hot-query refresh solves after background flushes",
+     "counter", &TenantStats::refresh_solves},
+    {"evictions", "Times this tenant was spilled to its eviction snapshot",
+     "counter", &TenantStats::evictions},
+    {"reloads", "Transparent reloads from the eviction snapshot", "counter",
+     &TenantStats::reloads},
+    {"admission_rejected",
+     "Requests rejected by the per-tenant queue-depth cap", "counter",
+     &TenantStats::admission_rejected},
+    {"resident_bytes",
+     "Estimated resident footprint (session + caches); 0 while evicted",
+     "gauge", &TenantStats::resident_bytes},
+    {"users_removed", "Users removed by RemoveUsers and window expiry",
+     "counter", &TenantStats::users_removed},
+    {"epsilon_spent_micro",
+     "Cumulative composed epsilon spend, in micro-epsilon", "gauge",
+     &TenantStats::epsilon_spent_micro},
+    {"budget_refusals",
+     "Requests refused because the privacy budget was exhausted", "counter",
+     &TenantStats::budget_refusals},
+};
+static_assert(sizeof(kTenantStatFields) / sizeof(kTenantStatFields[0]) *
+                      sizeof(uint64_t) ==
+                  sizeof(TenantStats),
+              "every TenantStats field needs a kTenantStatFields line");
 
 // Metrics scrape payload: the registry rendered as Prometheus text.
 struct MetricsText {

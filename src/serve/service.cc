@@ -111,15 +111,10 @@ Status CheckLifecycle(const Tenant& tenant) {
 void RecordSolve(TenantStats& stats, const UmpStats& solve,
                  obs::RequestTrace* trace) {
   ++stats.solves;
-  stats.repair_aborted += static_cast<uint64_t>(solve.repair_aborted);
-  stats.refactorizations += static_cast<uint64_t>(solve.refactorizations);
-  stats.factor_nnz =
-      std::max(stats.factor_nnz, static_cast<uint64_t>(solve.factor_nnz));
-  stats.max_update_run = std::max(
-      stats.max_update_run, static_cast<uint64_t>(solve.max_update_run));
+  stats += solve;
   if (trace != nullptr) {
-    trace->iterations += static_cast<uint64_t>(solve.simplex_iterations);
-    trace->repair_pivots += static_cast<uint64_t>(solve.dual_iterations);
+    trace->iterations += solve.simplex_iterations;
+    trace->repair_pivots += solve.dual_iterations;
   }
 }
 
@@ -774,69 +769,6 @@ constexpr const char* kVerbNames[] = {
 static_assert(std::variant_size_v<ServeRequest> ==
               sizeof(kVerbNames) / sizeof(kVerbNames[0]));
 
-// TenantStats fields exported per tenant at scrape time. Monotonic
-// counters get the _total suffix; point-in-time fields render as gauges.
-struct TenantStatField {
-  const char* name;
-  const char* help;
-  const char* type;
-  uint64_t TenantStats::* field;
-};
-constexpr TenantStatField kTenantStatFields[] = {
-    {"privsan_tenant_appends_enqueued_total",
-     "Append batches accepted into the pending queue", "counter",
-     &TenantStats::appends_enqueued},
-    {"privsan_tenant_flushes_total", "AppendUsers flushes performed",
-     "counter", &TenantStats::flushes},
-    {"privsan_tenant_appends_coalesced_total",
-     "Queued appends merged into flushes", "counter",
-     &TenantStats::appends_coalesced},
-    {"privsan_tenant_maintenance_flushes_total",
-     "Flushes initiated by the maintenance thread", "counter",
-     &TenantStats::maintenance_flushes},
-    {"privsan_tenant_solves_total", "LP solves executed (misses + sweeps)",
-     "counter", &TenantStats::solves},
-    {"privsan_tenant_cache_hits_total", "Result-cache hits", "counter",
-     &TenantStats::cache_hits},
-    {"privsan_tenant_cache_misses_total", "Result-cache misses", "counter",
-     &TenantStats::cache_misses},
-    {"privsan_tenant_repair_aborted_total",
-     "Warm solves whose dual repair hit the pivot cap and fell back cold",
-     "counter", &TenantStats::repair_aborted},
-    {"privsan_tenant_refactorizations_total",
-     "Basis refactorizations across this tenant's solves", "counter",
-     &TenantStats::refactorizations},
-    {"privsan_tenant_factor_nnz", "Peak basis-factorization nonzeros",
-     "gauge", &TenantStats::factor_nnz},
-    {"privsan_tenant_max_update_run",
-     "Longest Forrest-Tomlin update run between refactorizations", "gauge",
-     &TenantStats::max_update_run},
-    {"privsan_tenant_refresh_solves_total",
-     "Hot-query refresh solves after background flushes", "counter",
-     &TenantStats::refresh_solves},
-    {"privsan_tenant_evictions_total",
-     "Times this tenant was spilled to its eviction snapshot", "counter",
-     &TenantStats::evictions},
-    {"privsan_tenant_reloads_total",
-     "Transparent reloads from the eviction snapshot", "counter",
-     &TenantStats::reloads},
-    {"privsan_tenant_admission_rejected_total",
-     "Requests rejected by the per-tenant queue-depth cap", "counter",
-     &TenantStats::admission_rejected},
-    {"privsan_tenant_resident_bytes",
-     "Estimated resident footprint (session + caches); 0 while evicted",
-     "gauge", &TenantStats::resident_bytes},
-    {"privsan_tenant_users_removed_total",
-     "Users removed by RemoveUsers and window expiry", "counter",
-     &TenantStats::users_removed},
-    {"privsan_tenant_epsilon_spent_micro",
-     "Cumulative composed epsilon spend, in micro-epsilon", "gauge",
-     &TenantStats::epsilon_spent_micro},
-    {"privsan_tenant_budget_refusals_total",
-     "Requests refused because the privacy budget was exhausted", "counter",
-     &TenantStats::budget_refusals},
-};
-
 }  // namespace
 
 void SanitizerService::RegisterMetrics() {
@@ -897,14 +829,17 @@ void SanitizerService::RegisterMetrics() {
                     static_cast<double>(depth));
     }
     for (const TenantStatField& field : kTenantStatFields) {
-      writer->Header(field.name, field.help, field.type);
+      const std::string name =
+          std::string("privsan_tenant_") + field.key +
+          (std::strcmp(field.type, "counter") == 0 ? "_total" : "");
+      writer->Header(name, field.help, field.type);
       for (const std::shared_ptr<Tenant>& tenant : tenants) {
         uint64_t value = 0;
         {
           std::lock_guard<std::mutex> lock(tenant->cmu);
           value = tenant->stats.*(field.field);
         }
-        writer->Value(field.name, {{"tenant", tenant->name}},
+        writer->Value(name, {{"tenant", tenant->name}},
                       static_cast<double>(value));
       }
     }

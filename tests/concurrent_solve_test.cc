@@ -61,8 +61,8 @@ void ExpectIdentical(const lp::LpSolution& got, const lp::LpSolution& want) {
   EXPECT_EQ(std::memcmp(&got.objective, &want.objective, sizeof(double)), 0)
       << got.objective << " vs " << want.objective;
   EXPECT_TRUE(SameBits(got.x, want.x));
-  EXPECT_EQ(got.iterations, want.iterations);
-  EXPECT_EQ(got.refactorizations, want.refactorizations);
+  EXPECT_EQ(got.stats.simplex_iterations, want.stats.simplex_iterations);
+  EXPECT_EQ(got.stats.refactorizations, want.stats.refactorizations);
   EXPECT_EQ(got.basis.basic, want.basis.basic);
   EXPECT_EQ(got.basis.state, want.basis.state);
 }
@@ -76,7 +76,7 @@ TEST(ConcurrentSolveTest, FourThreadsMatchTheSoloSolveBitForBit) {
   const lp::SimplexSolver solver;
   const lp::LpSolution solo = solver.Solve(model);
   ASSERT_EQ(solo.status, lp::SolveStatus::kOptimal);
-  ASSERT_GT(solo.iterations, 1000);
+  ASSERT_GT(solo.stats.simplex_iterations, 1000u);
 
   constexpr int kThreads = 4;
   std::vector<lp::LpSolution> results(kThreads);

@@ -56,6 +56,30 @@ TEST(DumpTest, AllSolversProduceFeasibleSolutions) {
   }
 }
 
+// The LP-backed solvers carry the simplex kernel's health with their
+// effort: every answer that pivoted also reports the peak factorization
+// fill and the longest update run of its LP solves.
+TEST(DumpTest, LpSolversReportKernelHealth) {
+  SearchLog log = SmallSyntheticLog();
+  const PrivacyParams params = PrivacyParams::FromEEpsilon(1.7, 0.2);
+  DpConstraintSystem rows = DpConstraintSystem::BuildRows(log).value();
+  DumpSpec spec;
+  spec.bnb.max_nodes = 30;
+  spec.bnb.time_limit_seconds = 10;
+  auto dump = MakeDumpProblem(log, &rows, spec).value();
+
+  for (DumpSolverKind kind :
+       {DumpSolverKind::kLpRounding, DumpSolverKind::kBranchAndBound}) {
+    SCOPED_TRACE(DumpSolverKindToString(kind));
+    const UmpStats stats =
+        dump->Solve({.privacy = params, .solver = kind}).value().stats;
+    ASSERT_GT(stats.simplex_iterations, 0u);
+    EXPECT_GT(stats.refactorizations, 0u);
+    EXPECT_GT(stats.factor_nnz, 0u);
+    EXPECT_GT(stats.max_update_run, 0u);
+  }
+}
+
 TEST(DumpTest, SolutionsPassAudit) {
   SearchLog log = SmallSyntheticLog();
   PrivacyParams params = PrivacyParams::FromEEpsilon(1.4, 0.1);

@@ -7,12 +7,14 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "net/frame.h"
+#include "net/text_protocol.h"
 #include "serve/api.h"
 #include "synth/generator.h"
 #include "test_fixtures.h"
@@ -426,13 +428,6 @@ TEST(CodecTest, RoundTripsSweepPayload) {
   sweep.cells[0].x = {1, 2};
   sweep.cells[1].objective_value = 9.0;
   sweep.cells[1].stats.warm_started = true;
-  sweep.total_simplex_iterations = 100;
-  sweep.total_dual_iterations = 40;
-  sweep.total_root_iterations = 60;
-  sweep.warm_solves = 1;
-  sweep.repair_aborted = 0;
-  sweep.factor_nnz = 512;
-  sweep.max_update_run = 8;
   sweep.wall_seconds = 1.5;
 
   serve::ServeResponse decoded = RoundTripResponse({Status::OK(), sweep});
@@ -442,9 +437,6 @@ TEST(CodecTest, RoundTripsSweepPayload) {
   EXPECT_EQ(out->cells[0].objective_value, 5.0);
   EXPECT_EQ(out->cells[0].x, (std::vector<uint64_t>{1, 2}));
   EXPECT_TRUE(out->cells[1].stats.warm_started);
-  EXPECT_EQ(out->total_simplex_iterations, 100);
-  EXPECT_EQ(out->factor_nnz, 512u);
-  EXPECT_EQ(out->max_update_run, 8);
   EXPECT_EQ(out->wall_seconds, 1.5);
 }
 
@@ -495,48 +487,80 @@ TEST(CodecTest, RoundTripsReportPayload) {
   EXPECT_EQ(out->solve_seconds, 2.5);
 }
 
+// A SolveStats whose every field holds its own value, offset by `base`.
+lp::SolveStats DistinctSolveStats(uint64_t base) {
+  lp::SolveStats stats;
+  uint64_t value = base;
+  for (const lp::SolveStatsField& f : lp::kSolveStatsFields) {
+    stats.*f.field = ++value;
+  }
+  return stats;
+}
+
+void ExpectSolveStatsEq(const lp::SolveStats& got,
+                        const lp::SolveStats& want) {
+  for (const lp::SolveStatsField& f : lp::kSolveStatsFields) {
+    EXPECT_EQ(got.*f.field, want.*f.field) << f.name;
+  }
+}
+
+// Walks the TenantStats field table: every field, given a value of its
+// own, survives the binary codec and reads as key=value on the text STATS
+// line; every SolveStats field survives the Solve, Sweep and Sanitize
+// payloads that carry one.
 TEST(CodecTest, RoundTripsStatsPayload) {
   serve::TenantStats stats;
-  stats.appends_enqueued = 1;
-  stats.flushes = 2;
-  stats.appends_coalesced = 3;
-  stats.maintenance_flushes = 4;
-  stats.solves = 5;
-  stats.cache_hits = 6;
-  stats.cache_misses = 7;
-  stats.repair_aborted = 8;
-  stats.refactorizations = 9;
-  stats.factor_nnz = 10;
-  stats.max_update_run = 11;
-  stats.refresh_solves = 14;
-  stats.evictions = 15;
-  stats.reloads = 16;
-  stats.admission_rejected = 18;
-  stats.resident_bytes = 1 << 20;
-  stats.users_removed = 19;
-  stats.epsilon_spent_micro = 693147;
-  stats.budget_refusals = 21;
+  uint64_t value = 1000;
+  for (const serve::TenantStatField& f : serve::kTenantStatFields) {
+    stats.*f.field = ++value;
+  }
 
   serve::ServeResponse decoded = RoundTripResponse({Status::OK(), stats});
   const serve::TenantStats* out = decoded.stats();
   ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->appends_enqueued, 1u);
-  EXPECT_EQ(out->maintenance_flushes, 4u);
-  EXPECT_EQ(out->cache_misses, 7u);
-  EXPECT_EQ(out->max_update_run, 11u);
-  EXPECT_EQ(out->refresh_solves, 14u);
-  EXPECT_EQ(out->reloads, 16u);
-  EXPECT_EQ(out->admission_rejected, 18u);
-  EXPECT_EQ(out->resident_bytes, uint64_t{1} << 20);
-  EXPECT_EQ(out->users_removed, 19u);
-  EXPECT_EQ(out->epsilon_spent_micro, 693147u);
-  EXPECT_EQ(out->budget_refusals, 21u);
+  std::string line;
+  net::TextProtocol protocol(
+      [&](serve::ServeRequest,
+          std::function<void(serve::ServeResponse)> respond) {
+        respond({Status::OK(), stats});
+      });
+  protocol.Handle("STATS t", [&](std::string reply) { line = reply + " "; });
+  for (const serve::TenantStatField& f : serve::kTenantStatFields) {
+    EXPECT_EQ(out->*f.field, stats.*f.field) << f.key;
+    const std::string pair = std::string(" ") + f.key + "=" +
+                             std::to_string(stats.*f.field) + " ";
+    EXPECT_NE(line.find(pair), std::string::npos) << pair << " in " << line;
+  }
 
-  // A version-2 peer still writes the four counters this layout dropped;
-  // its stats frame must be refused, never misparsed.
+  UmpSolution solution;
+  static_cast<lp::SolveStats&>(solution.stats) = DistinctSolveStats(10);
+  decoded = RoundTripResponse({Status::OK(), solution});
+  ASSERT_NE(decoded.solution(), nullptr);
+  ExpectSolveStatsEq(decoded.solution()->stats, solution.stats);
+
+  SweepResult sweep;
+  sweep.cells.resize(2);
+  static_cast<lp::SolveStats&>(sweep.cells[0].stats) = DistinctSolveStats(20);
+  static_cast<lp::SolveStats&>(sweep.cells[1].stats) = DistinctSolveStats(30);
+  decoded = RoundTripResponse({Status::OK(), sweep});
+  ASSERT_NE(decoded.sweep(), nullptr);
+  ASSERT_EQ(decoded.sweep()->cells.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    ExpectSolveStatsEq(decoded.sweep()->cells[i].stats,
+                       sweep.cells[i].stats);
+  }
+
+  SanitizeReport report;
+  static_cast<lp::SolveStats&>(report.stats) = DistinctSolveStats(40);
+  decoded = RoundTripResponse({Status::OK(), report});
+  ASSERT_NE(decoded.report(), nullptr);
+  ExpectSolveStatsEq(decoded.report()->stats, report.stats);
+
+  // A version-3 peer writes the narrower stats layouts; its frames must be
+  // refused, never misparsed.
   std::string wire =
       net::EncodeFrame(net::EncodeResponse({Status::OK(), stats}, 23));
-  wire[8] = 2;  // version byte
+  wire[8] = 3;  // version byte
   FrameDecoder decoder;
   decoder.Feed(wire);
   Frame frame;

@@ -129,6 +129,47 @@ TEST(NetRouterTest, PinsTenantsAndRoutesEveryVerb) {
   }
 }
 
+// The value of `family`'s series for the backend on `port` in a
+// Prometheus scrape, or -1 when the series is missing.
+double BackendGauge(const std::string& scrape, const std::string& family,
+                    uint16_t port) {
+  const std::string series =
+      family + "{backend=\"" + std::to_string(port) + "\"} ";
+  const size_t at = scrape.find(series);
+  if (at == std::string::npos) return -1.0;
+  return std::stod(scrape.substr(at + series.size()));
+}
+
+// Kernel health reaches the router from every reply that carries solver
+// effort: a tenant that only ever Sanitizes raises its backend's peaks.
+TEST(NetRouterTest, SanitizeRepliesRaiseKernelHealthGauges) {
+  BackendProcess a;
+  Router::Options options;
+  options.backends = {a.port()};
+  Router router(options);
+  ASSERT_TRUE(router.Start().ok());
+  ASSERT_TRUE(
+      Call(router, serve::CreateTenantRequest{"t", Synthetic(5), std::nullopt})
+          .ok());
+  const char* kNnz = "privsan_router_backend_factor_nnz";
+  const char* kRun = "privsan_router_backend_max_update_run";
+  EXPECT_EQ(BackendGauge(router.Metrics(), kNnz, a.port()), 0.0);
+  EXPECT_EQ(BackendGauge(router.Metrics(), kRun, a.port()), 0.0);
+
+  const serve::ServeResponse sanitized = Call(
+      router,
+      serve::SanitizeRequest{"t", PrivacyParams::FromEEpsilon(2.0, 0.5)});
+  ASSERT_TRUE(sanitized.ok()) << sanitized.status;
+  const UmpStats& stats = sanitized.report()->stats;
+  ASSERT_GT(stats.factor_nnz, 0u);
+  ASSERT_GT(stats.max_update_run, 0u);
+  const std::string scrape = router.Metrics();
+  EXPECT_EQ(BackendGauge(scrape, kNnz, a.port()),
+            static_cast<double>(stats.factor_nnz));
+  EXPECT_EQ(BackendGauge(scrape, kRun, a.port()),
+            static_cast<double>(stats.max_update_run));
+}
+
 TEST(NetRouterTest, AddBackendMigratesTenantsWarm) {
   BackendProcess a;
   BackendProcess b;

@@ -5,13 +5,16 @@
 #include "serve/service.h"
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/session.h"
+#include "net/text_protocol.h"
 #include "synth/generator.h"
 #include "test_fixtures.h"
 
@@ -102,6 +105,36 @@ TEST(ServiceTest, AppendQueueCoalescesIntoOneFlush) {
   EXPECT_EQ(solution.output_size, cold.output_size);
   EXPECT_NEAR(solution.objective_value, cold.objective_value,
               1e-6 * (1.0 + cold.objective_value));
+}
+
+// A tenant whose only solve was a D-UMP LP rounding reports that LP's
+// kernel health, in Stats() and on the text STATS line alike.
+TEST(ServiceTest, DumpSolveReportsKernelHealth) {
+  serve::SanitizerService service;
+  ASSERT_TRUE(
+      service.CreateTenant("t", testing_fixtures::SmallSyntheticLog()).ok());
+  UmpQuery query = Query(1.7, 0.2);
+  query.solver = DumpSolverKind::kLpRounding;
+  const UmpSolution solution =
+      service.Solve("t", UtilityObjective::kDiversity, query).value();
+  ASSERT_GT(solution.stats.simplex_iterations, 0u);
+
+  const serve::TenantStats stats = service.Stats("t").value();
+  EXPECT_EQ(stats.solves, 1u);
+  EXPECT_GT(stats.factor_nnz, 0u);
+  EXPECT_GT(stats.max_update_run, 0u);
+
+  std::string line;
+  net::TextProtocol protocol(
+      [&service](serve::ServeRequest request,
+                 std::function<void(serve::ServeResponse)> respond) {
+        respond(service.Submit(std::move(request)).get());
+      });
+  protocol.Handle("STATS t", [&line](std::string reply) { line = reply; });
+  EXPECT_NE(line.find(" factor_nnz=" + std::to_string(stats.factor_nnz)),
+            std::string::npos)
+      << line;
+  EXPECT_EQ(line.find(" factor_nnz=0"), std::string::npos) << line;
 }
 
 TEST(ServiceTest, ResultCacheHitsAndInvalidatesOnAppend) {

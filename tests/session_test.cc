@@ -96,8 +96,9 @@ TEST(SessionSweepTest, OumpWarmSweepMatchesColdAndSavesIterations) {
         DpConstraintSystem::Build(session.log(), grid[i].privacy).value();
     EXPECT_TRUE(rows.IsSatisfied(cell.x)) << "cell " << i;
   }
-  EXPECT_EQ(warm.warm_solves, static_cast<int64_t>(grid.size()) - 1);
-  EXPECT_LT(warm.total_simplex_iterations, cold.total_simplex_iterations);
+  EXPECT_EQ(warm.warm_cells(), grid.size() - 1);
+  EXPECT_LT(warm.totals().simplex_iterations,
+            cold.totals().simplex_iterations);
 }
 
 // The cached O-UMP optimum belongs to one log version. After an append, a
@@ -217,7 +218,7 @@ TEST(SessionSweepTest, FumpWarmSweepMatchesCold) {
               cold.cells[i].stats.simplex_iterations)
         << "cell " << i;
   }
-  EXPECT_EQ(warm.warm_solves, 0);
+  EXPECT_EQ(warm.warm_cells(), 0u);
 }
 
 TEST(SessionSweepTest, MinSupportOverrideRebuildsFrequentSet) {

@@ -46,11 +46,12 @@ TEST(WarmStartTest, ReSolveFromOwnBasisIsCheap) {
 
   LpSolution warm = solver.Solve(model, &cold.basis);
   ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(warm.warm_started);
+  EXPECT_EQ(warm.stats.warm_solves, 1u);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-7);
   // Re-solving an unchanged model from its optimal basis needs no pivots
   // at all — only the optimality proof scan.
-  EXPECT_LT(warm.iterations, std::max<int64_t>(cold.iterations / 4, 4));
+  EXPECT_LT(warm.stats.simplex_iterations,
+            std::max<uint64_t>(cold.stats.simplex_iterations / 4, 4));
 }
 
 TEST(WarmStartTest, BoundTighteningUsesFewerIterations) {
@@ -77,9 +78,9 @@ TEST(WarmStartTest, BoundTighteningUsesFewerIterations) {
   ASSERT_EQ(cold.status, SolveStatus::kOptimal);
   LpSolution warm = solver.Solve(model, &root.basis);
   ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(warm.warm_started);
+  EXPECT_EQ(warm.stats.warm_solves, 1u);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-6);
-  EXPECT_LT(warm.iterations, cold.iterations)
+  EXPECT_LT(warm.stats.simplex_iterations, cold.stats.simplex_iterations)
       << "warm start must beat the cold re-solve";
 }
 
@@ -93,7 +94,7 @@ TEST(WarmStartTest, StaleHintFallsBackToColdSolve) {
   nonsense.state.assign(20 + 10, VarStatus::kAtLower);
   LpSolution solution = solver.Solve(model, &nonsense);
   ASSERT_EQ(solution.status, SolveStatus::kOptimal);
-  EXPECT_FALSE(solution.warm_started);
+  EXPECT_EQ(solution.stats.warm_solves, 0u);
 
   LpSolution reference = solver.Solve(model);
   EXPECT_NEAR(solution.objective, reference.objective, 1e-8);
@@ -168,10 +169,10 @@ TEST(WarmStartTest, DualDevexMatchesLargestViolationObjectives) {
         << "dual Devex changed the optimum on round " << round;
     EXPECT_NEAR(legacy.objective, cold.objective, 1e-6)
         << "largest-violation changed the optimum on round " << round;
-    EXPECT_TRUE(devex.warm_started);
-    EXPECT_TRUE(legacy.warm_started);
-    devex_dual += devex.dual_iterations;
-    legacy_dual += legacy.dual_iterations;
+    EXPECT_EQ(devex.stats.warm_solves, 1u);
+    EXPECT_EQ(legacy.stats.warm_solves, 1u);
+    devex_dual += devex.stats.dual_iterations;
+    legacy_dual += legacy.stats.dual_iterations;
     devex_basis = devex.basis;
     legacy_basis = legacy.basis;
     current_x = cold.x;
@@ -213,15 +214,15 @@ TEST(WarmStartTest, WarmRepairPivotCapAbortsToCold) {
   LpSolution cold = solver.Solve(model);
   ASSERT_EQ(aborted.status, SolveStatus::kOptimal);
   ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(aborted.repair_aborted) << "cap of 1 pivot must abort";
-  EXPECT_FALSE(aborted.warm_started);
+  EXPECT_EQ(aborted.stats.repair_aborted, 1u) << "cap of 1 pivot must abort";
+  EXPECT_EQ(aborted.stats.warm_solves, 0u);
   EXPECT_NEAR(aborted.objective, cold.objective, 1e-7);
 
   // The default cap finishes the same repair warm — and reports no abort.
   LpSolution warm = solver.Solve(model, &root.basis);
   ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-  EXPECT_FALSE(warm.repair_aborted);
-  EXPECT_TRUE(warm.warm_started);
+  EXPECT_EQ(warm.stats.repair_aborted, 0u);
+  EXPECT_EQ(warm.stats.warm_solves, 1u);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-7);
 }
 
@@ -257,9 +258,9 @@ TEST(WarmStartTest, SingularHintRepairedWithoutColdFallback) {
 
   LpSolution repaired = repairing.Solve(model, &singular);
   ASSERT_EQ(repaired.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(repaired.warm_started)
+  EXPECT_EQ(repaired.stats.warm_solves, 1u)
       << "singular hint must be repaired in place, not cold-solved";
-  EXPECT_GE(repaired.basis_repairs, 1);
+  EXPECT_GE(repaired.stats.basis_repairs, 1u);
   EXPECT_NEAR(repaired.objective, cold.objective, 1e-8);
 
   // With the repair disabled the old behavior returns: cold fallback,
@@ -268,7 +269,7 @@ TEST(WarmStartTest, SingularHintRepairedWithoutColdFallback) {
   no_repair.repair_policy = SimplexOptions::RepairPolicy::kNone;
   LpSolution fallback = SimplexSolver(no_repair).Solve(model, &singular);
   ASSERT_EQ(fallback.status, SolveStatus::kOptimal);
-  EXPECT_FALSE(fallback.warm_started);
+  EXPECT_EQ(fallback.stats.warm_solves, 0u);
   EXPECT_NEAR(fallback.objective, cold.objective, 1e-8);
 }
 
@@ -300,12 +301,13 @@ TEST(WarmStartTest, BranchAndBoundWarmBeatsCold) {
   ASSERT_TRUE(cold.proven_optimal);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-6);
 
-  EXPECT_GT(warm.warm_solves, 0);
-  EXPECT_GT(warm.lp_dual_iterations, 0);
-  EXPECT_LT(warm.lp_iterations, cold.lp_iterations)
+  EXPECT_GT(warm.stats.warm_solves, 0u);
+  EXPECT_GT(warm.stats.dual_iterations, 0u);
+  EXPECT_LT(warm.stats.simplex_iterations, cold.stats.simplex_iterations)
       << "warm-started tree must spend fewer total simplex iterations "
          "(warm: "
-      << warm.lp_iterations << ", cold: " << cold.lp_iterations << ")";
+      << warm.stats.simplex_iterations
+      << ", cold: " << cold.stats.simplex_iterations << ")";
 }
 
 }  // namespace
