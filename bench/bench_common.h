@@ -256,7 +256,7 @@ class JsonRecord {
 
 // Aggregate record comparing a warm-started SweepBudgets run against its
 // per-cell cold baseline over the same grid: cross-cell warm starts are
-// working when warm_solves > 0, total simplex iterations are strictly below
+// working when warm_cells > 0, total simplex iterations are strictly below
 // the cold sum, and objective_mismatches is 0.
 // `mismatches` overrides the strict per-cell objective comparison when the
 // caller has a more meaningful count (e.g. table 7 skips budget-truncated
@@ -269,7 +269,7 @@ inline JsonRecord SweepComparisonRecord(const std::string& label,
   record.Add("record", "sweep_aggregate")
       .Add("label", label)
       .Add("cells", static_cast<int64_t>(warm.cells.size()))
-      .Add("warm_solves", warm.warm_cells())
+      .Add("warm_cells", warm.warm_cells())
       .Add("warm_total_simplex_iterations", warm.totals().simplex_iterations)
       .Add("cold_total_simplex_iterations", cold.totals().simplex_iterations)
       .Add("warm_total_dual_iterations", warm.totals().dual_iterations)

@@ -56,7 +56,7 @@ void RunPart(SanitizerSession& session, const PartSpec& part,
   // not warm-vs-cold comparable (a different root vertex reorders the
   // budgeted search), but the whole part and the root LPs are.
   int64_t warm_total = 0, cold_total = 0, warm_root = 0, cold_root = 0;
-  int64_t warm_solves = 0;
+  int64_t warm_cells = 0;
   int mismatches = 0;
   for (DumpSolverKind kind : solvers) {
     std::vector<UmpQuery> grid = base_grid;
@@ -110,7 +110,7 @@ void RunPart(SanitizerSession& session, const PartSpec& part,
     cold_total += cold.totals().simplex_iterations;
     warm_root += bench::RootIterations(warm);
     cold_root += bench::RootIterations(cold);
-    warm_solves += warm.warm_cells();
+    warm_cells += warm.warm_cells();
     mismatches += row_mismatches;
   }
   table.Print(std::cout);
@@ -118,14 +118,14 @@ void RunPart(SanitizerSession& session, const PartSpec& part,
   bench::JsonRecord total;
   total.Add("record", "sweep_aggregate")
       .Add("label", part.name + "_total")
-      .Add("warm_solves", warm_solves)
+      .Add("warm_cells", warm_cells)
       .Add("warm_total_simplex_iterations", warm_total)
       .Add("cold_total_simplex_iterations", cold_total)
       .Add("warm_root_iterations", warm_root)
       .Add("cold_root_iterations", cold_root)
       .Add("objective_mismatches", mismatches);
   report.Add(std::move(total));
-  std::cout << part.name << ": " << warm_solves
+  std::cout << part.name << ": " << warm_cells
             << " warm-started cells; simplex iterations " << warm_total
             << " warm vs " << cold_total << " cold (root LPs only: "
             << warm_root << " vs " << cold_root << "); " << mismatches

@@ -89,13 +89,9 @@ std::vector<uint64_t> RoundCounts(const DpConstraintSystem& system,
   // Stage 1: floor.
   std::vector<double> remainder;
   std::vector<uint64_t> x = FloorCounts(system, relaxed, &remainder);
-  uint64_t total = 0;
-  for (PairId p = 0; p < n; ++p) {
-    if (!options.caps.empty()) x[p] = std::min(x[p], options.caps[p]);
-    total += x[p];
+  if (!options.caps.empty()) {
+    for (PairId p = 0; p < n; ++p) x[p] = std::min(x[p], options.caps[p]);
   }
-  if (!options.repair && !options.greedy_fill) return x;
-  if (options.target_total > 0 && total >= options.target_total) return x;
 
   // Row state for incremental feasibility checks.
   std::vector<double> row_lhs(system.num_rows(), 0.0);
@@ -113,35 +109,27 @@ std::vector<uint64_t> RoundCounts(const DpConstraintSystem& system,
       row_lhs[index.rows[k]] += index.weights[k];
     }
     ++x[p];
-    ++total;
     return true;
-  };
-  auto reached_target = [&]() {
-    return options.target_total > 0 && total >= options.target_total;
   };
 
   // Stage 2: largest-remainder repair.
-  if (options.repair) {
-    std::vector<PairId> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](PairId a, PairId b) {
-      return remainder[a] > remainder[b];
-    });
-    for (PairId p : order) {
-      if (reached_target()) return x;
-      if (remainder[p] <= 1e-9) break;  // sorted: the rest are zero too
-      admit(p);
-    }
+  std::vector<PairId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](PairId a, PairId b) {
+    return remainder[a] > remainder[b];
+  });
+  for (PairId p : order) {
+    if (remainder[p] <= 1e-9) break;  // sorted: the rest are zero too
+    admit(p);
   }
 
   // Stage 3: greedy fill, cheapest worst-row weight first; keep sweeping
   // until a full pass admits nothing.
   if (options.greedy_fill) {
     bool progress = true;
-    while (progress && !reached_target()) {
+    while (progress) {
       progress = false;
       for (PairId p : index.fill_order) {
-        if (reached_target()) break;
         if (admit(p)) progress = true;
       }
     }

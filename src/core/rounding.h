@@ -23,12 +23,8 @@
 namespace privsan {
 
 struct RoundingOptions {
-  // Stage-2/3 behavior.
-  bool repair = true;       // largest-remainder re-adds
-  bool greedy_fill = true;  // keep filling past the relaxed point
-  // Stop adding once the total reaches this value (0 = no target; fill as
-  // far as the rows allow). F-UMP uses it to hold sum x == |O|.
-  uint64_t target_total = 0;
+  // Stage 3: keep filling past the relaxed point.
+  bool greedy_fill = true;
   // Optional per-pair upper bounds (empty = unbounded).
   std::span<const uint64_t> caps;
 };

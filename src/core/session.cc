@@ -415,6 +415,16 @@ Result<UmpSolution> SanitizerSession::SolveInternal(
                             " counts violate a DP row at budget " +
                             std::to_string(s.system.budget()));
   }
+  // λ is the rounded relaxed optimum, so it can never exceed that LP bound.
+  if (objective == UtilityObjective::kOutputSize &&
+      static_cast<double>(solution.output_size) >
+          solution.objective_value +
+              1e-6 * (1.0 + solution.objective_value)) {
+    return Status::Internal(
+        "O-UMP output size " + std::to_string(solution.output_size) +
+        " exceeds its LP bound " + std::to_string(solution.objective_value) +
+        " at budget " + std::to_string(s.system.budget()));
+  }
   return solution;
 }
 

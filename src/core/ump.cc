@@ -197,7 +197,7 @@ uint64_t InfrequentCap(double min_support, double total) {
 //        output size              sum x                = |O|
 //        per frequent f           x_f − y'_f          <= s_f·|O|
 //                                 x_f + y'_f          >= s_f·|O|
-//        0 <= x  (infrequent x capped at ⌈s|O|⌉−1 when enforcing precision)
+//        0 <= x  (infrequent x capped at ⌈s|O|⌉−1 unless that is infeasible)
 //
 // so the coefficient matrix is fixed per (log, s) and one cached model
 // serves every (B, |O|) cell. Each cell solves cold: warm-starting from a
@@ -288,13 +288,10 @@ class FumpProblem final : public UmpProblem {
 
     // Solve with precision caps first; fall back to the paper's plain
     // formulation if the caps make the fixed output size unreachable.
-    lp::LpSolution lp;
-    if (spec_.enforce_precision) {
-      SetVariableBounds(budget, output_size, static_cast<double>(lp_cap));
-      lp = solver_.Solve(model_);
-      solution.used_precision_caps = lp.status == lp::SolveStatus::kOptimal;
-      solution.stats += lp.stats;
-    }
+    SetVariableBounds(budget, output_size, static_cast<double>(lp_cap));
+    lp::LpSolution lp = solver_.Solve(model_);
+    solution.used_precision_caps = lp.status == lp::SolveStatus::kOptimal;
+    solution.stats += lp.stats;
     if (!solution.used_precision_caps) {
       SetVariableBounds(budget, output_size, lp::kInfinity);
       lp = solver_.Solve(model_);
@@ -397,22 +394,20 @@ class FumpProblem final : public UmpProblem {
       }
     }
 
-    if (spec_.enforce_precision) {
-      while (true) {
-        const uint64_t realized = std::accumulate(
-            solution->x.begin(), solution->x.end(), static_cast<uint64_t>(0));
-        if (realized == 0) break;
-        const uint64_t cap =
-            InfrequentCap(spec_.min_support, static_cast<double>(realized));
-        bool changed = false;
-        for (PairId p = 0; p < n; ++p) {
-          if (!is_frequent_[p] && solution->x[p] > cap) {
-            solution->x[p] = cap;
-            changed = true;
-          }
+    while (true) {
+      const uint64_t realized = std::accumulate(
+          solution->x.begin(), solution->x.end(), static_cast<uint64_t>(0));
+      if (realized == 0) break;
+      const uint64_t cap =
+          InfrequentCap(spec_.min_support, static_cast<double>(realized));
+      bool changed = false;
+      for (PairId p = 0; p < n; ++p) {
+        if (!is_frequent_[p] && solution->x[p] > cap) {
+          solution->x[p] = cap;
+          changed = true;
         }
-        if (!changed) break;
       }
+      if (!changed) break;
     }
 
     solution->output_size = std::accumulate(
@@ -441,12 +436,6 @@ class DumpProblem final : public UmpProblem {
       : log_(&log), system_(system), spec_(spec), simplex_(simplex) {}
 
   Status Build() {
-    // One source of truth for the LP kernel configuration: the node LPs of
-    // branch & bound run on the problem-level simplex options
-    // (factorization, pricing, repair policy), not on whatever
-    // DumpSpec::bnb.simplex defaulted to — so B&B children ride the same
-    // kernel as every other solve of this session.
-    spec_.bnb.simplex = simplex_;
     bip_ = BipFromConstraintRows(*system_);
     bip_.rhs.assign(bip_.num_rows, 1.0);  // rebound per query
     col_max_weight_.resize(log_->num_pairs());
@@ -518,9 +507,10 @@ class DumpProblem final : public UmpProblem {
         for (int r = 0; r < bip_.num_rows; ++r) {
           bnb_model_.set_constraint_rhs(r, budget);
         }
-        lp::BnbOptions bnb_options = spec_.bnb;
-        bnb_options.root_hint = basis_hint;
-        lp::BnbResult bnb = SolveBranchAndBound(bnb_model_, bnb_options);
+        // The node LPs run on the problem's simplex options, like every
+        // other solve of this session.
+        lp::BnbResult bnb =
+            SolveBranchAndBound(bnb_model_, spec_.bnb, simplex_, basis_hint);
         if (!bnb.has_incumbent) {
           return Status::Internal("branch & bound found no incumbent");
         }

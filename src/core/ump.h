@@ -81,20 +81,19 @@ struct OumpSpec {
   bool cap_counts_at_input = false;
 };
 
+// F-UMP realizes the paper's empirical "Precision = 1" finding
+// structurally: infrequent pairs get the upper bound ⌈s|O|⌉ − 1 in the LP
+// (no pair can become frequent in the output that was not frequent in the
+// input), and after rounding any infrequent count still at/over the
+// threshold of the realized size is clamped below it. The objective never
+// involves infrequent pairs, so their caps do not change the optimal
+// support distances; if the capped LP is infeasible the solver falls back
+// to the uncapped formulation (UmpSolution::used_precision_caps = false).
 struct FumpSpec {
   // Minimum support s; a pair is frequent iff c_ij / |D| >= s. The frequent
   // set shapes the model (one deviation variable + two rows per frequent
   // pair), so s is structural.
   double min_support = 1.0 / 500;
-  // Realize the paper's empirical "Precision = 1" finding structurally:
-  // infrequent pairs get the upper bound ⌈s|O|⌉ − 1 in the LP (no pair can
-  // become frequent in the output that was not frequent in the input), and
-  // after rounding any infrequent count still at/over the threshold of the
-  // realized size is clamped below it. The objective never involves
-  // infrequent pairs, so their caps do not change the optimal support
-  // distances; if the capped LP is infeasible the solver falls back to the
-  // uncapped formulation (UmpSolution::used_precision_caps = false).
-  bool enforce_precision = true;
 };
 
 struct DumpSpec {

@@ -13,6 +13,11 @@ namespace lp {
 
 namespace {
 
+// Distance from an integer within which a value counts as integral.
+constexpr double kIntegralityTol = 1e-6;
+// Relative optimality gap at which a node is fathomed.
+constexpr double kGapTol = 1e-9;
+
 struct Node {
   // Bound overrides relative to the root model: (variable, lower, upper).
   std::vector<std::tuple<int, double, double>> bound_changes;
@@ -50,7 +55,9 @@ bool TryRoundedIncumbent(const LpModel& model,
 }  // namespace
 
 BnbResult SolveBranchAndBound(const LpModel& model,
-                              const BnbOptions& options) {
+                              const BnbOptions& options,
+                              const SimplexOptions& simplex,
+                              const Basis* root_hint) {
   BnbResult result;
   WallTimer timer;
 
@@ -60,7 +67,7 @@ BnbResult SolveBranchAndBound(const LpModel& model,
   auto to_external = [&](double v) { return maximize ? -v : v; };
 
   LpModel scratch = model;  // bounds are mutated per node and restored
-  SimplexSolver solver(options.simplex);
+  SimplexSolver solver(simplex);
 
   double incumbent_internal = std::numeric_limits<double>::infinity();
   std::vector<double> incumbent_x;
@@ -87,8 +94,7 @@ BnbResult SolveBranchAndBound(const LpModel& model,
     open.pop();
     // Fathom by bound.
     if (node->lp_bound >=
-        incumbent_internal - std::abs(incumbent_internal) * options.gap_tol -
-            1e-12) {
+        incumbent_internal - std::abs(incumbent_internal) * kGapTol - 1e-12) {
       continue;
     }
     ++result.nodes_explored;
@@ -106,7 +112,7 @@ BnbResult SolveBranchAndBound(const LpModel& model,
     const Basis* hint = nullptr;
     if (options.warm_start) {
       hint = node->warm.get();
-      if (hint == nullptr && is_root) hint = options.root_hint;
+      if (hint == nullptr && is_root) hint = root_hint;
     }
     LpSolution lp = solver.Solve(scratch, hint);
     // Restore bounds.
@@ -138,14 +144,13 @@ BnbResult SolveBranchAndBound(const LpModel& model,
 
     const double node_bound = to_internal(lp.objective);
     if (node_bound >=
-        incumbent_internal - std::abs(incumbent_internal) * options.gap_tol -
-            1e-12) {
+        incumbent_internal - std::abs(incumbent_internal) * kGapTol - 1e-12) {
       continue;
     }
 
     // Find the most fractional integer variable.
     int branch_var = -1;
-    double branch_score = options.integrality_tol;
+    double branch_score = kIntegralityTol;
     for (int j = 0; j < model.num_variables(); ++j) {
       if (!model.variable(j).is_integer) continue;
       const double frac = lp.x[j] - std::floor(lp.x[j]);
@@ -173,7 +178,7 @@ BnbResult SolveBranchAndBound(const LpModel& model,
 
     // Rounding heuristic: cheap incumbent from the fractional point.
     std::vector<double> rounded;
-    if (TryRoundedIncumbent(model, lp.x, options.integrality_tol, rounded)) {
+    if (TryRoundedIncumbent(model, lp.x, kIntegralityTol, rounded)) {
       const double rounded_obj = to_internal(model.ObjectiveValue(rounded));
       if (rounded_obj < incumbent_internal) {
         incumbent_internal = rounded_obj;

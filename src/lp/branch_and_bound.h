@@ -19,19 +19,11 @@ namespace privsan {
 namespace lp {
 
 struct BnbOptions {
-  SimplexOptions simplex;
-  double integrality_tol = 1e-6;
-  // Relative optimality gap at which a node is fathomed.
-  double gap_tol = 1e-9;
   int64_t max_nodes = 100000;
   double time_limit_seconds = 60.0;
   // Re-solve child nodes from the parent's optimal basis (dual-simplex
   // bound restoration) instead of from scratch.
   bool warm_start = true;
-  // Optional warm-start basis for the root LP — typically the optimal root
-  // basis of a structurally identical model solved at a different rhs (a
-  // neighbouring (ε, δ) cell in a budget sweep). Not owned; may be null.
-  const Basis* root_hint = nullptr;
 };
 
 struct BnbResult {
@@ -61,9 +53,15 @@ struct BnbResult {
 };
 
 // Solves `model` honoring Variable::is_integer flags. The model must be
-// Validate()d. Maximization and minimization both supported.
+// Validate()d. Maximization and minimization both supported. Every node LP
+// runs on `simplex`. `root_hint` (optional, not owned) warm-starts the root
+// LP when options.warm_start is set — typically the optimal root basis of a
+// structurally identical model solved at a different rhs (a neighbouring
+// (ε, δ) cell in a budget sweep).
 BnbResult SolveBranchAndBound(const LpModel& model,
-                              const BnbOptions& options = {});
+                              const BnbOptions& options = {},
+                              const SimplexOptions& simplex = {},
+                              const Basis* root_hint = nullptr);
 
 }  // namespace lp
 }  // namespace privsan

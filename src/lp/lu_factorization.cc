@@ -14,6 +14,9 @@ namespace lp {
 namespace {
 // Pivot magnitude below which a factorization declares the basis singular.
 constexpr double kSingularTol = 1e-11;
+// Threshold partial pivoting: a pivot must be at least this fraction of its
+// column's largest magnitude. Larger is more stable, smaller is sparser.
+constexpr double kMarkowitzThreshold = 0.1;
 // Candidate columns examined per elimination step before settling for the
 // best Markowitz count seen (a full scan only runs when none of them has a
 // numerically acceptable pivot).
@@ -136,7 +139,7 @@ bool LuFactorization::Refactorize(const SparseMatrix& A,
     const double colmax = gather_column(c);
     if (colmax < kSingularTol) return false;
     const double accept =
-        std::max(markowitz_threshold_ * colmax, kSingularTol);
+        std::max(kMarkowitzThreshold * colmax, kSingularTol);
     prow = -1;
     cost = std::numeric_limits<size_t>::max();
     double pmag = 0.0;

@@ -8,8 +8,8 @@
 //     search costs O(candidates), not O(m) — the whole refactorization is
 //     proportional to fill, not dimension.
 //   * threshold partial pivoting — a pivot must also satisfy
-//     |a_ij| >= markowitz_threshold * max_k |a_kj|, trading a bounded
-//     amount of stability for the freedom to chase sparsity,
+//     |a_ij| >= 0.1 * max_k |a_kj| (the textbook threshold), trading a
+//     bounded amount of stability for the freedom to chase sparsity,
 //   * Forrest–Tomlin updates — the entering column's partial image
 //     û = U w replaces its column of U; the leaving row of U becomes a row
 //     spike that is eliminated against the later U rows, the multipliers
@@ -51,13 +51,8 @@ class LuFactorization : public BasisRep {
   // `max_updates` / `growth_limit`: the refactorization policy — fire after
   // max_updates pivots, or once the total nonzeros (factors, FT update
   // fill, and row-eta terms) exceed growth_limit x the fresh factors.
-  // `markowitz_threshold` in (0, 1]: larger is more stable, smaller is
-  // sparser; 0.1 is the textbook default.
-  LuFactorization(int max_updates, double growth_limit,
-                  double markowitz_threshold = 0.1)
-      : max_updates_(max_updates),
-        growth_limit_(growth_limit),
-        markowitz_threshold_(markowitz_threshold) {}
+  LuFactorization(int max_updates, double growth_limit)
+      : max_updates_(max_updates), growth_limit_(growth_limit) {}
 
   bool Refactorize(const SparseMatrix& A, std::vector<int>& basis) override;
   void Ftran(std::vector<double>& v) const override;
@@ -118,7 +113,6 @@ class LuFactorization : public BasisRep {
   int updates_ = 0;
   int max_updates_;
   double growth_limit_;
-  double markowitz_threshold_;
 
   // Update-path scratch, sized at Refactorize (avoids per-pivot
   // allocation). uhat_ holds û for the duration of one Update().

@@ -14,12 +14,12 @@ double PriceColumn(const PricingView& view, int j, int& sign) {
   if (st == VarStatus::kBasic || view.lower[j] == view.upper[j]) return 0.0;
   const double reduced = view.reduced_costs[j];
   if ((st == VarStatus::kAtLower || st == VarStatus::kFree) &&
-      reduced < -view.optimality_tol) {
+      reduced < -kOptimalityTol) {
     sign = +1;
     return -reduced;
   }
   if ((st == VarStatus::kAtUpper || st == VarStatus::kFree) &&
-      reduced > view.optimality_tol) {
+      reduced > kOptimalityTol) {
     sign = -1;
     return reduced;
   }
@@ -99,9 +99,7 @@ PrimalPricer::Choice PrimalPricer::PriceAfterPivot(
 
 // ---- DualPricer -------------------------------------------------------------
 
-DualPricer::DualPricer(int m, const SimplexOptions& options)
-    : devex_(options.dual_pricing == SimplexOptions::DualPricing::kDevex),
-      weights_(m, 1.0) {}
+DualPricer::DualPricer(int m) : weights_(m, 1.0) {}
 
 void DualPricer::ResetReference() {
   std::fill(weights_.begin(), weights_.end(), 1.0);
@@ -126,8 +124,7 @@ DualPricer::Leaving DualPricer::ChooseLeaving(
     } else {
       continue;
     }
-    const double score =
-        devex_ ? violation * violation / weights_[i] : violation;
+    const double score = violation * violation / weights_[i];
     if (score > best_score) {
       best_score = score;
       leaving.slot = i;
@@ -140,7 +137,6 @@ DualPricer::Leaving DualPricer::ChooseLeaving(
 
 void DualPricer::OnPivot(std::span<const double> direction,
                          int leaving_slot) {
-  if (!devex_) return;
   const double pivot = direction[leaving_slot];
   const double gamma_r = weights_[leaving_slot];
   const double inv_pivot_sq = 1.0 / (pivot * pivot);

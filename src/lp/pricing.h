@@ -10,13 +10,12 @@
 //     serves the iterations no pass preceded (after a reduced-cost
 //     refresh, a bound flip or a rejected pivot), and a Bland mode (first
 //     improving index) guarantees termination under degeneracy.
-//   * DualPricer — the dual simplex's leaving-row choice. Largest bound
-//     violation is the legacy rule; the default is dual Devex: row weights
-//     approximating the steepest-edge norms ||e_i^T B^-1||^2, updated from
-//     the FTRAN image of each entering column, with rows scored by
-//     violation^2 / weight. On the long dual repairs of deep B&B children
-//     and post-append warm starts this cuts the pivot count the same way
-//     primal Devex does on cold solves.
+//   * DualPricer — the dual simplex's leaving-row choice by dual Devex:
+//     row weights approximating the steepest-edge norms ||e_i^T B^-1||^2,
+//     updated from the FTRAN image of each entering column, with rows
+//     scored by violation^2 / weight. On the long dual repairs of deep B&B
+//     children and post-append warm starts this cuts the pivot count the
+//     same way primal Devex does on cold solves.
 //
 // Both pricers hold only their weights; the reduced costs, the basis, and
 // the bound data stay in the driver and are passed in by view.
@@ -35,13 +34,16 @@
 namespace privsan {
 namespace lp {
 
+// Reduced-cost optimality tolerance: a column prices only when its reduced
+// cost improves the objective by more than this.
+inline constexpr double kOptimalityTol = 1e-7;
+
 // The per-column data pricing reads. PrimalPricer::PriceAfterPivot also
 // updates `reduced_costs` in place.
 struct PricingView {
   std::span<double> reduced_costs;  // maintained d, one per variable
   std::span<const VarStatus> state;
   std::span<const double> lower, upper;
-  double optimality_tol = 0.0;
 };
 
 // Violation magnitude of column j (0 = not improving); `sign` is +1 when
@@ -96,7 +98,7 @@ class PrimalPricer {
 
 class DualPricer {
  public:
-  DualPricer(int m, const SimplexOptions& options);
+  explicit DualPricer(int m);
 
   // The basis was refactorized / reduced costs recomputed: reset the Devex
   // reference framework.
@@ -108,8 +110,7 @@ class DualPricer {
     double violation = 0.0; // actual bound violation (not the Devex score)
   };
 
-  // The leaving row: largest violation (legacy) or best violation^2/weight
-  // (dual Devex).
+  // The leaving row: the best violation^2 / weight.
   Leaving ChooseLeaving(std::span<const double> x, std::span<const int> basis,
                         std::span<const double> lower,
                         std::span<const double> upper) const;
@@ -119,7 +120,6 @@ class DualPricer {
   void OnPivot(std::span<const double> direction, int leaving_slot);
 
  private:
-  bool devex_ = true;
   std::vector<double> weights_;
 };
 

@@ -13,7 +13,7 @@ PrimalRatioChoice PrimalRatioTest(std::span<const double> dir,
                                   std::span<const double> x,
                                   std::span<const double> lower,
                                   std::span<const double> upper, bool bland,
-                                  const SimplexOptions& options) {
+                                  double pivot_tol) {
   const double kInf = std::numeric_limits<double>::infinity();
   const int m = static_cast<int>(basis.size());
 
@@ -22,11 +22,11 @@ PrimalRatioChoice PrimalRatioTest(std::span<const double> dir,
   auto row_ratio = [&](int i) -> double {
     const double delta = direction_sign * dir[i];
     const int bv = basis[i];
-    if (delta > options.pivot_tol) {
+    if (delta > pivot_tol) {
       if (!std::isfinite(lower[bv])) return kInf;
       return std::max((x[bv] - lower[bv]) / delta, 0.0);
     }
-    if (delta < -options.pivot_tol) {
+    if (delta < -pivot_tol) {
       if (!std::isfinite(upper[bv])) return kInf;
       return std::max((upper[bv] - x[bv]) / (-delta), 0.0);
     }
@@ -74,14 +74,13 @@ int ScanDualCandidates(int begin, int end, std::span<const double> alpha,
                        std::span<const VarStatus> state,
                        std::span<const double> lower,
                        std::span<const double> upper, bool below,
-                       const SimplexOptions& options,
                        std::span<DualCandidate> out) {
   int found = 0;
   for (int j = begin; j < end; ++j) {
     const VarStatus st = state[j];
     if (st == VarStatus::kBasic || lower[j] == upper[j]) continue;
     const double a = alpha[j];
-    if (std::abs(a) <= options.pivot_tol) continue;
+    if (std::abs(a) <= kPivotTol) continue;
     bool ok;
     if (st == VarStatus::kFree) {
       ok = true;

@@ -33,6 +33,11 @@
 namespace privsan {
 namespace lp {
 
+// Pivot magnitude at or below which a ratio test skips a row or column.
+// The dual scan always uses it; the primal test takes its tolerance from
+// the driver, whose numerical retry raises it (lp/simplex.cc).
+inline constexpr double kPivotTol = 1e-9;
+
 struct PrimalRatioChoice {
   // Slot of the blocking basic variable; -1 when nothing blocks — then the
   // entering variable bound-flips by `step`, or the LP is unbounded along
@@ -49,13 +54,14 @@ struct PrimalRatioChoice {
 // `direction` is the FTRAN image B^-1 A_entering; `direction_sign` +1/-1 is
 // the travel direction; `bound_flip_step` is how far the entering variable
 // may travel before hitting its own opposite bound (infinity when none).
+// Rows whose |direction| is at most `pivot_tol` never block.
 PrimalRatioChoice PrimalRatioTest(std::span<const double> direction,
                                   int direction_sign, double bound_flip_step,
                                   std::span<const int> basis,
                                   std::span<const double> x,
                                   std::span<const double> lower,
                                   std::span<const double> upper, bool bland,
-                                  const SimplexOptions& options);
+                                  double pivot_tol);
 
 struct DualRatioChoice {
   // Entering column; -1 is a Farkas certificate — the primal is infeasible
@@ -75,16 +81,15 @@ struct DualCandidate {
 
 // Writes to the front of `out` (at least end - begin long) every column of
 // [begin, end) eligible to enter, and returns how many: nonbasic, not
-// fixed, |alpha_j| above the pivot tolerance, and alpha_j of the sign that
-// moves the leaving variable toward its violated bound (`below`: it lies
-// below its lower bound). `alpha` is the leaving slot's pivot row, one
-// entry per variable (the entries of basic columns are not read).
+// fixed, |alpha_j| above kPivotTol, and alpha_j of the sign that moves the
+// leaving variable toward its violated bound (`below`: it lies below its
+// lower bound). `alpha` is the leaving slot's pivot row, one entry per
+// variable (the entries of basic columns are not read).
 int ScanDualCandidates(int begin, int end, std::span<const double> alpha,
                        std::span<const double> reduced_costs,
                        std::span<const VarStatus> state,
                        std::span<const double> lower,
                        std::span<const double> upper, bool below,
-                       const SimplexOptions& options,
                        std::span<DualCandidate> out);
 
 // The ratio test over `candidates`, every eligible column from

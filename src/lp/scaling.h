@@ -6,7 +6,8 @@
 // against its column's largest magnitude — on a badly scaled column the
 // threshold rejects pivots that are perfectly stable, forcing denser
 // choices. Equilibration narrows the magnitude spread first, so
-// markowitz_threshold can chase sparsity instead of compensating for units.
+// the LU's threshold pivoting can chase sparsity instead of compensating
+// for units.
 //
 // ComputeEquilibration returns per-row factors R and per-structural-column
 // factors C such that the scaled matrix R A C has entries near 1 in

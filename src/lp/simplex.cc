@@ -57,6 +57,43 @@ constexpr VarStatus kAtLower = VarStatus::kAtLower;
 constexpr VarStatus kAtUpper = VarStatus::kAtUpper;
 constexpr VarStatus kFree = VarStatus::kFree;
 
+// Ratio-test pivots below this are considered numerically unstable: when
+// the tie-break window offers nothing larger, the solver refactorizes and
+// re-prices instead of pivoting (a "pivot" that is pure factorization
+// noise silently makes the basis singular).
+constexpr double kStablePivotTol = 1e-7;
+// Phase-1 objective above this value means infeasible.
+constexpr double kFeasibilityTol = 1e-6;
+// Repair-and-refactorize attempts per factorization before giving up
+// (each attempt can expose further dependencies).
+constexpr int kMaxBasisRepairs = 3;
+// Refactorization triggers besides the update count (there is no fixed
+// iteration cadence): the LU's update-file nonzeros versus the fresh
+// factorization, and numerical drift — every kDriftCheckInterval
+// iterations the residual |b - A x| is measured and a breach of kDriftTol
+// (relative to 1 + |b|_inf) forces a refactorization.
+constexpr double kRefactorGrowth = 8.0;
+constexpr int kDriftCheckInterval = 64;
+constexpr double kDriftTol = 1e-6;
+
+// The settings the numerical retry changes (it also switches to the dense
+// basis).
+struct Attempt {
+  // Pivots since the last refactorization; this also bounds the staleness
+  // of the incrementally maintained reduced costs. The LU treats it as a
+  // safety net only: its cap is raised 4x and measured fill growth governs.
+  int max_updates;
+  // Degenerate pivots in a row before switching to Bland's rule.
+  int bland_after;
+  // Pivot magnitude at or below which a primal ratio-test row is skipped
+  // and a basis update refused.
+  double pivot_tol;
+};
+constexpr Attempt kFirstAttempt{100, 64, kPivotTol};
+// The retry of last resort: aggressive refactorization, early Bland,
+// larger pivots.
+constexpr Attempt kRetryAttempt{20, 8, 1e-8};
+
 // All mutable solver state for one Solve() call.
 struct Work {
   int m = 0;        // rows
@@ -75,8 +112,9 @@ struct Work {
   std::vector<VarStatus> state;   // variable -> status
   std::unique_ptr<BasisRep> rep;  // basis factorization
 
-  // Equilibration factors when options.scaling applied them (row empty
-  // otherwise); the solve runs scaled, BuildSolution maps back.
+  // Equilibration factors when the options asked for them and the matrix
+  // needed them (row empty otherwise); the solve runs scaled,
+  // BuildSolution maps back.
   ScalingFactors scaling;
 
   SolveStats stats;
@@ -103,16 +141,16 @@ enum class DualStatus {
   kSingular,
 };
 
-std::unique_ptr<BasisRep> MakeBasisRep(const SimplexOptions& options) {
-  if (options.basis_kind == SimplexOptions::BasisKind::kDense) {
-    return std::make_unique<DenseBasis>(options.refactor_max_updates);
+std::unique_ptr<BasisRep> MakeBasisRep(SimplexOptions::BasisKind kind,
+                                       const Attempt& attempt) {
+  if (kind == SimplexOptions::BasisKind::kDense) {
+    return std::make_unique<DenseBasis>(attempt.max_updates);
   }
   // Forrest–Tomlin keeps U's fill near the data's, so the pivot-count cap
   // stops being the binding trigger: raise it 4x and let the measured
   // nonzero growth (ShouldRefactor) govern.
-  return std::make_unique<LuFactorization>(4 * options.refactor_max_updates,
-                                           options.refactor_growth,
-                                           options.markowitz_threshold);
+  return std::make_unique<LuFactorization>(4 * attempt.max_updates,
+                                           kRefactorGrowth);
 }
 
 // x_B -= step * v over the nonzeros of an FTRAN image v (slot-indexed).
@@ -195,9 +233,9 @@ bool RepairSingularBasis(Work& w) {
 
 // Refactorizes the current basis and recomputes the basic values from the
 // nonbasic ones. A singular basis is repaired in place (dependent columns
-// swapped for row slacks) under the repair policy; returns false only when
-// the basis stays numerically singular after the allowed repair attempts.
-bool FactorizeAndRecompute(Work& w, const SimplexOptions& options) {
+// swapped for row slacks); returns false only when the basis stays
+// numerically singular after kMaxBasisRepairs repairs.
+bool FactorizeAndRecompute(Work& w) {
   SampleRepStats(w);
   for (int attempt = 0;; ++attempt) {
     if (w.rep->Refactorize(w.cols, w.basis)) {
@@ -205,8 +243,7 @@ bool FactorizeAndRecompute(Work& w, const SimplexOptions& options) {
       RecomputeBasics(w);
       return true;
     }
-    if (options.repair_policy == SimplexOptions::RepairPolicy::kNone ||
-        attempt >= options.max_basis_repairs || !RepairSingularBasis(w)) {
+    if (attempt >= kMaxBasisRepairs || !RepairSingularBasis(w)) {
       return false;
     }
     ++w.stats.basis_repairs;
@@ -229,18 +266,17 @@ enum class RefactorCheck { kNone, kDone, kSingular };
 
 // The shared refactorization policy of both simplex phases: refactorize on
 // update-file growth or on numerical drift (residual breach, checked every
-// drift_check_interval iterations) — never on a fixed cadence. Callers
-// must refresh their maintained reduced costs on kDone.
-RefactorCheck MaybeRefactor(Work& w, const SimplexOptions& options,
-                            int& drift_countdown) {
+// kDriftCheckInterval iterations) — never on a fixed cadence. Callers must
+// refresh their maintained reduced costs on kDone.
+RefactorCheck MaybeRefactor(Work& w, int& drift_countdown) {
   bool need = w.rep->ShouldRefactor();
-  if (!need && options.drift_check_interval > 0 && --drift_countdown <= 0) {
-    drift_countdown = options.drift_check_interval;
-    if (ResidualInfNorm(w) > options.drift_tol * w.rhs_scale) need = true;
+  if (!need && --drift_countdown <= 0) {
+    drift_countdown = kDriftCheckInterval;
+    if (ResidualInfNorm(w) > kDriftTol * w.rhs_scale) need = true;
   }
   if (!need) return RefactorCheck::kNone;
-  return FactorizeAndRecompute(w, options) ? RefactorCheck::kDone
-                                           : RefactorCheck::kSingular;
+  return FactorizeAndRecompute(w) ? RefactorCheck::kDone
+                                  : RefactorCheck::kSingular;
 }
 
 // Exact reduced costs of every variable against the current basis:
@@ -274,7 +310,7 @@ void ComputeRho(const Work& w, int slot, std::vector<double>& rho) {
 // test live in lp/pricing.h and lp/ratio_test.h; this loop owns the state
 // updates, the reduced-cost maintenance, and the refactorization policy.
 PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
-                     const SimplexOptions& options) {
+                     const SimplexOptions& options, const Attempt& attempt) {
   const int m = w.m;
   const double kInf = std::numeric_limits<double>::infinity();
 
@@ -293,9 +329,9 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
   int stall = 0;
   bool bland = false;
   int update_failures = 0;
-  int drift_countdown = options.drift_check_interval;
+  int drift_countdown = kDriftCheckInterval;
 
-  const PricingView view{d, w.state, w.lb, w.ub, options.optimality_tol};
+  const PricingView view{d, w.state, w.lb, w.ub};
 
   // Exact reduced costs; also resets the Devex reference framework (the
   // weights' reference point moved).
@@ -307,7 +343,7 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
   refresh_reduced();
 
   auto factorize = [&]() {
-    if (!FactorizeAndRecompute(w, options)) return false;
+    if (!FactorizeAndRecompute(w)) return false;
     refresh_reduced();
     return true;
   };
@@ -319,7 +355,7 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
     }
     ++w.stats.simplex_iterations;
 
-    switch (MaybeRefactor(w, options, drift_countdown)) {
+    switch (MaybeRefactor(w, drift_countdown)) {
       case RefactorCheck::kNone:
         break;
       case RefactorCheck::kDone:
@@ -364,7 +400,7 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
             : kInf;
     const PrimalRatioChoice ratio =
         PrimalRatioTest(direction, direction_sign, bound_flip_t, w.basis,
-                        w.x, w.lb, w.ub, bland, options);
+                        w.x, w.lb, w.ub, bland, attempt.pivot_tol);
 
     if (ratio.unbounded) {
       if (phase1) return PhaseStatus::kSingular;
@@ -386,7 +422,7 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
     // pivots are usually update-file noise, and treating noise as a pivot
     // corrupts the basis (it becomes singular in exact arithmetic).
     if (leaving_row >= 0 &&
-        std::abs(direction[leaving_row]) < options.stable_pivot_tol &&
+        std::abs(direction[leaving_row]) < kStablePivotTol &&
         w.rep->updates_since_refactor() > 0) {
       if (!factorize()) return PhaseStatus::kSingular;
       continue;
@@ -394,7 +430,7 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
 
     // Degeneracy bookkeeping; switch to Bland's rule on a long stall.
     if (best_t <= 1e-10) {
-      if (++stall >= options.bland_trigger) bland = true;
+      if (++stall >= attempt.bland_after) bland = true;
     } else {
       stall = 0;
       bland = false;
@@ -416,7 +452,7 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
 
     // Register the pivot before touching x/state so a failed update leaves
     // a consistent point to refactorize from.
-    if (!w.rep->Update(direction, leaving_row, options.pivot_tol)) {
+    if (!w.rep->Update(direction, leaving_row, attempt.pivot_tol)) {
       if (++update_failures > 3 || !factorize()) {
         return PhaseStatus::kSingular;
       }
@@ -450,8 +486,9 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
 // parent basis is dual feasible for the child). Maintains dual feasibility
 // by a min-ratio test; "no eligible entering column" is a Farkas
 // certificate of primal infeasibility. The leaving row is picked by
-// DualPricer (dual Devex by default); the entering column and the bound
-// flips by DualRatioTest.
+// DualPricer (dual Devex); the entering column and the bound flips by
+// DualRatioTest. Only warm starts run it, so it always runs on the first
+// attempt's settings.
 DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
                         const SimplexOptions& options) {
   const int m = w.m;
@@ -475,7 +512,7 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
   // Reduced costs, maintained incrementally across pivots off the same
   // alpha row that drives the ratio test; recomputed at refactorizations.
   std::vector<double> d(w.n_total);
-  DualPricer pricer(m, options);
+  DualPricer pricer(m);
   int update_failures = 0;
 
   auto refresh_reduced = [&]() {
@@ -485,11 +522,11 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
   refresh_reduced();
 
   auto factorize = [&]() {
-    if (!FactorizeAndRecompute(w, options)) return false;
+    if (!FactorizeAndRecompute(w)) return false;
     refresh_reduced();
     return true;
   };
-  int drift_countdown = options.drift_check_interval;
+  int drift_countdown = kDriftCheckInterval;
 
   for (int64_t iter = 0; iter < budget; ++iter) {
     if (static_cast<int64_t>(w.stats.simplex_iterations) >=
@@ -500,7 +537,7 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
     // ChooseLeaving reads the incrementally-updated x, so drifted basics
     // would silently mis-drive the leaving choice and the final "primal
     // feasible" verdict.
-    switch (MaybeRefactor(w, options, drift_countdown)) {
+    switch (MaybeRefactor(w, drift_countdown)) {
       case RefactorCheck::kNone:
         break;
       case RefactorCheck::kDone:
@@ -529,7 +566,7 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
       }
       found[block] =
           ScanDualCandidates(begin, end, alpha, d, w.state, w.lb, w.ub, below,
-                             options, std::span(scanned).subspan(begin));
+                             std::span(scanned).subspan(begin));
     });
     candidates.clear();
     for (size_t b = 0; b < found.size(); ++b) {
@@ -553,8 +590,8 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
     }
     w.rep->Ftran(direction);
     const double pivot = direction[leaving_slot];
-    if (std::abs(pivot) <= options.pivot_tol ||
-        (std::abs(pivot) < options.stable_pivot_tol &&
+    if (std::abs(pivot) <= kFirstAttempt.pivot_tol ||
+        (std::abs(pivot) < kStablePivotTol &&
          w.rep->updates_since_refactor() > 0)) {
       if (++update_failures > 3 || !factorize()) {
         return DualStatus::kSingular;
@@ -583,7 +620,7 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
     const double target = below ? w.lb[leaving_var] : w.ub[leaving_var];
     const double dt = (w.x[leaving_var] - target) / pivot;
 
-    if (!w.rep->Update(direction, leaving_slot, options.pivot_tol)) {
+    if (!w.rep->Update(direction, leaving_slot, kFirstAttempt.pivot_tol)) {
       if (++update_failures > 3 || !factorize()) {
         return DualStatus::kSingular;
       }
@@ -689,15 +726,25 @@ void SetupVarsAndSlacks(const LpModel& model, bool maximize, Work& w,
   }
 }
 
-// Equilibrates the assembled solve data in place (triplets still hold the
-// structural + slack columns; artificials, added later in the cold path,
-// live in the already-scaled space). Column j of the scaled system is
-// C_j * original; slack columns take C = 1/R_r, which keeps their
-// coefficient exactly 1.0 and their bound signs intact. Bounds divide by
-// C, costs and rhs multiply — all by powers of two, so every transform is
-// exact and BuildSolution's inverse mapping reproduces the unscaled
-// numbers bit for bit.
-void ApplyScaling(Work& w, std::vector<Triplet>& triplets) {
+// Equilibrates the assembled solve data in place when the options ask for
+// it and the matrix needs it (triplets still hold the structural + slack
+// columns; artificials, added later in the cold path, live in the
+// already-scaled space). Equilibration and warm starts compose
+// transparently: the factors depend only on the (identical) matrix
+// coefficients, and a hint holds only scale-invariant statuses. Column j
+// of the scaled system is C_j * original; slack columns take C = 1/R_r,
+// which keeps their coefficient exactly 1.0 and their bound signs intact.
+// Bounds divide by C, costs and rhs multiply — all by powers of two, so
+// every transform is exact and BuildSolution's inverse mapping reproduces
+// the unscaled numbers bit for bit.
+void Equilibrate(const SimplexOptions& options, Work& w,
+                 std::vector<Triplet>& triplets) {
+  if (options.scaling != SimplexOptions::Scaling::kEquilibrate) return;
+  w.scaling = ComputeEquilibration(w.m, w.n_struct, triplets);
+  if (!w.scaling.any) {
+    w.scaling = ScalingFactors{};  // all-ones; skip the back-mapping
+    return;
+  }
   const ScalingFactors& s = w.scaling;
   auto col_scale = [&](int j) {
     return j < w.n_struct ? s.col[j] : 1.0 / s.row[j - w.n_struct];
@@ -779,7 +826,8 @@ LpSolution BuildSolution(Work& w, const LpModel& model, SolveStatus status,
   return solution;
 }
 
-LpSolution SolveImpl(const LpModel& model, const SimplexOptions& options_) {
+LpSolution SolveImpl(const LpModel& model, const SimplexOptions& options,
+                     const Attempt& attempt) {
   const double kInf = std::numeric_limits<double>::infinity();
   const int m = model.num_constraints();
   const int n_struct = model.num_variables();
@@ -788,14 +836,7 @@ LpSolution SolveImpl(const LpModel& model, const SimplexOptions& options_) {
   Work w;
   std::vector<Triplet> triplets;
   SetupVarsAndSlacks(model, maximize, w, triplets);
-  if (options_.scaling == SimplexOptions::Scaling::kEquilibrate) {
-    w.scaling = ComputeEquilibration(m, n_struct, triplets);
-    if (w.scaling.any) {
-      ApplyScaling(w, triplets);
-    } else {
-      w.scaling = ScalingFactors{};  // all-ones; skip the back-mapping
-    }
-  }
+  Equilibrate(options, w, triplets);
 
   // --- Initial point: structurals at a bound, slacks basic. ----------------
   w.state.assign(n_struct + m, kBasic);
@@ -858,11 +899,11 @@ LpSolution SolveImpl(const LpModel& model, const SimplexOptions& options_) {
   w.n_total = static_cast<int>(w.lb.size());
   w.cols = SparseMatrix(m, w.n_total, std::move(triplets));
 
-  w.rep = MakeBasisRep(options_);
+  w.rep = MakeBasisRep(options.basis_kind, attempt);
   auto finish = [&](SolveStatus status) {
     return BuildSolution(w, model, status, maximize);
   };
-  if (!FactorizeAndRecompute(w, options_)) {
+  if (!FactorizeAndRecompute(w)) {
     return finish(SolveStatus::kNumericalFailure);
   }
 
@@ -876,7 +917,8 @@ LpSolution SolveImpl(const LpModel& model, const SimplexOptions& options_) {
 
   // --- Phase 1 -------------------------------------------------------------
   if (!artificials.empty()) {
-    PhaseStatus status = RunPhase(w, phase1_cost, /*phase1=*/true, options_);
+    PhaseStatus status =
+        RunPhase(w, phase1_cost, /*phase1=*/true, options, attempt);
     if (status == PhaseStatus::kIterationLimit) {
       return finish(SolveStatus::kIterationLimit);
     }
@@ -888,7 +930,7 @@ LpSolution SolveImpl(const LpModel& model, const SimplexOptions& options_) {
     for (int j = w.artificial_begin; j < w.n_total; ++j) {
       infeasibility += w.x[j];
     }
-    if (infeasibility > options_.feasibility_tol) {
+    if (infeasibility > kFeasibilityTol) {
       return finish(SolveStatus::kInfeasible);
     }
     // Pin artificials at zero so they never move again; basic artificials
@@ -904,7 +946,8 @@ LpSolution SolveImpl(const LpModel& model, const SimplexOptions& options_) {
   }
 
   // --- Phase 2 -------------------------------------------------------------
-  PhaseStatus status = RunPhase(w, phase2_cost, /*phase1=*/false, options_);
+  PhaseStatus status =
+      RunPhase(w, phase2_cost, /*phase1=*/false, options, attempt);
   switch (status) {
     case PhaseStatus::kOptimal:
       return finish(SolveStatus::kOptimal);
@@ -923,7 +966,7 @@ LpSolution SolveImpl(const LpModel& model, const SimplexOptions& options_) {
 // simplex, then let a primal phase certify optimality. Sets `fallback`
 // when the hint cannot be used (the caller then cold-solves); the returned
 // solution still carries the iteration counters spent.
-LpSolution WarmSolveImpl(const LpModel& model, const SimplexOptions& options_,
+LpSolution WarmSolveImpl(const LpModel& model, const SimplexOptions& options,
                          const Basis& hint, bool& fallback) {
   fallback = false;
   const int m = model.num_constraints();
@@ -940,17 +983,7 @@ LpSolution WarmSolveImpl(const LpModel& model, const SimplexOptions& options_,
   Work w;
   std::vector<Triplet> triplets;
   SetupVarsAndSlacks(model, maximize, w, triplets);
-  // Equilibration and warm starts compose transparently: the factors
-  // depend only on the (identical) matrix coefficients, and the hint holds
-  // only scale-invariant statuses.
-  if (options_.scaling == SimplexOptions::Scaling::kEquilibrate) {
-    w.scaling = ComputeEquilibration(m, n_struct, triplets);
-    if (w.scaling.any) {
-      ApplyScaling(w, triplets);
-    } else {
-      w.scaling = ScalingFactors{};
-    }
-  }
+  Equilibrate(options, w, triplets);
   w.n_total = n_struct + m;
   w.artificial_begin = w.n_total;
   w.cols = SparseMatrix(m, w.n_total, std::move(triplets));
@@ -1018,11 +1051,11 @@ LpSolution WarmSolveImpl(const LpModel& model, const SimplexOptions& options_,
     }
   }
 
-  w.rep = MakeBasisRep(options_);
-  // A singular hint is repaired in place under the repair policy (the
-  // dependent columns leave for row slacks — still a warm start); only an
-  // unrepairable one falls back to a cold solve.
-  if (!FactorizeAndRecompute(w, options_)) {
+  w.rep = MakeBasisRep(options.basis_kind, kFirstAttempt);
+  // A singular hint is repaired in place (the dependent columns leave for
+  // row slacks — still a warm start); only an unrepairable one falls back
+  // to a cold solve.
+  if (!FactorizeAndRecompute(w)) {
     fallback = true;
     failed.stats = w.stats;
     return failed;
@@ -1042,7 +1075,7 @@ LpSolution WarmSolveImpl(const LpModel& model, const SimplexOptions& options_,
   {
     std::vector<double> reduced;
     ComputeReducedCosts(w, phase2_cost, reduced);
-    const double dual_tol = 10.0 * options_.optimality_tol;
+    const double dual_tol = 10.0 * kOptimalityTol;
     bool flipped = false;
     for (int j = 0; j < w.n_total; ++j) {
       const VarStatus st = w.state[j];
@@ -1084,7 +1117,7 @@ LpSolution WarmSolveImpl(const LpModel& model, const SimplexOptions& options_,
     return failed;
   };
 
-  switch (RunDualPhase(w, dual_cost, options_)) {
+  switch (RunDualPhase(w, dual_cost, options)) {
     case DualStatus::kOptimal:
       break;
     case DualStatus::kRepairAborted:
@@ -1098,7 +1131,8 @@ LpSolution WarmSolveImpl(const LpModel& model, const SimplexOptions& options_,
       return fall_back();
   }
 
-  switch (RunPhase(w, phase2_cost, /*phase1=*/false, options_)) {
+  switch (RunPhase(w, phase2_cost, /*phase1=*/false, options,
+                   kFirstAttempt)) {
     case PhaseStatus::kOptimal:
       return finish(SolveStatus::kOptimal);
     case PhaseStatus::kUnbounded:
@@ -1114,18 +1148,14 @@ LpSolution WarmSolveImpl(const LpModel& model, const SimplexOptions& options_,
 
 LpSolution SolveWithRetry(const LpModel& model,
                           const SimplexOptions& options) {
-  LpSolution first = SolveImpl(model, options);
+  LpSolution first = SolveImpl(model, options, kFirstAttempt);
   if (first.status != SolveStatus::kNumericalFailure) return first;
-  // One conservative retry: dense basis inverse, aggressive
-  // refactorization, early Bland, larger pivots.
+  // One conservative retry on the dense basis inverse.
   PRIVSAN_LOG(Warning)
       << "simplex numerical failure; retrying with conservative settings";
-  SimplexOptions retry = options;
-  retry.basis_kind = SimplexOptions::BasisKind::kDense;
-  retry.refactor_max_updates = 20;
-  retry.bland_trigger = 8;
-  retry.pivot_tol = 1e-8;
-  LpSolution second = SolveImpl(model, retry);
+  SimplexOptions dense = options;
+  dense.basis_kind = SimplexOptions::BasisKind::kDense;
+  LpSolution second = SolveImpl(model, dense, kRetryAttempt);
   second.stats += first.stats;
   return second;
 }
@@ -1148,10 +1178,6 @@ LpSolution ColdSolve(const LpModel& model, const SimplexOptions& options) {
 }  // namespace
 
 SimplexSolver::SimplexSolver(SimplexOptions options) : options_(options) {}
-
-LpSolution SimplexSolver::Solve(const LpModel& model) const {
-  return Solve(model, nullptr);
-}
 
 LpSolution SimplexSolver::Solve(const LpModel& model,
                                 const Basis* hint) const {

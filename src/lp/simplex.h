@@ -18,8 +18,7 @@
 //    on update-file growth or numerical drift (residual breach), never on
 //    a fixed iteration schedule. A *singular* refactorization no longer
 //    forces a cold solve: the dependent columns are swapped for the
-//    uncovered rows' slacks and the solve continues
-//    (SimplexOptions::repair_policy).
+//    uncovered rows' slacks and the solve continues.
 //  * Pricing (lp/pricing.h): full primal Devex fused with PRICE — after
 //    each pivot one pass over the nonbasic columns forms the pivot row
 //    alpha_j = A_j^T B^-T e_r, updates the reduced costs and Devex weights,
@@ -43,8 +42,7 @@
 // typically the parent node's optimal basis in branch & bound. Bound
 // changes are restored dual-simplex style (the parent basis stays dual
 // feasible under bound changes), followed by a primal cleanup phase. Stale
-// hints fall back to a cold solve; singular hints are repaired in place
-// when the repair policy allows.
+// hints fall back to a cold solve; singular hints are repaired in place.
 #ifndef PRIVSAN_LP_SIMPLEX_H_
 #define PRIVSAN_LP_SIMPLEX_H_
 
@@ -86,78 +84,29 @@ struct Basis {
 };
 
 struct SimplexOptions {
-  // Reduced-cost optimality tolerance.
-  double optimality_tol = 1e-7;
-  // Pivot magnitude below which a ratio-test row is skipped.
-  double pivot_tol = 1e-9;
-  // Ratio-test pivots below this are considered numerically unstable: when
-  // the tie-break window offers nothing larger, the solver refactorizes and
-  // re-prices instead of pivoting (a "pivot" that is pure factorization
-  // noise silently makes the basis singular).
-  double stable_pivot_tol = 1e-7;
-  // Phase-1 objective above this value means infeasible.
-  double feasibility_tol = 1e-6;
   // Combined iteration budget across phases (primal and dual).
   int64_t max_iterations = 500000;
-  // Degenerate pivots in a row before switching to Bland's rule.
-  int bland_trigger = 64;
 
   // Basis representation: sparse LU with Markowitz ordering and
-  // Forrest–Tomlin updates (default), or dense inverse (numerical retry of
-  // last resort).
+  // Forrest–Tomlin updates (default), or dense inverse (the oracle the LU
+  // is tested against; the numerical retry of last resort always uses it).
   enum class BasisKind { kDense, kLu };
   BasisKind basis_kind = BasisKind::kLu;
-
-  // Threshold partial pivoting parameter of the LU factorization, in
-  // (0, 1]: a pivot must be at least this fraction of its column's largest
-  // magnitude. Larger is more stable, smaller is sparser.
-  double markowitz_threshold = 0.1;
 
   // Row/column equilibration (lp/scaling.h): iterative geometric-mean
   // scaling of the constraint matrix into roughly [1/16, 16] with
   // power-of-two factors (exact in floating point), applied inside the
   // solver — costs, bounds, rhs, and the solution are mapped back exactly,
   // and basis hints are scale-invariant, so warm starts are unaffected.
-  // Lets markowitz_threshold chase sparsity on badly scaled rows.
+  // Lets the LU's threshold pivoting chase sparsity on badly scaled rows.
   enum class Scaling { kNone, kEquilibrate };
   Scaling scaling = Scaling::kEquilibrate;
-
-  // Dual-phase leaving-row rule: dual Devex (default — violation^2 over a
-  // steepest-edge-approximating row weight) or the legacy largest
-  // violation. Devex cuts the pivot count of long dual repairs (deep B&B
-  // children, post-append warm starts).
-  enum class DualPricing { kLargestViolation, kDevex };
-  DualPricing dual_pricing = DualPricing::kDevex;
-
-  // What to do when a refactorization finds the basis singular. kRowSlacks
-  // (default) swaps the dependent columns for the uncovered rows' slack
-  // variables and continues the solve in place; kNone restores the old
-  // behavior (numerical failure -> cold solve / dense retry).
-  enum class RepairPolicy { kNone, kRowSlacks };
-  RepairPolicy repair_policy = RepairPolicy::kRowSlacks;
-  // Repair-and-refactorize attempts per factorization before giving up
-  // (each attempt can expose further dependencies).
-  int max_basis_repairs = 3;
 
   // Pivot budget of the warm-start dual repair phase: a warm basis is
   // near-optimal, so a long dual run signals a stale hint and the solver
   // bails out to a cold solve (reported as SolveStats::repair_aborted).
   // <= 0 picks the measured default of 4 * rows + 1000.
   int64_t warm_repair_pivot_cap = 0;
-
-  // Refactorization triggers (there is no fixed iteration cadence):
-  // pivots since the last refactorization (this also bounds the staleness
-  // of the incrementally-maintained reduced costs — keep it <= a few
-  // hundred). The LU basis treats the count as a safety net only: its cap
-  // is raised 4x and measured fill growth governs instead.
-  int refactor_max_updates = 100;
-  // ...update-file nonzeros versus the fresh factorization...
-  double refactor_growth = 8.0;
-  // ...and numerical drift: every `drift_check_interval` iterations the
-  // residual |b - A x| is measured and a breach of `drift_tol`
-  // (relative to 1 + |b|_inf) forces a refactorization.
-  int drift_check_interval = 64;
-  double drift_tol = 1e-6;
 
   // Presolve before cold solves (never applied to warm starts).
   bool presolve = true;
@@ -233,14 +182,12 @@ class SimplexSolver {
  public:
   explicit SimplexSolver(SimplexOptions options = {});
 
-  // Solves the LP relaxation of `model` (integrality flags ignored).
-  // The model must already be Validate()d.
-  LpSolution Solve(const LpModel& model) const;
-
-  // Same, warm-starting from `hint` — a basis of a structurally identical
-  // model (same variables and rows; bounds and rhs may differ). Falls back
-  // to a cold solve when the hint is empty, stale, or singular.
-  LpSolution Solve(const LpModel& model, const Basis* hint) const;
+  // Solves the LP relaxation of `model` (integrality flags ignored). The
+  // model must already be Validate()d. A non-null `hint` warm-starts from a
+  // basis of a structurally identical model (same variables and rows;
+  // bounds and rhs may differ); an empty, stale or unrepairable hint falls
+  // back to a cold solve.
+  LpSolution Solve(const LpModel& model, const Basis* hint = nullptr) const;
 
  private:
   SimplexOptions options_;

@@ -452,7 +452,7 @@ bool TextProtocol::Handle(const std::string& line, Done done) {
               const SweepResult& sweep = *responses[0].sweep();
               std::ostringstream out;
               out << "OK cells=" << sweep.cells.size()
-                  << " warm_solves=" << sweep.warm_cells()
+                  << " warm_cells=" << sweep.warm_cells()
                   << " simplex_iterations="
                   << sweep.totals().simplex_iterations << " objectives=";
               for (size_t i = 0; i < sweep.cells.size(); ++i) {

@@ -437,12 +437,12 @@ ServeResponse SanitizerService::Execute(Tenant& tenant, ServeRequest& request,
       // the last served query (hot-query refresh): the flush-invalidated
       // cache entry is repopulated and the remapped basis re-optimized
       // before the next client solve. Best-effort — a failure leaves the
-      // lazy solve path intact.
+      // lazy solve path intact. The refresh's time and pivots land on this
+      // flush's trace.
       (void)tenant.session->PrewarmProblems();
       if (tenant.last_solve_query.has_value()) {
         const auto [objective, query] = *tenant.last_solve_query;
-        if (ExecuteSolve(tenant, objective, query, nullptr,
-                         /*charge=*/false)
+        if (ExecuteSolve(tenant, objective, query, trace, /*charge=*/false)
                 .ok()) {
           std::lock_guard<std::mutex> lock(tenant.cmu);
           ++tenant.stats.refresh_solves;
@@ -801,10 +801,12 @@ void SanitizerService::RegisterMetrics() {
   stage_cache_lookup_ = stage("cache_lookup");
   simplex_iterations_total_ = registry_.GetCounter(
       "privsan_simplex_iterations_total",
-      "Simplex iterations (primal + dual) spent by all solves");
+      "Simplex iterations (primal + dual) spent by all solves: the sum of "
+      "privsan_tenant_simplex_iterations_total, dropped tenants included");
   repair_pivots_total_ = registry_.GetCounter(
       "privsan_repair_pivots_total",
-      "Dual pivots spent repairing warm bases after appends");
+      "Dual pivots spent restoring warm bases by all warm solves: the sum "
+      "of privsan_tenant_dual_iterations_total, dropped tenants included");
   slow_requests_total_ = registry_.GetCounter(
       "privsan_slow_requests_total",
       "Requests at or above the slow-request threshold");

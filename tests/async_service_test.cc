@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <future>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "core/session.h"
+#include "obs/slow_log.h"
 #include "serve/api.h"
 #include "serve/service.h"
 #include "synth/generator.h"
@@ -39,6 +41,19 @@ UmpQuery Query(double e_eps, double delta) {
 serve::TenantStats StatsOf(serve::SanitizerService& service,
                            const std::string& tenant) {
   return service.Stats(tenant).value();
+}
+
+// The value of `series` (a family name plus its label set, if any) in a
+// Prometheus scrape; -1 when the scrape has no such line.
+double ScrapeValue(const std::string& scrape, const std::string& series) {
+  std::istringstream lines(scrape);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(series + " ", 0) == 0) {
+      return std::stod(line.substr(series.size() + 1));
+    }
+  }
+  return -1;
 }
 
 // Polls `predicate` until true or ~10s elapse (generous for TSan builds).
@@ -263,6 +278,7 @@ TEST(AsyncServiceTest, HotQueryRefreshKeepsRepeatedBudgetCached) {
   serve::ServiceOptions options;
   options.maintenance_interval_ms = 1;
   options.flush_max_age_ms = 1;
+  options.slow_request_threshold_ms = 0;  // every request leaves a record
   serve::SanitizerService service(options);
   ASSERT_TRUE(service.CreateTenant("t", Synthetic(13)).ok());
   const UmpQuery query = Query(2.0, 0.5);
@@ -272,6 +288,32 @@ TEST(AsyncServiceTest, HotQueryRefreshKeepsRepeatedBudgetCached) {
   ASSERT_TRUE(WaitFor([&] {
     return StatsOf(service, "t").refresh_solves >= 1;
   }));
+
+  // The maintenance Flush that landed the append (the test never flushes
+  // itself) carries its refresh solve's time, and the service-wide solver
+  // counters, which the refresh's pivots now reach, equal the tenant's.
+  obs::SlowRequestRecord flush;
+  ASSERT_TRUE(WaitFor([&] {
+    for (const obs::SlowRequestRecord& record : service.SlowLog()) {
+      if (record.verb == "Flush") {
+        flush = record;
+        return true;
+      }
+    }
+    return false;
+  }));
+  EXPECT_GT(flush.trace.solve_ms, 0.0);
+  EXPECT_GT(flush.trace.iterations, 0u);
+  const std::string scrape = service.RenderMetrics();
+  const std::string tenant = "{tenant=\"t\"}";
+  const double tenant_iterations = ScrapeValue(
+      scrape, "privsan_tenant_simplex_iterations_total" + tenant);
+  EXPECT_GT(tenant_iterations, 0.0);
+  EXPECT_EQ(ScrapeValue(scrape, "privsan_simplex_iterations_total"),
+            tenant_iterations);
+  EXPECT_EQ(
+      ScrapeValue(scrape, "privsan_repair_pivots_total"),
+      ScrapeValue(scrape, "privsan_tenant_dual_iterations_total" + tenant));
 
   // The repeated-budget query hits the refreshed cache even though the
   // flush invalidated the original entry.

@@ -112,8 +112,8 @@ PivotCase MakePivotCase(uint64_t seed, bool boost_ties, bool wide = false) {
   return c;
 }
 
-PricingView ViewOf(PivotCase& c, double tol) {
-  return PricingView{c.d, c.state, c.lower, c.upper, tol};
+PricingView ViewOf(PivotCase& c) {
+  return PricingView{c.d, c.state, c.lower, c.upper};
 }
 
 TEST(PrimalPricerTest, FusedPassMatchesDenseReferenceAndFullScan) {
@@ -123,7 +123,7 @@ TEST(PrimalPricerTest, FusedPassMatchesDenseReferenceAndFullScan) {
     const bool boost_ties = seed % 4 == 0;
     PivotCase c = MakePivotCase(seed, boost_ties, /*wide=*/seed > 20);
     PrimalPricer pricer(c.n);
-    const PricingView view = ViewOf(c, 1e-7);
+    const PricingView view = ViewOf(c);
 
     // A first pass moves the weights off their reference value of 1.
     pricer.PriceAfterPivot(c.a, c.rho, view, /*entering=*/0,
@@ -180,7 +180,7 @@ TEST(PrimalPricerTest, FusedPassMatchesDenseReferenceAndFullScan) {
 TEST(PrimalPricerTest, BlandScanTakesFirstImprovingColumn) {
   PivotCase c = MakePivotCase(3, false);
   const PrimalPricer pricer(c.n);
-  const PricingView view = ViewOf(c, 1e-7);
+  const PricingView view = ViewOf(c);
   int first = -1;
   for (int j = 0; j < c.n && first < 0; ++j) {
     int sign = 0;
@@ -244,7 +244,6 @@ TEST(DualRatioTestTest, HeapOrderMatchesFullSortIncludingTies) {
   // Values from small grids, so equal ratios and equal |alpha| are common.
   const double kAlphas[] = {0.5, 1.0, 2.0};
   const double kCosts[] = {0.0, 0.5, 1.0, 2.0};
-  SimplexOptions options;
   int tied_sets = 0, multi_flip = 0, farkas = 0;
   for (uint64_t seed = 1; seed <= 300; ++seed) {
     SCOPED_TRACE(seed);
@@ -279,7 +278,7 @@ TEST(DualRatioTestTest, HeapOrderMatchesFullSortIncludingTies) {
     const double violation = rng.NextDouble(0.1, finite ? 40.0 : 12.0);
 
     const DualRatioChoice expected = SortedDualRatioTest(
-        alpha, d, state, lower, upper, below, violation, options.pivot_tol);
+        alpha, d, state, lower, upper, below, violation, kPivotTol);
     // Collect in blocks of 7 columns, the last block first: the walk must
     // not depend on the order in which candidates were collected.
     std::vector<DualCandidate> candidates;
@@ -287,7 +286,7 @@ TEST(DualRatioTestTest, HeapOrderMatchesFullSortIncludingTies) {
       std::vector<DualCandidate> block(7);
       const int found = ScanDualCandidates(begin, std::min(n, begin + 7),
                                            alpha, d, state, lower, upper,
-                                           below, options, block);
+                                           below, block);
       candidates.insert(candidates.end(), block.begin(),
                         block.begin() + found);
     }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "test_fixtures.h"
 
@@ -24,26 +25,25 @@ uint64_t Total(const std::vector<uint64_t>& x) {
   return std::accumulate(x.begin(), x.end(), static_cast<uint64_t>(0));
 }
 
-TEST(RoundingTest, PlainFloorWhenStagesDisabled) {
+// Stage 1 alone (FloorCounts) is a plain floor.
+std::vector<uint64_t> Floor(const DpConstraintSystem& system,
+                            std::span<const double> relaxed) {
+  std::vector<double> remainder;
+  return FloorCounts(system, relaxed, &remainder);
+}
+
+TEST(RoundingTest, FloorCountsIsAPlainFloor) {
   SearchLog log = Figure1Preprocessed();
   DpConstraintSystem system = MakeSystem(log);
   std::vector<double> relaxed = {1.7, 0.2, 2.9};
-  RoundingOptions options;
-  options.repair = false;
-  options.greedy_fill = false;
-  std::vector<uint64_t> x = RoundCounts(system, relaxed, options);
-  EXPECT_EQ(x, (std::vector<uint64_t>{1, 0, 2}));
+  EXPECT_EQ(Floor(system, relaxed), (std::vector<uint64_t>{1, 0, 2}));
 }
 
 TEST(RoundingTest, SnapToleranceCountsNearIntegers) {
   SearchLog log = Figure1Preprocessed();
   DpConstraintSystem system = MakeSystem(log);
   std::vector<double> relaxed = {1.99999995, 0.0, 0.0};
-  RoundingOptions options;
-  options.repair = false;
-  options.greedy_fill = false;
-  std::vector<uint64_t> x = RoundCounts(system, relaxed, options);
-  EXPECT_EQ(x[0], 2u);
+  EXPECT_EQ(Floor(system, relaxed)[0], 2u);
 }
 
 // The snap tolerance must never carry a count past a row the relaxed point
@@ -66,11 +66,8 @@ TEST(RoundingTest, SnapNeverOverrunsATightRow) {
   std::vector<double> relaxed(log.num_pairs(), 0.0);
   relaxed[pair] = value;
 
-  RoundingOptions plain;
-  plain.repair = false;
-  plain.greedy_fill = false;
-  for (const RoundingOptions& options : {plain, RoundingOptions{}}) {
-    std::vector<uint64_t> x = RoundCounts(system, relaxed, options);
+  for (const std::vector<uint64_t>& x :
+       {Floor(system, relaxed), RoundCounts(system, relaxed)}) {
     EXPECT_EQ(x[pair], 1u);
     EXPECT_TRUE(system.IsSatisfied(x));
   }
@@ -89,12 +86,8 @@ TEST(RoundingTest, RepairAndFillBeatPlainFloor) {
   DpConstraintSystem system = MakeSystem(log);
   // All-fractional relaxed point: plain flooring gives zero.
   std::vector<double> relaxed(log.num_pairs(), 0.3);
-  RoundingOptions plain;
-  plain.repair = false;
-  plain.greedy_fill = false;
-  RoundingOptions full;
-  EXPECT_EQ(Total(RoundCounts(system, relaxed, plain)), 0u);
-  EXPECT_GT(Total(RoundCounts(system, relaxed, full)), 0u);
+  EXPECT_EQ(Total(Floor(system, relaxed)), 0u);
+  EXPECT_GT(Total(RoundCounts(system, relaxed)), 0u);
 }
 
 TEST(RoundingTest, GreedyFillIsMaximal) {
@@ -108,16 +101,6 @@ TEST(RoundingTest, GreedyFillIsMaximal) {
     ++bumped[p];
     EXPECT_FALSE(system.IsSatisfied(bumped)) << "pair " << p;
   }
-}
-
-TEST(RoundingTest, TargetTotalIsRespected) {
-  SearchLog log = SmallSyntheticLog();
-  DpConstraintSystem system = MakeSystem(log, 2.3, 0.8);
-  std::vector<double> relaxed(log.num_pairs(), 0.6);
-  RoundingOptions options;
-  options.target_total = 3;
-  std::vector<uint64_t> x = RoundCounts(system, relaxed, options);
-  EXPECT_LE(Total(x), 3u);
 }
 
 TEST(RoundingTest, CapsAreHonored) {
@@ -135,11 +118,7 @@ TEST(RoundingTest, NegativeRelaxedValuesClampToZero) {
   SearchLog log = Figure1Preprocessed();
   DpConstraintSystem system = MakeSystem(log);
   std::vector<double> relaxed = {-0.5, -2.0, -0.1};
-  RoundingOptions plain;
-  plain.repair = false;
-  plain.greedy_fill = false;
-  std::vector<uint64_t> x = RoundCounts(system, relaxed, plain);
-  EXPECT_EQ(Total(x), 0u);
+  EXPECT_EQ(Total(Floor(system, relaxed)), 0u);
 }
 
 TEST(RoundingTest, DeterministicAcrossCalls) {

@@ -101,6 +101,35 @@ TEST(SessionSweepTest, OumpWarmSweepMatchesColdAndSavesIterations) {
             cold.totals().simplex_iterations);
 }
 
+// λ is the rounded relaxed optimum, so it never exceeds the LP bound; the
+// session refuses an answer that does (Internal) before releasing it. The
+// paper's Table 4 grid, warm-chained (scaled answers) and cold.
+TEST(SessionSweepTest, OumpLambdaNeverExceedsItsLpBound) {
+  SanitizerSession session =
+      SanitizerSession::Create(SmallSyntheticRaw()).value();
+  std::vector<UmpQuery> grid;
+  for (double e_eps : {1.001, 1.01, 1.1, 1.4, 1.7, 2.0, 2.3}) {
+    for (double delta : {1e-4, 1e-3, 1e-2, 1e-1, 0.2, 0.5, 0.8}) {
+      grid.push_back(Query(e_eps, delta));
+    }
+  }
+  SweepOptions cold;
+  cold.warm_start = false;
+  for (const SweepOptions& options : {SweepOptions{}, cold}) {
+    const Result<SweepResult> sweep =
+        session.SweepBudgets(UtilityObjective::kOutputSize, grid, options);
+    ASSERT_TRUE(sweep.ok()) << sweep.status();
+    ASSERT_EQ(sweep->cells.size(), grid.size());
+    for (size_t i = 0; i < grid.size(); ++i) {
+      const UmpSolution& cell = sweep->cells[i];
+      EXPECT_LE(static_cast<double>(cell.output_size),
+                cell.objective_value + 1e-6 * (1.0 + cell.objective_value))
+          << "cell " << i;
+    }
+    EXPECT_GT(sweep->cells.back().output_size, 0u);
+  }
+}
+
 // The cached O-UMP optimum belongs to one log version. After an append, a
 // removal or a restore, a warm solve at a budget the old version already
 // answered must equal a cold solve of the new log.

@@ -129,5 +129,18 @@ TEST(TextProtocolTest, RemovalRepliesCountThisRequestOnly) {
   EXPECT_EQ(replies[6], "OK users_removed=0");
 }
 
+// SWEEP answers how many of its cells ran warm as warm_cells=; the STATS
+// line's warm_solves= counts warm LP solves instead. An O-UMP sweep solves
+// its first cell and scales that optimum to the others.
+TEST(TextProtocolTest, SweepReplyCountsWarmCells) {
+  const std::vector<std::string> replies =
+      RunOnService({"CREATE t", "GEN t 40 2000 7", "FLUSH t",
+                    "SWEEP t OUMP 0.5 1.5 2.0 2.5"});
+  ASSERT_EQ(replies.size(), 4u);
+  EXPECT_EQ(replies[3].rfind("OK cells=3 warm_cells=2 simplex_iterations=", 0),
+            0u)
+      << replies[3];
+}
+
 }  // namespace
 }  // namespace privsan

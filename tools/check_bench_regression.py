@@ -16,6 +16,11 @@ regresses by more than the metric's tolerance relative to the baseline:
   * wall-clock metrics use a much looser tolerance — CI machines vary — and
     objective_mismatches must stay 0.
 
+Besides the baseline diff, every sweep_aggregate record of a compared file
+must hold warm_total_simplex_iterations <= cold_total_simplex_iterations: a
+warm-chained sweep never spends more pivots than its per-cell cold
+baseline. (Wall time gets no such invariant; at small scale it is noise.)
+
 Baselines are recorded at small scale (PRIVSAN_BENCH_SCALE=small); a run at
 a different scale is skipped, not compared. Records present in only one
 side are reported but do not fail the check (grids grow across PRs).
@@ -46,7 +51,7 @@ METRIC_RULES = {
     "recall": ("high", DEFAULT_TOL),
     "precision": ("high", DEFAULT_TOL),
     "diversity_ratio": ("high", DEFAULT_TOL),
-    "warm_solves": ("high", DEFAULT_TOL),
+    "warm_cells": ("high", DEFAULT_TOL),
     # Serve-path metrics (bench_serve_throughput). The speedup is a ratio
     # of two times measured back-to-back on the same machine, so it is far
     # more stable than an absolute rate; the warm-start flag must simply
@@ -159,6 +164,19 @@ def compare_metric(name, baseline, new):
     return None
 
 
+def check_warm_not_above_cold(record):
+    """Returns an error string when a sweep_aggregate's warm sweep spent
+    more simplex iterations than its cold baseline, else None."""
+    if record.get("record") != "sweep_aggregate":
+        return None
+    warm = record.get("warm_total_simplex_iterations")
+    cold = record.get("cold_total_simplex_iterations")
+    if warm is None or cold is None or warm <= cold:
+        return None
+    return (f"warm_total_simplex_iterations {warm:g} exceeds "
+            f"cold_total_simplex_iterations {cold:g}")
+
+
 def check_file(new_path, baseline_path):
     with open(new_path) as f:
         new_doc = json.load(f)
@@ -174,6 +192,10 @@ def check_file(new_path, baseline_path):
     errors = []
     matched = 0
     for record in new_doc.get("records", []):
+        error = check_warm_not_above_cold(record)
+        if error:
+            errors.append(f"{os.path.basename(new_path)} "
+                          f"{dict(record_key(record))}: {error}")
         base = base_records.get(record_key(record))
         if base is None:
             continue
