@@ -8,6 +8,7 @@
 #include "core/rounding.h"
 #include "core/ump.h"
 #include "lp/model.h"
+#include "lp/simplex.h"
 
 namespace privsan {
 
@@ -31,7 +32,7 @@ Result<JointUmpResult> SolveJointUmp(const SearchLog& log,
   JointUmpResult result;
   // Normalizer: the O-UMP optimum under the same budget, on the same rows.
   PRIVSAN_ASSIGN_OR_RETURN(std::unique_ptr<UmpProblem> oump_problem,
-                           MakeOumpProblem(log, &system, {}, options.simplex));
+                           MakeOumpProblem(log, &system));
   PRIVSAN_ASSIGN_OR_RETURN(UmpSolution oump,
                            oump_problem->Solve({.privacy = params}));
   result.lambda = oump.output_size;
@@ -71,8 +72,7 @@ Result<JointUmpResult> SolveJointUmp(const SearchLog& log,
   }
   PRIVSAN_RETURN_IF_ERROR(model.Validate());
 
-  lp::SimplexSolver solver(options.simplex);
-  lp::LpSolution lp = solver.Solve(model);
+  lp::LpSolution lp = lp::SimplexSolver().Solve(model);
   if (lp.status != lp::SolveStatus::kOptimal) {
     return Status::Internal(std::string("joint UMP LP solve failed: ") +
                             lp::SolveStatusToString(lp.status));

@@ -22,7 +22,6 @@
 
 #include "core/privacy_params.h"
 #include "log/search_log.h"
-#include "lp/simplex.h"
 #include "util/result.h"
 
 namespace privsan {
@@ -31,7 +30,6 @@ struct JointUmpOptions {
   double size_weight = 1.0;      // >= 0
   double distance_weight = 1.0;  // >= 0; both zero is invalid
   double min_support = 1.0 / 500;
-  lp::SimplexOptions simplex;
 };
 
 struct JointUmpResult {

@@ -59,15 +59,14 @@ Result<LaplaceStepResult> AddLaplaceNoise(const SearchLog& log,
 }
 
 Result<SensitivityBoundResult> BoundOumpSensitivity(
-    const SearchLog& log, const PrivacyParams& params, double d,
-    const lp::SimplexOptions& simplex) {
+    const SearchLog& log, const PrivacyParams& params, double d) {
   if (!(d > 0.0)) {
     return Status::InvalidArgument("d must be > 0");
   }
   PRIVSAN_ASSIGN_OR_RETURN(DpConstraintSystem base_rows,
                            DpConstraintSystem::BuildRows(log));
   PRIVSAN_ASSIGN_OR_RETURN(std::unique_ptr<UmpProblem> base_problem,
-                           MakeOumpProblem(log, &base_rows, {}, simplex));
+                           MakeOumpProblem(log, &base_rows));
   PRIVSAN_ASSIGN_OR_RETURN(UmpSolution base,
                            base_problem->Solve({.privacy = params}));
 
@@ -92,7 +91,7 @@ Result<SensitivityBoundResult> BoundOumpSensitivity(
                              DpConstraintSystem::BuildRows(cleaned.log));
     PRIVSAN_ASSIGN_OR_RETURN(
         std::unique_ptr<UmpProblem> problem,
-        MakeOumpProblem(cleaned.log, &rows, {}, simplex));
+        MakeOumpProblem(cleaned.log, &rows));
     PRIVSAN_ASSIGN_OR_RETURN(UmpSolution without,
                              problem->Solve({.privacy = params}));
 

@@ -23,7 +23,6 @@
 #include "core/constraints.h"
 #include "core/privacy_params.h"
 #include "log/search_log.h"
-#include "lp/simplex.h"
 #include "util/result.h"
 
 namespace privsan {
@@ -65,8 +64,7 @@ struct SensitivityBoundResult {
 // Cost: one LP solve per user — intended for small logs and the ablation
 // bench, not the hot path.
 Result<SensitivityBoundResult> BoundOumpSensitivity(
-    const SearchLog& log, const PrivacyParams& params, double d,
-    const lp::SimplexOptions& simplex = {});
+    const SearchLog& log, const PrivacyParams& params, double d);
 
 }  // namespace privsan
 

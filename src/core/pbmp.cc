@@ -5,6 +5,7 @@
 #include "core/constraints.h"
 #include "core/privacy_params.h"
 #include "lp/model.h"
+#include "lp/simplex.h"
 
 namespace privsan {
 
@@ -43,8 +44,7 @@ Result<PbmpResult> SolvePbmp(const SearchLog& log,
   }
   PRIVSAN_RETURN_IF_ERROR(model.Validate());
 
-  lp::SimplexSolver solver(options.simplex);
-  lp::LpSolution lp = solver.Solve(model);
+  lp::LpSolution lp = lp::SimplexSolver().Solve(model);
   if (lp.status != lp::SolveStatus::kOptimal) {
     return Status::Internal(std::string("PBMP LP solve failed: ") +
                             lp::SolveStatusToString(lp.status));

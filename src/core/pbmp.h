@@ -20,14 +20,12 @@
 #include <vector>
 
 #include "log/search_log.h"
-#include "lp/simplex.h"
 #include "util/result.h"
 
 namespace privsan {
 
 struct PbmpOptions {
   uint64_t required_output_size = 0;  // U > 0
-  lp::SimplexOptions simplex;
 };
 
 struct PbmpResult {

@@ -17,11 +17,12 @@ namespace lp {
 namespace {
 
 // How long an idle helper spins before it parks. The serial part of a
-// medium pivot (FTRAN, BTRAN, LU update, ratio test) averages about 70 us
-// but varies: over five cold medium solves (18,070 passes, three helpers)
-// a 64 us spin parked a helper about 38,000 times, a 256 us spin about 200
-// times. So the helpers stay awake from pass to pass within a solve and
-// sleep between solves.
+// medium pivot (FTRAN, BTRAN, ratio test; the LU update overlaps the PRICE
+// pass as its caller task) averages about 45 us but varies: over eight
+// cold medium solves (28,171 passes, three helpers) this spin parked a
+// helper 297 times, where a 64 us spin, with the update still serial,
+// parked one about 38,000 times over five. So the helpers stay awake from
+// pass to pass within a solve and sleep between solves.
 constexpr std::chrono::microseconds kHelperSpin{256};
 // Pauses a caller spends waiting on a helper's block before it yields.
 constexpr int kCallerSpins = 4096;
@@ -76,9 +77,11 @@ class Helpers {
     for (int h = 0; h < started; ++h) slots_[h].thread.join();
   }
 
-  void Run(int n, ColumnBlockFn fn, const void* body, int blocks) {
+  void Run(int n, ColumnBlockFn fn, const void* body, int blocks,
+           CallerTask task) {
     if (max_helpers_ == 0 ||
         busy_.exchange(true, std::memory_order_acquire)) {
+      task();
       for (int b = 0; b < blocks; ++b) RunBlock(n, fn, body, b);
       return;
     }
@@ -92,6 +95,7 @@ class Helpers {
     done_.store(0);
     claim_.store(generation_ << kBlockBits);
     for (int h = 0; h < helpers; ++h) Wake(slots_[h]);
+    task();
     Work();
     // Every block is claimed; wait for the ones helpers are running.
     for (int spins = 0; done_.load() < blocks; ++spins) {
@@ -196,13 +200,15 @@ class Helpers {
 
 }  // namespace
 
-void RunColumnBlocks(int n, ColumnBlockFn fn, const void* body) {
+void RunColumnBlocks(int n, ColumnBlockFn fn, const void* body,
+                     CallerTask task) {
   const int blocks = ColumnBlockCount(n);
   if (blocks < 2) {
+    task();
     if (blocks == 1) RunBlock(n, fn, body, 0);
     return;
   }
-  Helpers::Get().Run(n, fn, body, blocks);
+  Helpers::Get().Run(n, fn, body, blocks, task);
 }
 
 }  // namespace lp

@@ -16,11 +16,18 @@
 // pass with fewer than two blocks, or one that finds them busy with another
 // thread's pass, runs every block inline on the calling thread, through
 // the same body. Between passes a helper spins somewhat longer than a
-// medium pivot's serial part (FTRAN, BTRAN, LU update) and then parks on
+// medium pivot's serial part (FTRAN, BTRAN, ratio test) and then parks on
 // an atomic wait, so an idle process burns no CPU. The caller claims
 // blocks like a helper and waits only for blocks a helper has already
 // claimed; with no helper (one vCPU, a forked child) it runs them all. The
 // helpers are joined at exit.
+//
+// Caller task. A pass may carry one task for the calling thread: it runs
+// exactly once, after the helpers are woken and before the caller claims
+// its first block, so it overlaps the helpers' first blocks (the simplex
+// runs the Forrest–Tomlin update beside the fused PRICE pass this way). A
+// pass that runs inline runs the task first, then every block. The task
+// must not touch what the blocks read or write.
 //
 // serve::ThreadPool is not used: a solve makes thousands of passes of tens
 // of microseconds each, and a ParallelFor call allocates its loop state,
@@ -41,20 +48,40 @@ inline int ColumnBlockCount(int n) {
 using ColumnBlockFn = void (*)(const void* body, int block, int begin,
                                int end);
 
+// A reference to the calling thread's task of a pass (see above); empty by
+// default. The callable must outlive the pass.
+class CallerTask {
+ public:
+  CallerTask() = default;
+  template <typename Fn>
+  explicit CallerTask(Fn& fn)
+      : run_([](void* f) { (*static_cast<Fn*>(f))(); }), fn_(&fn) {}
+
+  void operator()() const {
+    if (run_ != nullptr) run_(fn_);
+  }
+
+ private:
+  void (*run_)(void*) = nullptr;
+  void* fn_ = nullptr;
+};
+
 // Calls fn(body, block, begin, end) exactly once for every block of
-// [0, n) and returns when all of them have finished. Blocks may run
-// concurrently; fn must not throw.
-void RunColumnBlocks(int n, ColumnBlockFn fn, const void* body);
+// [0, n), and `task` exactly once on the calling thread, and returns when
+// all of them have finished. Blocks may run concurrently with each other
+// and with the task; neither fn nor the task may throw.
+void RunColumnBlocks(int n, ColumnBlockFn fn, const void* body,
+                     CallerTask task = {});
 
 // body(block, begin, end) for every block of [0, n), as RunColumnBlocks.
 template <typename Body>
-void ForEachColumnBlock(int n, const Body& body) {
+void ForEachColumnBlock(int n, const Body& body, CallerTask task = {}) {
   RunColumnBlocks(
       n,
       [](const void* b, int block, int begin, int end) {
         (*static_cast<const Body*>(b))(block, begin, end);
       },
-      &body);
+      &body, task);
 }
 
 }  // namespace lp

@@ -1,22 +1,49 @@
 // Sparse LU basis factorization with Markowitz pivot ordering and
 // Forrest–Tomlin updates — the production BasisRep (lp/basis_rep.h).
 //
-//   * Markowitz pivot ordering — each elimination step picks the pivot
-//     (i, j) minimizing the fill bound (r_i - 1)(c_j - 1) over the active
-//     submatrix. Candidate columns come from count-indexed bucket lists
-//     (doubly linked, relinked on every count change), so the per-step
-//     search costs O(candidates), not O(m) — the whole refactorization is
-//     proportional to fill, not dimension.
-//   * threshold partial pivoting — a pivot must also satisfy
-//     |a_ij| >= 0.1 * max_k |a_kj| (the textbook threshold), trading a
-//     bounded amount of stability for the freedom to chase sparsity,
-//   * Forrest–Tomlin updates — the entering column's partial image
-//     û = U w replaces its column of U; the leaving row of U becomes a row
-//     spike that is eliminated against the later U rows, the multipliers
-//     recorded as one *row eta* applied with L. U stays upper triangular
-//     (in the maintained step order) and as sparse as the data allows
-//     across long pivot runs — per-update cost and growth are both
-//     fill-proportional.
+// Refactorize() is a right-looking elimination over the active submatrix
+// (the rows and columns not yet pivoted). Storage:
+//   * values column-wise: each active column lists (row, value) for its
+//     entries in the order they arrived (the matrix's row order, then fill
+//     in elimination order). An entry that cancels exactly stays listed as
+//     a zero, so filled again it keeps its place;
+//   * row *patterns*: each row lists the columns it has a nonzero in, in
+//     the order they arrived; eliminated columns and cancelled entries stay
+//     listed and are skipped, and an entry filled again after cancelling is
+//     listed again at the end, where it counts;
+//   * exact row and column counts, and count-indexed bucket lists of the
+//     active columns (doubly linked, with a bitmap of the columns of
+//     count 1);
+//   * once the active submatrix is 30% dense, a dense column-major block of
+//     its values instead of the lists.
+// Each step
+//   * picks the pivot (p, q) minimizing the Markowitz fill bound
+//     (r_p - 1)(c_q - 1) among 8 candidate columns: whole buckets in
+//     ascending count order until at least 8 columns are offered, the 8
+//     cheapest by (count, column) kept. Within a column the pivot must
+//     pass threshold partial pivoting, |a_pq| >= 0.1 * max_r |a_rq|; ties
+//     go to the larger magnitude, then the lower row. Candidates stop once
+//     (count - 1) times the smallest active row count minus one reaches
+//     the best cost found, and the lowest-numbered column singleton is
+//     taken directly, both exactly as the full candidate scan would choose.
+//     Only when no candidate has an acceptable pivot does a scan of every
+//     column take the first one that does.
+//   * eliminates it column by column: every column j in the pivot row
+//     gives its pivot-row entry to U and takes a_rj -= l_r a_pj for the
+//     rows r of the pivot column (l_r = a_rq / a_pq, the L multipliers).
+// A step costs the pivot row's columns times the pivot column (plus, in
+// the sparse phase, a pass over each updated column) — the
+// refactorization follows its fill, never m^2. The working state, the
+// scratch, and a second set of factors the next Refactorize() builds into
+// (copied into the live ones only on success) are members: refactorizing a
+// basis the object has seen before allocates nothing.
+//
+// Forrest–Tomlin updates — the entering column's partial image û = U w
+// replaces its column of U; the leaving row of U becomes a row spike that
+// is eliminated against the later U rows, the multipliers recorded as one
+// *row eta* applied with L. U stays upper triangular (in the maintained
+// step order) and as sparse as the data allows across long pivot runs —
+// per-update cost and growth are both fill-proportional.
 //
 // Solves (B = P^T L U with the permutations carried in the step order):
 //   FTRAN  v := B^-1 v :  forward-apply the L multipliers in elimination
@@ -38,6 +65,8 @@
 #define PRIVSAN_LP_LU_FACTORIZATION_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "lp/basis_rep.h"
@@ -95,6 +124,44 @@ class LuFactorization : public BasisRep {
     std::vector<SparseEntry> terms;  // (pivot_row of eliminating U row, r)
   };
 
+  // Refactorize()'s working state (see the file comment), sized per call
+  // and reused across calls.
+  struct Active {
+    std::vector<std::vector<SparseEntry>> cols;  // (row, value) lists
+    std::vector<std::vector<int>> rows;          // column pattern per row
+    std::vector<int> col_count, row_count;       // exact active counts
+    std::vector<char> col_active, row_active;
+    // Count-indexed bucket lists over the active columns.
+    std::vector<int> bucket_head, bucket_next, bucket_prev;
+    std::vector<uint64_t> single_bits;  // columns of count 1
+    // Row -> multiplier of the current pivot column (0 off it);
+    // seen_stamp marks the rows the column being updated already lists.
+    std::vector<double> mult;
+    std::vector<int> seen_stamp;
+    // The pivot row's columns, deduplicated through col_stamp.
+    std::vector<int> pivot_row_cols, col_stamp;
+    // The dense phase: a dense_k x dense_k column-major block of the
+    // active values (dense_k == 0 before it starts), with local <-> global
+    // row and column indices, and the local indices of the rows and
+    // columns still active.
+    int dense_k = 0;
+    std::vector<double> dense;
+    std::vector<int> local_row, local_col, dense_rows, dense_cols;
+    std::vector<int> dense_active, dense_active_cols;
+    // The current multipliers' local rows and values, and the positions
+    // among them whose entry an update turned to or from zero.
+    std::vector<int> mult_local, changed;
+    std::vector<double> mult_value;
+    std::vector<std::pair<int, int>> cands;  // (count, column)
+    std::vector<int> pivot_rows;             // step -> pivot row
+    std::vector<int> step_of_col;            // slot column -> step
+    std::vector<int> new_basis;
+    // The factors under construction, copied into lsteps_/urows_ on
+    // success, so a failed call leaves the previous factors untouched.
+    std::vector<LStep> lsteps;
+    std::vector<URow> urows;
+  };
+
   int m_ = 0;
   std::vector<LStep> lsteps_;   // in elimination order
   std::vector<URow> urows_;     // in *current* step order (FT reorders)
@@ -113,6 +180,7 @@ class LuFactorization : public BasisRep {
   int updates_ = 0;
   int max_updates_;
   double growth_limit_;
+  Active active_;
 
   // Update-path scratch, sized at Refactorize (avoids per-pivot
   // allocation). uhat_ holds û for the duration of one Update().

@@ -56,7 +56,8 @@ PrimalPricer::Choice PrimalPricer::ChooseEntering(const PricingView& view,
 
 PrimalPricer::Choice PrimalPricer::PriceAfterPivot(
     const SparseMatrix& a, const std::vector<double>& rho,
-    const PricingView& view, int entering, int leaving_var, double pivot) {
+    const PricingView& view, int entering, int leaving_var, double pivot,
+    CallerTask task) {
   std::span<double> d = view.reduced_costs;
   const double theta_d = d[entering] / pivot;
   const double gamma_q = gamma_[entering];
@@ -87,7 +88,7 @@ PrimalPricer::Choice PrimalPricer::PriceAfterPivot(
     }
     block_best_[block] = BlockBest{best, choice};
   };
-  ForEachColumnBlock(static_cast<int>(gamma_.size()), price_block);
+  ForEachColumnBlock(static_cast<int>(gamma_.size()), price_block, task);
   // In block order with a strict comparison: the lowest index keeps ties,
   // as in one serial scan.
   BlockBest best;
@@ -99,7 +100,7 @@ PrimalPricer::Choice PrimalPricer::PriceAfterPivot(
 
 // ---- DualPricer -------------------------------------------------------------
 
-DualPricer::DualPricer(int m) : weights_(m, 1.0) {}
+DualPricer::DualPricer(int n_total) : weights_(n_total, 1.0) {}
 
 void DualPricer::ResetReference() {
   std::fill(weights_.begin(), weights_.end(), 1.0);
@@ -124,7 +125,7 @@ DualPricer::Leaving DualPricer::ChooseLeaving(
     } else {
       continue;
     }
-    const double score = violation * violation / weights_[i];
+    const double score = violation * violation / weights_[bv];
     if (score > best_score) {
       best_score = score;
       leaving.slot = i;
@@ -136,18 +137,20 @@ DualPricer::Leaving DualPricer::ChooseLeaving(
 }
 
 void DualPricer::OnPivot(std::span<const double> direction,
-                         int leaving_slot) {
+                         int leaving_slot, std::span<const int> basis,
+                         int entering) {
   const double pivot = direction[leaving_slot];
-  const double gamma_r = weights_[leaving_slot];
+  const double gamma_r = weights_[basis[leaving_slot]];
   const double inv_pivot_sq = 1.0 / (pivot * pivot);
   const int m = static_cast<int>(direction.size());
   for (int i = 0; i < m; ++i) {
     const double di = direction[i];
     if (i == leaving_slot || di == 0.0) continue;
     const double candidate = di * di * inv_pivot_sq * gamma_r;
-    if (candidate > weights_[i]) weights_[i] = candidate;
+    double& weight = weights_[basis[i]];
+    if (candidate > weight) weight = candidate;
   }
-  weights_[leaving_slot] = std::max(gamma_r * inv_pivot_sq, 1.0);
+  weights_[entering] = std::max(gamma_r * inv_pivot_sq, 1.0);
 }
 
 }  // namespace lp

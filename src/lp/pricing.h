@@ -18,16 +18,18 @@
 //     same way primal Devex does on cold solves.
 //
 // Both pricers hold only their weights; the reduced costs, the basis, and
-// the bound data stay in the driver and are passed in by view.
-// ResetReference() must be called whenever the driver recomputes reduced
-// costs exactly (refactorizations, phase switches) — the Devex reference
-// framework moves with them.
+// the bound data stay in the driver and are passed in by view. The driver
+// calls ResetReference() at a phase start, at its exact-cost re-checks
+// (optimality, unboundedness) and after a rejected pivot; a scheduled
+// refactorization recomputes the reduced costs but keeps the weights,
+// which describe the basis, not its factors.
 #ifndef PRIVSAN_LP_PRICING_H_
 #define PRIVSAN_LP_PRICING_H_
 
 #include <span>
 #include <vector>
 
+#include "lp/column_blocks.h"
 #include "lp/simplex.h"
 #include "lp/sparse_matrix.h"
 
@@ -75,11 +77,14 @@ class PrimalPricer {
   // w_j = max(w_j, (alpha_j / pivot)^2 w_q), and prices j; the result
   // equals ChooseEntering(view, false) on the updated values. The pass runs
   // over column blocks (lp/column_blocks.h), each keeping its own best
-  // column; the values and the pick are those of one serial pass.
+  // column; the values and the pick are those of one serial pass. `task`
+  // runs once on the calling thread beside the pass (the simplex's basis
+  // update); it must not touch what the pass reads or writes.
   Choice PriceAfterPivot(const SparseMatrix& a,
                          const std::vector<double>& rho,
                          const PricingView& view, int entering,
-                         int leaving_var, double pivot);
+                         int leaving_var, double pivot,
+                         CallerTask task = {});
 
   // Devex reference weights, one per variable.
   std::span<const double> weights() const { return gamma_; }
@@ -98,10 +103,12 @@ class PrimalPricer {
 
 class DualPricer {
  public:
-  explicit DualPricer(int m);
+  // One weight per variable, read for the basic ones: a weight follows its
+  // variable, not its basis slot, so it survives a refactorization that
+  // permutes the slots.
+  explicit DualPricer(int n_total);
 
-  // The basis was refactorized / reduced costs recomputed: reset the Devex
-  // reference framework.
+  // Reset the Devex reference framework.
   void ResetReference();
 
   struct Leaving {
@@ -116,8 +123,10 @@ class DualPricer {
                         std::span<const double> upper) const;
 
   // Dual Devex weight update from the FTRAN image of the entering column
-  // (`direction` = B^-1 A_entering) pivoting at `leaving_slot`.
-  void OnPivot(std::span<const double> direction, int leaving_slot);
+  // (`direction` = B^-1 A_entering) pivoting `entering` in at
+  // `leaving_slot`; `basis` is the basis before the swap.
+  void OnPivot(std::span<const double> direction, int leaving_slot,
+               std::span<const int> basis, int entering);
 
  private:
   std::vector<double> weights_;

@@ -333,8 +333,8 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
 
   const PricingView view{d, w.state, w.lb, w.ub};
 
-  // Exact reduced costs; also resets the Devex reference framework (the
-  // weights' reference point moved).
+  // Exact reduced costs and a fresh Devex reference framework: at the phase
+  // start, at the exact-cost re-checks and after a rejected pivot.
   auto refresh_reduced = [&]() {
     ComputeReducedCosts(w, cost, d);
     pricer.ResetReference();
@@ -359,7 +359,11 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
       case RefactorCheck::kNone:
         break;
       case RefactorCheck::kDone:
-        refresh_reduced();
+        // New factors of the same basis: exact reduced costs replace the
+        // maintained ones, and the Devex weights, which describe the basis
+        // rather than its factors, carry on.
+        ComputeReducedCosts(w, cost, d);
+        priced.reset();
         break;
       case RefactorCheck::kSingular:
         return PhaseStatus::kSingular;
@@ -450,9 +454,25 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
     // replaces it.
     ComputeRho(w, leaving_row, rho);
 
-    // Register the pivot before touching x/state so a failed update leaves
-    // a consistent point to refactorize from.
-    if (!w.rep->Update(direction, leaving_row, attempt.pivot_tol)) {
+    // Swap the statuses, then run the Forrest–Tomlin update on this thread
+    // while the helpers run the fused PRICE pass: the pass reads rho, A, d,
+    // the weights and the statuses, the update only the factors. x and the
+    // basis move only once the update is accepted.
+    const int leaving_var = w.basis[leaving_row];
+    const VarStatus entering_state = w.state[entering];
+    w.state[leaving_var] = ratio.leaving_at_upper ? kAtUpper : kAtLower;
+    w.state[entering] = kBasic;
+    bool updated = false;
+    auto update = [&] {
+      updated = w.rep->Update(direction, leaving_row, attempt.pivot_tol);
+    };
+    priced = pricer.PriceAfterPivot(w.cols, rho, view, entering, leaving_var,
+                                    direction[leaving_row], CallerTask(update));
+    if (!updated) {
+      // Undo the swap and refactorize; the refresh that follows replaces
+      // what the pass wrote to d and the weights.
+      w.state[entering] = entering_state;
+      w.state[leaving_var] = kBasic;
       if (++update_failures > 3 || !factorize()) {
         return PhaseStatus::kSingular;
       }
@@ -462,21 +482,10 @@ PhaseStatus RunPhase(Work& w, const std::vector<double>& cost, bool phase1,
 
     StepBasics(w, direction, step);
     w.x[entering] += step;
-
-    const int leaving_var = w.basis[leaving_row];
     // Snap the leaving variable exactly onto the bound it reached.
-    if (ratio.leaving_at_upper) {
-      w.x[leaving_var] = w.ub[leaving_var];
-      w.state[leaving_var] = kAtUpper;
-    } else {
-      w.x[leaving_var] = w.lb[leaving_var];
-      w.state[leaving_var] = kAtLower;
-    }
+    w.x[leaving_var] =
+        ratio.leaving_at_upper ? w.ub[leaving_var] : w.lb[leaving_var];
     w.basis[leaving_row] = entering;
-    w.state[entering] = kBasic;
-
-    priced = pricer.PriceAfterPivot(w.cols, rho, view, entering, leaving_var,
-                                    direction[leaving_row]);
   }
 }
 
@@ -512,9 +521,11 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
   // Reduced costs, maintained incrementally across pivots off the same
   // alpha row that drives the ratio test; recomputed at refactorizations.
   std::vector<double> d(w.n_total);
-  DualPricer pricer(m);
+  DualPricer pricer(w.n_total);
   int update_failures = 0;
 
+  // Exact reduced costs and a fresh Devex reference framework: at the phase
+  // start and after a rejected pivot.
   auto refresh_reduced = [&]() {
     ComputeReducedCosts(w, cost, d);
     pricer.ResetReference();
@@ -541,7 +552,9 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
       case RefactorCheck::kNone:
         break;
       case RefactorCheck::kDone:
-        refresh_reduced();
+        // As in the primal phase: the weights follow their variables
+        // through the refactorization's slot permutation.
+        ComputeReducedCosts(w, cost, d);
         break;
       case RefactorCheck::kSingular:
         return DualStatus::kSingular;
@@ -629,7 +642,7 @@ DualStatus RunDualPhase(Work& w, const std::vector<double>& cost,
     update_failures = 0;
 
     // Dual Devex weights ride the same FTRAN column the pivot consumes.
-    pricer.OnPivot(direction, leaving_slot);
+    pricer.OnPivot(direction, leaving_slot, w.basis, entering);
 
     StepBasics(w, direction, dt);
     w.x[entering] += dt;

@@ -15,17 +15,21 @@
 //    Markowitz ordering and threshold partial pivoting, updated by
 //    Forrest–Tomlin; a dense explicit inverse is the retry of last resort
 //    (and the oracle the LU is tested against). Refactorization triggers
-//    on update-file growth or numerical drift (residual breach), never on
-//    a fixed iteration schedule. A *singular* refactorization no longer
-//    forces a cold solve: the dependent columns are swapped for the
+//    after 400 updates, on update-file growth (8x the fresh factors) or on
+//    numerical drift (residual breach). A *singular* refactorization no
+//    longer forces a cold solve: the dependent columns are swapped for the
 //    uncovered rows' slacks and the solve continues.
 //  * Pricing (lp/pricing.h): full primal Devex fused with PRICE — after
 //    each pivot one pass over the nonbasic columns forms the pivot row
 //    alpha_j = A_j^T B^-T e_r, updates the reduced costs and Devex weights,
 //    and picks the next entering column (optimality is only declared after
 //    a scan of exact reduced costs) — and dual Devex reference weights for
-//    the dual phase's leaving-row choice. A run of degenerate pivots
-//    switches the primal to Bland's rule, which guarantees termination.
+//    the dual phase's leaving-row choice. The Devex references reset at a
+//    phase start, at the exact-cost re-checks (optimality, unboundedness)
+//    and after a rejected pivot; a scheduled refactorization recomputes
+//    the reduced costs exactly but keeps the weights. A run of degenerate
+//    pivots switches the primal to Bland's rule, which guarantees
+//    termination.
 //  * Ratio tests (lp/ratio_test.h): Harris-style two-pass tolerancing with
 //    bound flips in the primal, and the bound-flip dual ratio test that
 //    keeps degenerate dual repairs from thrashing.
@@ -36,7 +40,10 @@
 //    columns — the fused PRICE pass, the exact reduced costs, the dual
 //    pivot row with its candidate scan, and the dual reduced-cost update —
 //    run in fixed column blocks on the calling thread plus shared helper
-//    threads, bit-identical to one serial loop.
+//    threads, bit-identical to one serial loop. A primal pivot swaps the
+//    statuses first and runs the Forrest–Tomlin update on the calling
+//    thread while the helpers start its PRICE pass (the pass never reads
+//    the factors); a rejected update undoes the swap and refactorizes.
 //
 // Warm start: Solve(model, hint) starts from a caller-supplied basis —
 // typically the parent node's optimal basis in branch & bound. Bound

@@ -9,26 +9,25 @@
 // NonConcurrentChecker asserts that contract in debug builds: entering
 // while another thread is inside trips an assert. Same-thread reentrancy is
 // allowed (F-UMP resolves λ through the session's O-UMP problem). The check
-// is best-effort — it catches overlapping calls, not every interleaving —
-// and compiles to nothing under NDEBUG.
+// is best-effort — it catches overlapping calls, not every interleaving.
+// Only the assert compiles away under NDEBUG: the members and their
+// updates stay in every build, because inline entry points (UmpProblem::
+// Solve in core/ump.h) enter the checker from the caller's translation
+// unit, and a layout that depended on NDEBUG would let a caller built
+// without it write over the fields that follow the checker in a library
+// built with it.
 #ifndef PRIVSAN_UTIL_CONCURRENCY_CHECK_H_
 #define PRIVSAN_UTIL_CONCURRENCY_CHECK_H_
 
-#ifndef NDEBUG
 #include <atomic>
 #include <cassert>
 #include <thread>
-#endif
 
 namespace privsan {
 namespace internal {
 
 class NonConcurrentChecker {
  public:
-#ifdef NDEBUG
-  void Enter() {}
-  void Leave() {}
-#else
   void Enter() {
     const std::thread::id self = std::this_thread::get_id();
     if (depth_.fetch_add(1, std::memory_order_acq_rel) == 0) {
@@ -44,8 +43,13 @@ class NonConcurrentChecker {
  private:
   std::atomic<int> depth_{0};
   std::atomic<std::thread::id> owner_{};
-#endif
 };
+
+// Release and Debug builds must agree on the layout (see above).
+static_assert(sizeof(NonConcurrentChecker) >=
+                  sizeof(std::atomic<int>) +
+                      sizeof(std::atomic<std::thread::id>),
+              "NonConcurrentChecker keeps its members in every build");
 
 // RAII guard for one public entry point.
 class NonConcurrentScope {

@@ -5,15 +5,41 @@
 // uncovered row, and swapping the dependent columns for unit columns of
 // the uncovered rows must make the very next Refactorize() succeed — that
 // swap is exactly the solver-side basis repair (lp/simplex.cc).
+//
+// Mixed bases (slack columns, column and row singletons, and a nucleus in
+// which exact cancellations happen) walk every path of the refactorization:
+// the singleton steps, the sparse and the dense elimination phases, and
+// entries that cancel and fill again. Refactorizing a basis again reuses
+// the object's storage: the operator new below counts the allocations one
+// call makes.
 #include "lp/lu_factorization.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "lp/sparse_matrix.h"
 #include "rng/random.h"
+
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace privsan {
 namespace lp {
@@ -408,6 +434,159 @@ TEST(LuFactorizationTest, GrowthTriggersRefactor) {
   EXPECT_TRUE(lu.ShouldRefactor());  // max_updates hit
   ASSERT_TRUE(lu.Refactorize(A, basis));
   EXPECT_FALSE(lu.ShouldRefactor());
+}
+
+// A basis of `slacks` unit columns, `col_singletons` one-entry columns,
+// `row_singletons` columns that are the only basis column in their own
+// row, and a k x k nucleus with diagonal 8 and off-diagonal entries in
+// {-2, -1, 1, 2} at the given density, its rows in pairs that share their
+// off-diagonal entries (so eliminating one row of a pair cancels entries
+// of the other exactly). The basis columns are the first m, in shuffled
+// order through `basis`; `entering` random sparse columns follow.
+struct MixedBasis {
+  SparseMatrix A;
+  std::vector<int> basis;
+};
+
+MixedBasis MakeMixedBasis(Rng& rng, int k, double density, int entering) {
+  const int slacks = 10, col_singletons = 8, row_singletons = 6;
+  const int first_row_singleton = slacks + col_singletons;
+  const int first_nucleus = first_row_singleton + row_singletons;
+  const int m = first_nucleus + k;
+  auto small_int = [&] {
+    const double v = rng.NextBool(0.5) ? 1.0 : 2.0;
+    return rng.NextBool(0.5) ? v : -v;
+  };
+  std::vector<Triplet> triplets;
+  for (int j = 0; j < slacks; ++j) triplets.push_back(Triplet{j, j, 1.0});
+  for (int j = slacks; j < first_row_singleton; ++j) {
+    triplets.push_back(Triplet{j, j, 1.0 + rng.NextDouble()});
+  }
+  for (int j = first_row_singleton; j < first_nucleus; ++j) {
+    triplets.push_back(Triplet{j, j, 2.0 + rng.NextDouble()});
+    for (int i = first_nucleus; i < m; ++i) {
+      if (rng.NextBool(0.3)) triplets.push_back(Triplet{i, j, small_int()});
+    }
+  }
+  for (int j = first_nucleus; j < m; ++j) {
+    triplets.push_back(Triplet{j, j, 8.0});
+    for (int i = first_nucleus; i < m; i += 2) {
+      // Rows i and i + 1 of the nucleus share this column's entry.
+      if (!rng.NextBool(density)) continue;
+      const double v = small_int();
+      for (int r : {i, i + 1}) {
+        if (r < m && r != j) triplets.push_back(Triplet{r, j, v});
+      }
+    }
+    for (int i = 0; i < slacks; ++i) {
+      if (rng.NextBool(0.2)) triplets.push_back(Triplet{i, j, small_int()});
+    }
+  }
+  for (int j = m; j < m + entering; ++j) {
+    triplets.push_back(
+        Triplet{(j - m) % m, j, 1.0 + rng.NextDouble()});
+    for (int i = 0; i < m; ++i) {
+      if (i != (j - m) % m && rng.NextBool(0.2)) {
+        triplets.push_back(Triplet{i, j, rng.NextDouble(-1.0, 1.0)});
+      }
+    }
+  }
+  MixedBasis mixed{SparseMatrix(m, m + entering, std::move(triplets)), {}};
+  mixed.basis.resize(m);
+  for (int i = 0; i < m; ++i) mixed.basis[i] = i;
+  for (int i = m - 1; i > 0; --i) {
+    std::swap(mixed.basis[i], mixed.basis[rng.NextBounded(i + 1)]);
+  }
+  return mixed;
+}
+
+// FTRAN through the slot mapping and BTRAN of a per-variable cost agree.
+void ExpectSameSolves(Rng& rng, const SparseMatrix& A, LuFactorization& lu,
+                      const std::vector<int>& lu_basis, DenseBasis& dense,
+                      const std::vector<int>& dense_basis) {
+  const int m = A.rows();
+  const std::vector<double> v = RandomVector(rng, m);
+  std::vector<double> xl = v, xd = v;
+  lu.Ftran(xl);
+  dense.Ftran(xd);
+  ExpectNear(BasisTimes(A, lu_basis, xl), v, 1e-9);
+  ExpectNear(BasisTimes(A, lu_basis, xl), BasisTimes(A, dense_basis, xd),
+             1e-9);
+  const std::vector<double> cost = RandomVector(rng, A.cols());
+  std::vector<double> yl(m), yd(m);
+  for (int i = 0; i < m; ++i) {
+    yl[i] = cost[lu_basis[i]];
+    yd[i] = cost[dense_basis[i]];
+  }
+  lu.Btran(yl);
+  dense.Btran(yd);
+  ExpectNear(yl, yd, 1e-9);
+}
+
+TEST(LuFactorizationTest, MixedBasesAgreeWithDenseBasisAcrossUpdates) {
+  Rng rng(31);
+  // A dense nucleus goes to the dense phase almost at once; a large sparse
+  // one runs sparse eliminations (with fill) before it gets there.
+  for (const auto& [k, density] :
+       {std::pair{30, 0.5}, std::pair{60, 0.08}, std::pair{90, 0.03}}) {
+    SCOPED_TRACE(k);
+    const int entering = 20;
+    MixedBasis mixed = MakeMixedBasis(rng, k, density, entering);
+    const SparseMatrix& A = mixed.A;
+    const int m = A.rows();
+    std::vector<int> lu_basis = mixed.basis, dense_basis = mixed.basis;
+    LuFactorization lu(100, 1e9);
+    DenseBasis dense(100);
+    ASSERT_TRUE(lu.Refactorize(A, lu_basis));
+    ASSERT_TRUE(dense.Refactorize(A, dense_basis));
+    ExpectSameSolves(rng, A, lu, lu_basis, dense, dense_basis);
+
+    // Forrest–Tomlin updates: each entering column replaces the basic
+    // variable at its largest FTRAN component, in both representations.
+    std::vector<double> wl(m), wd(m);
+    for (int e = 0; e < entering; ++e) {
+      std::fill(wl.begin(), wl.end(), 0.0);
+      for (const SparseEntry& entry : A.Column(m + e)) {
+        wl[entry.index] = entry.value;
+      }
+      wd = wl;
+      lu.Ftran(wl);
+      dense.Ftran(wd);
+      int slot_l = 0;
+      for (int i = 1; i < m; ++i) {
+        if (std::abs(wl[i]) > std::abs(wl[slot_l])) slot_l = i;
+      }
+      int slot_d = 0;
+      while (dense_basis[slot_d] != lu_basis[slot_l]) ++slot_d;
+      ASSERT_TRUE(lu.Update(wl, slot_l, 1e-9));
+      ASSERT_TRUE(dense.Update(wd, slot_d, 1e-9));
+      lu_basis[slot_l] = m + e;
+      dense_basis[slot_d] = m + e;
+    }
+    ExpectSameSolves(rng, A, lu, lu_basis, dense, dense_basis);
+
+    // And a fresh factorization of the updated basis agrees again.
+    ASSERT_TRUE(lu.Refactorize(A, lu_basis));
+    ExpectSameSolves(rng, A, lu, lu_basis, dense, dense_basis);
+  }
+}
+
+TEST(LuFactorizationTest, RefactorizingAgainReusesStorage) {
+  Rng rng(32);
+  MixedBasis mixed = MakeMixedBasis(rng, 60, 0.08, 0);
+  LuFactorization lu(100, 1e9);
+  // The first two calls size the working state and both sets of factors
+  // (the current one and the one the next call builds into); from the
+  // third on, a basis of the same shape allocates nothing.
+  for (int call = 0; call < 4; ++call) {
+    std::vector<int> basis = mixed.basis;
+    g_allocations.store(0);
+    g_count_allocations.store(true);
+    const bool ok = lu.Refactorize(mixed.A, basis);
+    g_count_allocations.store(false);
+    ASSERT_TRUE(ok);
+    if (call >= 2) EXPECT_EQ(g_allocations.load(), 0) << "call " << call;
+  }
 }
 
 }  // namespace

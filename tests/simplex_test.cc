@@ -331,6 +331,40 @@ TEST(SimplexTest, IterationLimitReported) {
   EXPECT_EQ(solver.Solve(model).status, SolveStatus::kIterationLimit);
 }
 
+TEST(SimplexTest, RejectedBasisUpdateUndoesThePivot) {
+  // max 2x + y  s.t. 1e-5 x + 1e-10 y <= 1 (unscaled, no presolve). x
+  // enters first and becomes basic at 1e5 with U = [1e-5]; then y enters
+  // with FTRAN image 1e-5, a stable-looking pivot, but the Forrest–Tomlin
+  // diagonal of the new basis is 1e-5 * 1e-5 = 1e-10, below the pivot
+  // tolerance. The LU rejects that update while the PRICE pass has already
+  // run on the swapped statuses: the solver must undo the swap and
+  // refactorize (and, as the rejection repeats, hand the solve to the
+  // dense retry). The optimum y = 1e10 must come out as the dense basis
+  // finds it.
+  LpModel model(ObjectiveSense::kMaximize);
+  const int x = model.AddVariable(0, kInfinity, 2.0);
+  const int y = model.AddVariable(0, kInfinity, 1.0);
+  const int row = model.AddConstraint(ConstraintSense::kLessEqual, 1.0);
+  model.AddCoefficient(row, x, 1e-5);
+  model.AddCoefficient(row, y, 1e-10);
+  ASSERT_TRUE(model.Validate().ok());
+
+  SimplexOptions options;
+  options.scaling = SimplexOptions::Scaling::kNone;
+  options.presolve = false;
+  const LpSolution lu = SimplexSolver(options).Solve(model);
+  options.basis_kind = SimplexOptions::BasisKind::kDense;
+  const LpSolution dense = SimplexSolver(options).Solve(model);
+
+  ASSERT_EQ(dense.status, SolveStatus::kOptimal);
+  ASSERT_EQ(lu.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(dense.objective, 1e10, 1e-6 * 1e10);
+  EXPECT_NEAR(lu.objective, dense.objective, 1e-9 * dense.objective);
+  EXPECT_NEAR(lu.x[y], dense.x[y], 1e-9 * dense.x[y]);
+  // The initial factorization, one per rejected update, and the retry's.
+  EXPECT_GT(lu.stats.refactorizations, dense.stats.refactorizations + 1);
+}
+
 }  // namespace
 }  // namespace lp
 }  // namespace privsan
