@@ -1,56 +1,10 @@
 #include "core/constraints.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <utility>
 
-#include "serve/thread_pool.h"
-
 namespace privsan {
-
-namespace {
-
-// One user's DP row. Returns false on a unique pair (c_ijk == c_ij), which
-// Condition-1 preprocessing must have removed.
-bool BuildRow(const SearchLog& log, UserId u,
-              std::vector<DpConstraintEntry>* row) {
-  const auto user_log = log.UserLogOf(u);
-  row->clear();
-  row->reserve(user_log.size());
-  for (const PairCount& cell : user_log) {
-    const uint64_t c_ij = log.pair_total(cell.pair);
-    const uint64_t c_ijk = cell.count;
-    if (c_ijk >= c_ij) return false;
-    const double t =
-        static_cast<double>(c_ij) / static_cast<double>(c_ij - c_ijk);
-    row->push_back(DpConstraintEntry{cell.pair, std::log(t)});
-  }
-  return true;
-}
-
-Status UniquePairError() {
-  return Status::FailedPrecondition(
-      "log contains a unique query-url pair (c_ijk == c_ij); apply "
-      "RemoveUniquePairs first (Condition 1 of Theorem 1)");
-}
-
-// Splices per-user rows (built in parallel) into the system in user order —
-// the same order the serial build produces.
-DpConstraintSystem AssembleRows(
-    std::vector<std::vector<DpConstraintEntry>> per_user, size_t num_pairs) {
-  std::vector<std::vector<DpConstraintEntry>> rows;
-  std::vector<UserId> row_users;
-  for (UserId u = 0; u < per_user.size(); ++u) {
-    if (per_user[u].empty()) continue;
-    rows.push_back(std::move(per_user[u]));
-    row_users.push_back(u);
-  }
-  return DpConstraintSystem::FromRows(std::move(rows), std::move(row_users),
-                                      num_pairs);
-}
-
-}  // namespace
 
 Result<DpConstraintSystem> DpConstraintSystem::Build(
     const SearchLog& log, const PrivacyParams& params) {
@@ -62,24 +16,29 @@ Result<DpConstraintSystem> DpConstraintSystem::Build(
 
 Result<DpConstraintSystem> DpConstraintSystem::BuildRows(
     const SearchLog& log) {
-  return BuildRows(log, nullptr);
-}
-
-Result<DpConstraintSystem> DpConstraintSystem::BuildRows(
-    const SearchLog& log, serve::ThreadPool* pool) {
-  const size_t num_users = log.num_users();
-  std::vector<std::vector<DpConstraintEntry>> per_user(num_users);
-  std::atomic<bool> failed{false};
-  serve::ParallelFor(pool, num_users, [&](size_t begin, size_t end) {
-    for (UserId u = static_cast<UserId>(begin); u < end; ++u) {
-      if (!BuildRow(log, u, &per_user[u])) {
-        failed.store(true, std::memory_order_relaxed);
-        return;
+  DpConstraintSystem system;
+  system.num_pairs_ = log.num_pairs();
+  for (UserId u = 0; u < log.num_users(); ++u) {
+    const auto user_log = log.UserLogOf(u);
+    if (user_log.empty()) continue;
+    std::vector<DpConstraintEntry> row;
+    row.reserve(user_log.size());
+    for (const PairCount& cell : user_log) {
+      const uint64_t c_ij = log.pair_total(cell.pair);
+      const uint64_t c_ijk = cell.count;
+      if (c_ijk >= c_ij) {
+        return Status::FailedPrecondition(
+            "log contains a unique query-url pair (c_ijk == c_ij); apply "
+            "RemoveUniquePairs first (Condition 1 of Theorem 1)");
       }
+      const double t =
+          static_cast<double>(c_ij) / static_cast<double>(c_ij - c_ijk);
+      row.push_back(DpConstraintEntry{cell.pair, std::log(t)});
     }
-  });
-  if (failed.load()) return UniquePairError();
-  return AssembleRows(std::move(per_user), log.num_pairs());
+    system.rows_.push_back(std::move(row));
+    system.row_users_.push_back(u);
+  }
+  return system;
 }
 
 DpConstraintSystem DpConstraintSystem::FromRows(

@@ -27,10 +27,6 @@
 
 namespace privsan {
 
-namespace serve {
-class ThreadPool;
-}  // namespace serve
-
 struct DpConstraintEntry {
   PairId pair;
   double log_t;  // log t_ijk > 0
@@ -49,14 +45,7 @@ class DpConstraintSystem {
   // (ε, δ) — so a cached system can serve every budget cell of a sweep.
   // BuildRows builds the rows once with budget 0; SetBudget rebinds the
   // shared right-hand side without touching the rows.
-  //
-  // Rows are independent per user, so the shard-aware overload splits the
-  // build across `pool` (nullptr = serial). The output is bit-identical to
-  // the serial build: shards are fixed user ranges and every coefficient is
-  // computed from the same (c_ij, c_ijk) inputs.
   static Result<DpConstraintSystem> BuildRows(const SearchLog& log);
-  static Result<DpConstraintSystem> BuildRows(const SearchLog& log,
-                                              serve::ThreadPool* pool);
   void SetBudget(double budget) { budget_ = budget; }
 
   // Reassembles a system from its parts — the snapshot-restore path

@@ -10,7 +10,6 @@
 
 #include "core/sampler.h"
 #include "lp/basis_io.h"
-#include "serve/thread_pool.h"
 #include "util/concurrency_check.h"
 #include "util/timer.h"
 
@@ -282,11 +281,10 @@ Status SanitizerSession::RebuildFromRaw(bool remap_bases) {
     old_system = std::move(s.system);
   }
 
-  PreprocessResult preprocessed = RemoveUniquePairs(s.raw, s.options.pool);
+  PreprocessResult preprocessed = RemoveUniquePairs(s.raw);
   s.log = std::move(preprocessed.log);
   s.stats = preprocessed.stats;
-  PRIVSAN_ASSIGN_OR_RETURN(
-      s.system, DpConstraintSystem::BuildRows(s.log, s.options.pool));
+  PRIVSAN_ASSIGN_OR_RETURN(s.system, DpConstraintSystem::BuildRows(s.log));
   for (int i = 0; i < kNumObjectives; ++i) {
     s.had_problem[i] = s.problems[i] != nullptr;
     s.problems[i].reset();

@@ -38,10 +38,10 @@
 // while a solve is running — are single-threaded. Debug builds assert
 // overlapping calls. For cross-thread use, serialize access per session or
 // go through serve::SanitizerService (the only concurrency-safe entry
-// point). Within one session, preprocessing and DP-row construction shard
-// across SessionOptions::pool; every LP solve runs its per-pivot column
-// passes on the lp helper threads (lp/column_blocks.h) whatever the pool,
-// with results bit-identical to a serial solve.
+// point). Within one session, preprocessing and DP-row construction run on
+// the calling thread; every LP solve runs its per-pivot column passes on
+// the lp helper threads (lp/column_blocks.h), with results bit-identical to
+// a serial solve.
 #ifndef PRIVSAN_CORE_SESSION_H_
 #define PRIVSAN_CORE_SESSION_H_
 
@@ -58,10 +58,6 @@
 #include "util/result.h"
 
 namespace privsan {
-
-namespace serve {
-class ThreadPool;
-}  // namespace serve
 
 struct SessionOptions {
   // Objective used by Sanitize(); Solve()/SweepBudgets() name theirs.
@@ -80,11 +76,6 @@ struct SessionOptions {
   // Optional end-to-end DP noise on the computed counts (§4.2), applied by
   // Sanitize().
   std::optional<LaplaceStepOptions> laplace;
-
-  // Shards Condition-1 preprocessing and DP-row construction (Create and
-  // AppendUsers) across this pool; nullptr = serial. Not owned — must
-  // outlive the session. Sharding never changes results, only wall time.
-  serve::ThreadPool* pool = nullptr;
 };
 
 // What the last AppendUsers actually did. Every append rebuilds all DP

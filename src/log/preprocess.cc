@@ -1,8 +1,6 @@
 #include "log/preprocess.h"
 
-#include <atomic>
-
-#include "serve/thread_pool.h"
+#include <string>
 
 namespace privsan {
 
@@ -13,47 +11,17 @@ bool IsUniquePair(const SearchLog& log, PairId p) {
 }
 
 PreprocessResult RemoveUniquePairs(const SearchLog& log) {
-  return RemoveUniquePairs(log, nullptr);
-}
-
-PreprocessResult RemoveUniquePairs(const SearchLog& log,
-                                   serve::ThreadPool* pool) {
   PreprocessResult result;
-
-  // Parallel stage: classify every pair. Counters are commutative integer
-  // sums, so the sharded totals equal the serial ones.
-  const size_t num_pairs = log.num_pairs();
-  std::vector<uint8_t> retained(num_pairs, 0);
-  std::atomic<uint64_t> pairs_removed{0}, pairs_retained{0};
-  std::atomic<uint64_t> clicks_removed{0}, clicks_retained{0};
-  serve::ParallelFor(pool, num_pairs, [&](size_t begin, size_t end) {
-    uint64_t removed = 0, kept = 0, removed_clicks = 0, kept_clicks = 0;
-    for (PairId p = static_cast<PairId>(begin); p < end; ++p) {
-      if (IsUniquePair(log, p)) {
-        ++removed;
-        removed_clicks += log.pair_total(p);
-      } else {
-        retained[p] = 1;
-        ++kept;
-        kept_clicks += log.pair_total(p);
-      }
-    }
-    pairs_removed.fetch_add(removed, std::memory_order_relaxed);
-    pairs_retained.fetch_add(kept, std::memory_order_relaxed);
-    clicks_removed.fetch_add(removed_clicks, std::memory_order_relaxed);
-    clicks_retained.fetch_add(kept_clicks, std::memory_order_relaxed);
-  });
-  result.stats.pairs_removed = pairs_removed.load();
-  result.stats.pairs_retained = pairs_retained.load();
-  result.stats.clicks_removed = clicks_removed.load();
-  result.stats.clicks_retained = clicks_retained.load();
-
-  // Serial stage: rebuild in pair order — ids are assigned by insertion
-  // order, so this must not be sharded.
   SearchLogBuilder builder;
   std::vector<bool> user_retained(log.num_users(), false);
-  for (PairId p = 0; p < num_pairs; ++p) {
-    if (!retained[p]) continue;
+  for (PairId p = 0; p < log.num_pairs(); ++p) {
+    if (IsUniquePair(log, p)) {
+      ++result.stats.pairs_removed;
+      result.stats.clicks_removed += log.pair_total(p);
+      continue;
+    }
+    ++result.stats.pairs_retained;
+    result.stats.clicks_retained += log.pair_total(p);
     const std::string& query = log.query_name(log.pair_query(p));
     const std::string& url = log.url_name(log.pair_url(p));
     for (const UserCount& cell : log.TripletsOf(p)) {

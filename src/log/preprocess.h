@@ -19,10 +19,6 @@
 
 namespace privsan {
 
-namespace serve {
-class ThreadPool;
-}  // namespace serve
-
 struct PreprocessStats {
   size_t pairs_removed = 0;    // unique query-url pairs dropped
   size_t pairs_retained = 0;
@@ -40,14 +36,10 @@ struct PreprocessResult {
 // exactly one user holds it (so that user's c_ijk equals c_ij).
 bool IsUniquePair(const SearchLog& log, PairId p);
 
-// Drops all unique pairs (Condition 1) and rebuilds the log.
-//
-// The shard-aware overload classifies pairs across `pool` (nullptr =
-// serial); the rebuild itself stays serial because pair and user ids are
-// assigned by insertion order. Output is bit-identical to the serial path.
+// Drops all unique pairs (Condition 1) and rebuilds the log in one pass
+// over the pairs in id order; the output assigns ids by first appearance in
+// that pass.
 PreprocessResult RemoveUniquePairs(const SearchLog& log);
-PreprocessResult RemoveUniquePairs(const SearchLog& log,
-                                   serve::ThreadPool* pool);
 
 }  // namespace privsan
 

@@ -29,9 +29,10 @@
 // pass that runs inline runs the task first, then every block. The task
 // must not touch what the blocks read or write.
 //
-// serve::ThreadPool is not used: a solve makes thousands of passes of tens
-// of microseconds each, and a ParallelFor call allocates its loop state,
-// queues through a mutex and sleeps on a condition variable every time.
+// Not a task queue (such as serve::ThreadPool, the service's request
+// workers): a solve makes thousands of passes of tens of microseconds each,
+// too short to allocate a task, queue it through a mutex and sleep on a
+// condition variable every time.
 #ifndef PRIVSAN_LP_COLUMN_BLOCKS_H_
 #define PRIVSAN_LP_COLUMN_BLOCKS_H_
 

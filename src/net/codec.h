@@ -14,11 +14,10 @@
 // the verb's typed payload, tagged by a one-byte kind.
 //
 // Not serialized: the optional per-tenant SessionOptions override of
-// CreateTenant/RestoreTenant. SessionOptions carries process-local state
-// (a worker-pool pointer, solver tunables sized to the host), so remote
-// tenants always use the backend's configured defaults; EncodeRequest
-// rejects a request carrying an override rather than silently dropping
-// it.
+// CreateTenant/RestoreTenant. SessionOptions carries solver tunables sized
+// to the host, so remote tenants always use the backend's configured
+// defaults; EncodeRequest rejects a request carrying an override rather
+// than silently dropping it.
 //
 // Malformed payloads (truncated, out-of-range enums, implausible counts)
 // fail with typed errors and never crash or over-allocate — the same

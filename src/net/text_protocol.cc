@@ -114,11 +114,9 @@ struct TextProtocol::Backend {
   }
 };
 
-TextProtocol::TextProtocol(SubmitFn submit, ListTenantsFn list_tenants,
-                           serve::ThreadPool* gen_pool)
+TextProtocol::TextProtocol(SubmitFn submit, ListTenantsFn list_tenants)
     : backend_(std::make_shared<Backend>(std::move(submit))),
-      list_tenants_(std::move(list_tenants)),
-      gen_pool_(gen_pool) {}
+      list_tenants_(std::move(list_tenants)) {}
 
 void TextProtocol::SubmitMany(std::vector<serve::ServeRequest> requests,
                               Formatter format, Done done) {
@@ -349,9 +347,7 @@ bool TextProtocol::Handle(const std::string& line, Done done) {
       config.num_users = users;
       config.num_events = events;
       config.seed = seed;
-      // Sharded over the backend's pool when one is available (nullptr =
-      // serial) — bit-identical to the serial path for the given seed.
-      Result<SearchLog> log = GenerateSearchLog(config, gen_pool_);
+      Result<SearchLog> log = GenerateSearchLog(config);
       if (!log.ok()) {
         done(ErrLine(log.status()));
       } else {

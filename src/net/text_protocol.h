@@ -35,12 +35,6 @@
 #include "serve/api.h"
 
 namespace privsan {
-namespace serve {
-class ThreadPool;
-}
-}
-
-namespace privsan {
 namespace net {
 
 // Sanity caps for GEN: a count beyond these is a malformed line (for
@@ -62,8 +56,7 @@ class TextProtocol {
   // has no registry view — the wire protocol is per-tenant).
   using ListTenantsFn = std::function<std::vector<std::string>()>;
 
-  TextProtocol(SubmitFn submit, ListTenantsFn list_tenants = nullptr,
-               serve::ThreadPool* gen_pool = nullptr);
+  TextProtocol(SubmitFn submit, ListTenantsFn list_tenants = nullptr);
 
   // Parses and executes one line; `done` fires exactly once. Returns
   // false when the line is QUIT (after acking "OK bye") — the transport
@@ -83,7 +76,6 @@ class TextProtocol {
 
   std::shared_ptr<Backend> backend_;
   ListTenantsFn list_tenants_;
-  serve::ThreadPool* gen_pool_;
 };
 
 }  // namespace net

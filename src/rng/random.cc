@@ -60,10 +60,6 @@ bool Rng::NextBool(double p) {
   return NextDouble() < p;
 }
 
-void Rng::Discard(uint64_t n) {
-  for (uint64_t i = 0; i < n; ++i) NextUint64();
-}
-
 Rng Rng::Fork() { return Rng(NextUint64()); }
 
 }  // namespace privsan

@@ -34,14 +34,6 @@ class Rng {
   // Bernoulli draw with success probability p (clamped to [0, 1]).
   bool NextBool(double p);
 
-  // Advances the stream by `n` draws, as if NextUint64 were called n times.
-  // This is what lets a consumer with a fixed draws-per-item schedule (the
-  // synthetic log generator: exactly 3 draws per event) shard its stream:
-  // copy a checkpointed Rng (the class is trivially copyable) and discard
-  // the remaining draws up to the shard boundary, making the sharded
-  // output bit-identical to the serial one.
-  void Discard(uint64_t n);
-
   // Forks an independent generator; deterministic in (current state).
   Rng Fork();
 

@@ -150,11 +150,6 @@ SanitizerService::~SanitizerService() {
   }
 }
 
-SessionOptions SanitizerService::WithPool(SessionOptions options) {
-  options.pool = pool_.get();
-  return options;
-}
-
 std::string SanitizerService::SpillPath(const std::string& tenant) const {
   std::string safe;
   safe.reserve(tenant.size());
@@ -701,8 +696,7 @@ ServeResponse SanitizerService::ExecuteCreate(Tenant& tenant,
             {}};
   }
   tenant.initialized = true;
-  tenant.session_options =
-      WithPool(request.options.value_or(options_.session));
+  tenant.session_options = request.options.value_or(options_.session);
   Result<SanitizerSession> session =
       SanitizerSession::Create(request.initial, tenant.session_options);
   if (!session.ok()) {
@@ -731,8 +725,7 @@ ServeResponse SanitizerService::ExecuteRestore(Tenant& tenant,
             {}};
   }
   tenant.initialized = true;
-  tenant.session_options =
-      WithPool(request.options.value_or(options_.session));
+  tenant.session_options = request.options.value_or(options_.session);
   TenantStreamState stream_state;
   Result<SanitizerSession> session =
       RestoreSession(request.path, tenant.session_options, &stream_state);

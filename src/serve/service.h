@@ -67,8 +67,8 @@ namespace privsan {
 namespace serve {
 
 struct ServiceOptions {
-  // Worker threads for the request queues and sharded preprocessing /
-  // DP-row builds. <= 0 picks std::thread::hardware_concurrency().
+  // Worker threads draining the per-tenant request queues. <= 0 picks
+  // std::thread::hardware_concurrency().
   int num_threads = 0;
   // Cached solutions per tenant; FIFO eviction; 0 disables caching.
   size_t result_cache_capacity = 128;
@@ -176,8 +176,6 @@ class SanitizerService {
   }
   obs::MetricRegistry* registry() { return &registry_; }
 
-  ThreadPool* pool() { return pool_.get(); }
-
  private:
   // The shared Submit body: exactly one of the return value (null `done`)
   // or the callback (non-null) delivers the response.
@@ -220,7 +218,6 @@ class SanitizerService {
   Status FlushLocked(Tenant& tenant, obs::RequestTrace* trace = nullptr);
   void InvalidateCache(Tenant& tenant);
   void RefreshResidentBytes(Tenant& tenant);
-  SessionOptions WithPool(SessionOptions options);
   std::string SpillPath(const std::string& tenant) const;
 
   void MaintenanceLoop();

@@ -26,11 +26,6 @@ Result<std::shared_ptr<Tenant>> SessionManager::Get(
   return it->second;
 }
 
-bool SessionManager::Has(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tenants_.count(name) > 0;
-}
-
 Status SessionManager::Remove(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   if (tenants_.erase(name) == 0) {

@@ -137,8 +137,6 @@ class SessionManager {
   // NotFound if absent.
   Result<std::shared_ptr<Tenant>> Get(const std::string& name) const;
 
-  bool Has(const std::string& name) const;
-
   Status Remove(const std::string& name);
 
   std::vector<std::string> Names() const;  // sorted

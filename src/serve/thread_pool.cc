@@ -1,47 +1,9 @@
 #include "serve/thread_pool.h"
 
-#include <algorithm>
-#include <atomic>
-#include <memory>
 #include <utility>
 
 namespace privsan {
 namespace serve {
-
-namespace {
-
-// Shared state of one ParallelFor: shards are claimed off an atomic cursor,
-// so helpers and the calling thread balance load without any assignment of
-// shards to threads — results only depend on the (fixed) shard boundaries.
-struct ForLoop {
-  const std::function<void(size_t, size_t)>* body = nullptr;
-  size_t n = 0;
-  size_t shards = 0;
-  size_t chunk = 0;
-  std::atomic<size_t> next{0};
-  std::atomic<size_t> done{0};
-  std::mutex mu;
-  std::condition_variable cv;
-};
-
-void RunShards(const std::shared_ptr<ForLoop>& loop) {
-  while (true) {
-    const size_t shard = loop->next.fetch_add(1, std::memory_order_relaxed);
-    if (shard >= loop->shards) return;
-    const size_t begin = shard * loop->chunk;
-    const size_t end = std::min(loop->n, begin + loop->chunk);
-    if (begin < end) (*loop->body)(begin, end);
-    if (loop->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        loop->shards) {
-      // Last shard: wake the owner. Notify under the lock so the owner
-      // cannot miss the signal between its predicate check and wait.
-      std::lock_guard<std::mutex> lock(loop->mu);
-      loop->cv.notify_all();
-    }
-  }
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
@@ -83,45 +45,6 @@ void ThreadPool::WorkerLoop() {
     }
     task();
   }
-}
-
-void ThreadPool::ParallelFor(size_t n,
-                             const std::function<void(size_t, size_t)>& body) {
-  if (n == 0) return;
-  // A few shards per thread smooths imbalance (user logs are Zipf-sized);
-  // the caller counts as one more worker.
-  const size_t max_shards = static_cast<size_t>(num_threads() + 1) * 4;
-  const size_t shards = std::min(n, max_shards);
-  if (shards <= 1) {
-    body(0, n);
-    return;
-  }
-  auto loop = std::make_shared<ForLoop>();
-  loop->body = &body;
-  loop->n = n;
-  loop->shards = shards;
-  loop->chunk = (n + shards - 1) / shards;
-
-  const size_t helpers =
-      std::min(shards - 1, static_cast<size_t>(num_threads()));
-  for (size_t i = 0; i < helpers; ++i) {
-    Submit([loop] { RunShards(loop); });
-  }
-  RunShards(loop);  // the caller works too — nesting cannot deadlock
-  std::unique_lock<std::mutex> lock(loop->mu);
-  loop->cv.wait(lock, [&loop] {
-    return loop->done.load(std::memory_order_acquire) == loop->shards;
-  });
-}
-
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t, size_t)>& body) {
-  if (n == 0) return;
-  if (pool == nullptr) {
-    body(0, n);
-    return;
-  }
-  pool->ParallelFor(n, body);
 }
 
 }  // namespace serve

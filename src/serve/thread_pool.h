@@ -1,27 +1,14 @@
-// A fixed-size worker pool for the serve path.
+// A fixed-size worker pool: the workers that drain SanitizerService's
+// per-tenant request queues. A long-running service hosts many tenants
+// whose requests overlap; one shared ThreadPool runs all of them.
 //
-// The solver is no longer the only hot spot at full scale: per-user DP-row
-// construction and Condition-1 preprocessing are embarrassingly parallel
-// over users / pairs, and a long-running SanitizerService hosts many
-// tenants whose flushes overlap. One shared ThreadPool backs all of them.
-//
-// Design constraints, in order:
-//
-//   * Determinism. ParallelFor partitions [0, n) into fixed contiguous
-//     shards; which worker runs a shard never affects where its results
-//     land, so a sharded computation is bit-identical to the serial one.
-//   * No deadlocks under nesting. The calling thread participates in its
-//     own loop (it claims shards like any worker), so ParallelFor makes
-//     progress even when every worker is busy with other tenants' work.
-//   * Concurrency-safe. Any number of threads may call ParallelFor / Submit
-//     on one pool concurrently; each loop tracks its own completion.
-//
-// Tasks must not throw — exceptions never cross privsan API boundaries.
+// Any number of threads may Submit concurrently. Tasks must not throw —
+// exceptions never cross privsan API boundaries. The destructor runs every
+// queued task before it joins the workers.
 #ifndef PRIVSAN_SERVE_THREAD_POOL_H_
 #define PRIVSAN_SERVE_THREAD_POOL_H_
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -40,15 +27,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
-
   // Enqueues a fire-and-forget task.
   void Submit(std::function<void()> task);
-
-  // Runs body(begin, end) over a fixed partition of [0, n) and blocks until
-  // every shard finished. The calling thread claims shards too. `body` must
-  // be safe to invoke concurrently on disjoint ranges.
-  void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& body);
 
  private:
   void WorkerLoop();
@@ -59,12 +39,6 @@ class ThreadPool {
   std::deque<std::function<void()>> tasks_;
   bool shutdown_ = false;
 };
-
-// Serial fallback: body(0, n) when pool is nullptr, sharded otherwise. The
-// shard-aware entry points (DpConstraintSystem::BuildRows, the parallel
-// RemoveUniquePairs) take an optional pool through this helper.
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t, size_t)>& body);
 
 }  // namespace serve
 }  // namespace privsan

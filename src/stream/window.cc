@@ -18,18 +18,6 @@ Result<WindowKind> WindowKindFromString(const std::string& name) {
   return Status::InvalidArgument("unknown window kind: " + name);
 }
 
-const char* WindowKindToString(WindowKind kind) {
-  switch (kind) {
-    case WindowKind::kNone:
-      return "none";
-    case WindowKind::kSliding:
-      return "sliding";
-    case WindowKind::kTumbling:
-      return "tumbling";
-  }
-  return "unknown";
-}
-
 void WindowState::Observe(const std::string& user, uint64_t now) {
   uint64_t& seen = last_seen_[user];
   seen = std::max(seen, now);

@@ -43,7 +43,6 @@ enum class WindowKind : uint8_t {
 
 // Returns kInvalidArgument for unknown names.
 Result<WindowKind> WindowKindFromString(const std::string& name);
-const char* WindowKindToString(WindowKind kind);
 
 struct WindowPolicy {
   WindowKind kind = WindowKind::kNone;

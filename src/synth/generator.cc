@@ -1,50 +1,11 @@
 #include "synth/generator.h"
 
 #include <string>
-#include <vector>
 
 #include "rng/distributions.h"
 #include "rng/random.h"
-#include "serve/thread_pool.h"
 
 namespace privsan {
-
-namespace {
-
-// One sampled click event, fully formatted. Events are written into fixed
-// slots of a preallocated vector, so which shard produced them never
-// affects the replay order below.
-struct SampledEvent {
-  std::string user, query, url;
-};
-
-// Every event consumes exactly this many Rng draws (three CDF-inversion
-// Zipf samples; the url candidate-set mixing uses SplitMix64 on local
-// state, not the stream). The checkpoint table below relies on this
-// schedule to hand any shard the exact stream position of the serial
-// generator at its first event.
-constexpr uint64_t kDrawsPerEvent = 3;
-
-// Serial pre-pass: snapshot the Rng every `stride` events, so a shard
-// starting at event e resumes from checkpoint e/stride plus at most
-// stride-1 events' worth of Discard. Without it every shard would replay
-// the stream from zero — Omega(total draws) on the last shard's critical
-// path. The pre-pass itself is raw draw stepping (no sampling, no
-// formatting), a small fraction of shard work.
-std::vector<Rng> RngCheckpoints(uint64_t seed, size_t num_events,
-                                size_t stride) {
-  std::vector<Rng> checkpoints;
-  Rng rng(seed);
-  checkpoints.reserve(num_events / stride + 1);
-  for (size_t done = 0;; done += stride) {
-    checkpoints.push_back(rng);
-    if (done + stride > num_events) break;
-    rng.Discard(kDrawsPerEvent * stride);
-  }
-  return checkpoints;
-}
-
-}  // namespace
 
 Status SyntheticLogConfig::Validate() const {
   if (num_users == 0) return Status::InvalidArgument("num_users must be > 0");
@@ -65,11 +26,6 @@ Status SyntheticLogConfig::Validate() const {
 }
 
 Result<SearchLog> GenerateSearchLog(const SyntheticLogConfig& config) {
-  return GenerateSearchLog(config, /*pool=*/nullptr);
-}
-
-Result<SearchLog> GenerateSearchLog(const SyntheticLogConfig& config,
-                                    serve::ThreadPool* pool) {
   PRIVSAN_RETURN_IF_ERROR(config.Validate());
 
   PRIVSAN_ASSIGN_OR_RETURN(ZipfSampler query_sampler,
@@ -82,47 +38,26 @@ Result<SearchLog> GenerateSearchLog(const SyntheticLogConfig& config,
                            ZipfSampler::Build(config.num_users,
                                               config.user_zipf));
 
-  // Sampling + formatting shard over events; each shard resumes the serial
-  // Rng stream from the nearest checkpoint, so the filled slots are
-  // bit-identical to a single sequential pass regardless of pool size.
-  constexpr size_t kCheckpointStride = 4096;
-  const std::vector<Rng> checkpoints =
-      RngCheckpoints(config.seed, config.num_events, kCheckpointStride);
-  std::vector<SampledEvent> events(config.num_events);
-  serve::ParallelFor(
-      pool, config.num_events, [&](size_t begin, size_t end) {
-        Rng rng = checkpoints[begin / kCheckpointStride];
-        rng.Discard(kDrawsPerEvent * (begin % kCheckpointStride));
-        for (size_t event = begin; event < end; ++event) {
-          const uint32_t query = query_sampler.Sample(rng);
-          const uint32_t user = user_sampler.Sample(rng);
-
-          // Each query has a deterministic candidate url set whose size
-          // shrinks with rank (popular queries have richer result sets).
-          // The clicked url is a Zipf draw over the candidates, mapped into
-          // the global url pool via hash mixing so urls are shared across
-          // queries occasionally.
-          uint64_t mix =
-              0x51ab5f1ed00dULL ^ (static_cast<uint64_t>(query) << 1);
-          const size_t candidates =
-              1 + SplitMix64(mix) % config.max_urls_per_query;
-          uint32_t url_rank = url_rank_sampler.Sample(rng);
-          if (url_rank >= candidates) url_rank %= candidates;
-          uint64_t url_mix = (static_cast<uint64_t>(query) << 20) ^
-                             (url_rank * 0x9e3779b9ULL);
-          const uint64_t url = SplitMix64(url_mix) % config.url_pool;
-
-          events[event] = {"user" + std::to_string(user),
-                           "query" + std::to_string(query),
-                           "url" + std::to_string(url)};
-        }
-      });
-
-  // Dictionary interning assigns ids by first appearance, so the replay
-  // must stay in event order (and serial — the builder is not shardable).
+  Rng rng(config.seed);
   SearchLogBuilder builder;
-  for (const SampledEvent& event : events) {
-    builder.Add(event.user, event.query, event.url, /*count=*/1);
+  for (size_t event = 0; event < config.num_events; ++event) {
+    const uint32_t query = query_sampler.Sample(rng);
+    const uint32_t user = user_sampler.Sample(rng);
+
+    // Each query has a deterministic candidate url set whose size shrinks
+    // with rank (popular queries have richer result sets). The clicked url
+    // is a Zipf draw over the candidates, mapped into the global url pool
+    // via hash mixing so urls are shared across queries occasionally.
+    uint64_t mix = 0x51ab5f1ed00dULL ^ (static_cast<uint64_t>(query) << 1);
+    const size_t candidates = 1 + SplitMix64(mix) % config.max_urls_per_query;
+    uint32_t url_rank = url_rank_sampler.Sample(rng);
+    if (url_rank >= candidates) url_rank %= candidates;
+    uint64_t url_mix =
+        (static_cast<uint64_t>(query) << 20) ^ (url_rank * 0x9e3779b9ULL);
+    const uint64_t url = SplitMix64(url_mix) % config.url_pool;
+
+    builder.Add("user" + std::to_string(user), "query" + std::to_string(query),
+                "url" + std::to_string(url), /*count=*/1);
   }
   return builder.Build();
 }

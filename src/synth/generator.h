@@ -27,10 +27,6 @@
 
 namespace privsan {
 
-namespace serve {
-class ThreadPool;
-}  // namespace serve
-
 struct SyntheticLogConfig {
   uint64_t seed = 42;
 
@@ -51,17 +47,10 @@ struct SyntheticLogConfig {
   Status Validate() const;
 };
 
-// Deterministic in `config.seed`.
+// Deterministic in `config.seed`: one pass over the events draws three
+// Zipf samples (query, user, url rank) per event from one Rng stream and
+// interns the event before drawing the next, so ids follow event order.
 Result<SearchLog> GenerateSearchLog(const SyntheticLogConfig& config);
-
-// Shard-aware overload: samples and formats events across `pool` (nullptr
-// = serial). Every event consumes exactly 3 Rng draws, so shard k replays
-// the serial stream from draw 3*begin_k (Rng::Discard) and writes its
-// events into fixed slots — the result is bit-identical to the serial
-// generator for any pool size. Only the dictionary interning of the final
-// SearchLogBuilder pass stays serial.
-Result<SearchLog> GenerateSearchLog(const SyntheticLogConfig& config,
-                                    serve::ThreadPool* pool);
 
 // Preset configs.
 // Paper-scale: ~2500 users / ~240k clicks, collapsing to a few thousand

@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
                  std::function<void(serve::ServeResponse)> respond) {
         service.Submit(std::move(request), std::move(respond));
       },
-      [&service] { return service.Tenants(); }, service.pool());
+      [&service] { return service.Tenants(); });
 
   if (!listen) return RunStdin(protocol);
 
