@@ -83,11 +83,11 @@ int main() {
 
     // Equation 10 compares *global supports*, which differ by the factor
     // |D|/|O| between input and output; under equation-faithful budgets
-    // (EXPERIMENTS.md note 2) |O|/|D| is so small that every triplet lands
-    // in the top bin. The histogram property Figure 6 illustrates —
-    // multinomial sampling preserves each pair's per-user *shape*
-    // (Section 3.2, property 2) — is scale-free in the conditional shares
-    // x_ijk/x_ij vs c_ijk/c_ij, reported here for retained pairs.
+    // (README, "Fidelity notes", note 2) |O|/|D| is so small that every
+    // triplet lands in the top bin. The histogram property Figure 6
+    // illustrates — multinomial sampling preserves each pair's per-user
+    // *shape* (Section 3.2, property 2) — is scale-free in the conditional
+    // shares x_ijk/x_ij vs c_ijk/c_ij, reported here for retained pairs.
     std::vector<double> share_bins(kBins, 0.0);
     double share_triplets = 0.0;
     for (int sample = 0; sample < kSamples; ++sample) {

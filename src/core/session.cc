@@ -398,11 +398,50 @@ Result<UmpSolution> SanitizerSession::SolveInternal(
   lp::Basis* last_basis = warm ? s.last_basis(objective) : nullptr;
   WarmStartHint hint;
   if (last_basis != nullptr) hint.basis = *last_basis;
+
+  // Warm D-UMP LP rounding starts from the O-UMP answer at the same budget
+  // (see the header): a point inside the unit box is the relaxation's
+  // optimum and is rounded with no LP; otherwise the O-UMP basis serves
+  // when there is no D-UMP one. Capped O-UMP is not homogeneous in B, so
+  // its optimum serves no other budget; a failed O-UMP solve changes
+  // nothing.
+  std::optional<UmpStats> oump_stats;
+  if (warm && objective == UtilityObjective::kDiversity &&
+      query.solver.value_or(s.options.dump.solver) ==
+          DumpSolverKind::kLpRounding &&
+      !s.options.oump.cap_counts_at_input) {
+    Result<UmpSolution> oump =
+        SolveInternal(UtilityObjective::kOutputSize, {query.privacy}, true);
+    if (oump.ok()) {
+      oump_stats = oump->stats;
+      if (std::all_of(oump->x_relaxed.begin(), oump->x_relaxed.end(),
+                      [](double v) { return v <= 1.0 + 1e-9; })) {
+        hint.lp_point = std::move(oump->x_relaxed);
+      } else if (hint.basis.empty()) {
+        hint.basis = std::move(oump->basis);
+      }
+    }
+  }
+
   PRIVSAN_ASSIGN_OR_RETURN(
       UmpSolution solution,
       s.problems[i]->Solve(effective, hint.empty() ? nullptr : &hint));
   if (last_basis != nullptr && !solution.basis.empty()) {
     *last_basis = solution.basis;
+  }
+  if (oump_stats.has_value()) {
+    // The answer carries the O-UMP simplex run it waited for. A scaled
+    // O-UMP answer ran none: it is the whole answer's effort when its
+    // point was rounded (one warm solve, no pivots), and nothing beside a
+    // D-UMP LP that ran anyway.
+    const bool scaled =
+        oump_stats->warm_started && oump_stats->refactorizations == 0;
+    if (!hint.lp_point.empty() || !scaled) {
+      solution.stats += *oump_stats;
+      solution.stats.warm_started =
+          solution.stats.warm_started && oump_stats->warm_started;
+    }
+    solution.stats.wall_seconds += oump_stats->wall_seconds;
   }
 
   // Theorem 1 on every answer, before Solve, SweepBudgets, Sanitize or the

@@ -465,7 +465,7 @@ class DumpProblem final : public UmpProblem {
 
     const DumpSolverKind kind = query.solver.value_or(spec_.solver);
     const lp::Basis* basis_hint =
-        hint != nullptr && !hint->empty() ? &hint->basis : nullptr;
+        hint != nullptr && !hint->basis.empty() ? &hint->basis : nullptr;
 
     UmpSolution solution;
     solution.objective = UtilityObjective::kDiversity;
@@ -483,6 +483,14 @@ class DumpProblem final : public UmpProblem {
         break;
       }
       case DumpSolverKind::kLpRounding: {
+        if (hint != nullptr && !hint->lp_point.empty()) {
+          // A known relaxation optimum: round it, no LP (WarmStartHint).
+          PRIVSAN_ASSIGN_OR_RETURN(lp::BipSolution s,
+                                   RoundBipPoint(bip_, hint->lp_point));
+          y = std::move(s.y);
+          solution.stats.warm_started = true;
+          break;
+        }
         PRIVSAN_ASSIGN_OR_RETURN(
             lp::BipSolution s, SolveBipLpRounding(bip_, simplex_, basis_hint));
         y = std::move(s.y);

@@ -19,7 +19,9 @@
 //     region, so a hinted O-UMP request scales the last simplex optimum and
 //     re-rounds without the simplex (unhinted and cap_counts_at_input ones
 //     run the simplex and refresh that optimum); F-UMP ignores hints, solves
-//     cold; D-UMP warm-starts its root LP from the hint (dual simplex);
+//     cold; D-UMP warm-starts its root LP from the hint (dual simplex), and
+//     its LP rounding rounds a hinted relaxation optimum (the session's
+//     scaled O-UMP point, when it fits the unit box) with no LP at all;
 //   * every objective reports the same UmpStats block.
 //
 // SanitizerSession (core/session.h) owns the shared state and the
@@ -123,7 +125,14 @@ struct UmpQuery {
 // answer.
 struct WarmStartHint {
   lp::Basis basis;
-  bool empty() const { return basis.empty(); }
+  // D-UMP LP rounding only: an optimum of the [0,1] relaxation at the
+  // query's budget, rounded directly instead of solving the relaxation (no
+  // LP model, no simplex, no basis in the answer). SanitizerSession sets it
+  // from the O-UMP optimum at that budget when every entry is <= 1: the
+  // relaxation's region is O-UMP's cut by y <= 1, so that point is its
+  // optimum. Every other objective and solver ignores it.
+  std::vector<double> lp_point;
+  bool empty() const { return basis.empty() && lp_point.empty(); }
 };
 
 // Uniform solver effort block, comparable across objectives: the effort of
@@ -153,7 +162,8 @@ struct UmpSolution {
   // of retained pairs for D-UMP.
   uint64_t output_size = 0;
   // Optimal basis for warm-starting the next solve (empty for the LP-free
-  // D-UMP heuristics).
+  // D-UMP heuristics, and for LP rounding of a hinted point, which solves
+  // no LP).
   lp::Basis basis;
   UmpStats stats;
 

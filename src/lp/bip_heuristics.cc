@@ -113,6 +113,25 @@ Result<BipSolution> SolveBipGreedy(const BipProblem& problem) {
   return AdmitGreedily(problem, order);
 }
 
+Result<BipSolution> RoundBipPoint(const BipProblem& problem,
+                                  const std::vector<double>& point) {
+  PRIVSAN_RETURN_IF_ERROR(problem.Validate());
+  if (static_cast<int>(point.size()) != problem.num_vars()) {
+    return Status::InvalidArgument("point size does not match the BIP");
+  }
+  std::vector<double> max_weight(problem.num_vars());
+  for (int j = 0; j < problem.num_vars(); ++j) {
+    max_weight[j] = MaxWeight(problem, j);
+  }
+  std::vector<int> order(problem.num_vars());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    if (point[a] != point[b]) return point[a] > point[b];
+    return max_weight[a] < max_weight[b];
+  });
+  return AdmitGreedily(problem, order);
+}
+
 Result<BipSolution> SolveBipLpRounding(const BipProblem& problem,
                                        const SimplexOptions& options,
                                        const Basis* hint) {
@@ -138,13 +157,7 @@ Result<BipSolution> SolveBipLpRounding(const BipProblem& problem,
     if (greedy.ok()) greedy->stats = lp.stats;
     return greedy;
   }
-  std::vector<int> order(problem.num_vars());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    if (lp.x[a] != lp.x[b]) return lp.x[a] > lp.x[b];
-    return MaxWeight(problem, a) < MaxWeight(problem, b);
-  });
-  Result<BipSolution> rounded = AdmitGreedily(problem, order);
+  Result<BipSolution> rounded = RoundBipPoint(problem, lp.x);
   if (rounded.ok()) {
     rounded->stats = lp.stats;
     rounded->basis = std::move(lp.basis);

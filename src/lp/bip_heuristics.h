@@ -11,7 +11,11 @@
 //                          of their worst-case row weight while all rows fit;
 //   * SolveBipLpRounding — solve the [0,1] LP relaxation with the simplex,
 //                          then admit variables by descending fractional
-//                          value while all rows fit (feasibility-pump-like).
+//                          value while all rows fit (feasibility-pump-like);
+//   * RoundBipPoint      — that rounding step alone, for a caller that
+//                          already holds a relaxation optimum (the D-UMP
+//                          session rounds a scaled O-UMP optimum that fits
+//                          the unit box, core/ump.h).
 //
 // The paper's own SPE heuristic (Algorithm 2) lives in core/spe.h; the exact
 // solver stand-in is lp/branch_and_bound.h.
@@ -60,6 +64,14 @@ struct BipSolution {
 };
 
 Result<BipSolution> SolveBipGreedy(const BipProblem& problem);
+
+// The rounding step of SolveBipLpRounding: admits variables by descending
+// `point` value, ties by ascending largest weight, while every row fits.
+// Feasible for any point; as good as LP rounding when `point` is an
+// optimum of the [0,1] relaxation. Builds no model and reports no LP
+// effort and no basis.
+Result<BipSolution> RoundBipPoint(const BipProblem& problem,
+                                  const std::vector<double>& point);
 
 // `hint` (optional) warm-starts the LP relaxation from a basis of a
 // structurally identical relaxation — e.g. the previous cell of a budget

@@ -111,6 +111,31 @@ TEST(LpRoundingTest, MatchesOptimumOnTightSingleRow) {
   EXPECT_EQ(s.selected, 3);
 }
 
+// The rounding step alone: handed the relaxation's optimum, it admits
+// exactly what LP rounding admits, with no LP effort and no basis.
+TEST(LpRoundingTest, RoundingTheLpOptimumMatchesLpRounding) {
+  for (uint64_t seed : {3, 31, 32, 33}) {
+    BipProblem p = RandomProblem(seed, 30, 6);
+    LpModel model = p.ToLpModel();
+    ASSERT_TRUE(model.Validate().ok());
+    LpSolution lp = SimplexSolver().Solve(model);
+    ASSERT_EQ(lp.status, SolveStatus::kOptimal) << "seed " << seed;
+    BipSolution rounded = RoundBipPoint(p, lp.x).value();
+    BipSolution solved = SolveBipLpRounding(p).value();
+    EXPECT_EQ(rounded.y, solved.y) << "seed " << seed;
+    EXPECT_EQ(rounded.selected, solved.selected) << "seed " << seed;
+    EXPECT_EQ(rounded.stats.simplex_iterations, 0u);
+    EXPECT_TRUE(rounded.basis.empty());
+  }
+}
+
+TEST(LpRoundingTest, RoundBipPointRejectsAPointOfAnotherSize) {
+  BipProblem p = MakeProblem(1, {{{0, 0.5}}, {{0, 0.7}}}, {1.0});
+  EXPECT_FALSE(RoundBipPoint(p, {1.0}).ok());
+  EXPECT_EQ(RoundBipPoint(p, {0.4, 1.0}).value().y,
+            (std::vector<uint8_t>{0, 1}));
+}
+
 class HeuristicVsExactTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(HeuristicVsExactTest, HeuristicsNeverBeatExactAndStayFeasible) {

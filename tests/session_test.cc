@@ -101,6 +101,141 @@ TEST(SessionSweepTest, OumpWarmSweepMatchesColdAndSavesIterations) {
             cold.totals().simplex_iterations);
 }
 
+// Warm D-UMP LP rounding answers from the O-UMP optimum at the cell's
+// budget. Up to B = ln(1/0.8) that point fits the unit box, so it is the
+// relaxation's optimum and is rounded with no LP; at B = ln 2 it does not,
+// and the relaxation runs warm (from the O-UMP basis, then from the D-UMP
+// basis of the cell before).
+TEST(SessionSweepTest, DumpLpRoundingWarmSweepRoundsTheOumpPoint) {
+  const SearchLog raw = SmallSyntheticRaw();
+  SanitizerSession session = SanitizerSession::Create(raw).value();
+  std::vector<UmpQuery> grid;
+  for (double delta : {1e-3, 1e-2, 0.1, 0.2, 0.5, 0.8}) {
+    grid.push_back(Query(2.0, delta));
+    grid.back().solver = DumpSolverKind::kLpRounding;
+  }
+  const SweepResult warm =
+      session.SweepBudgets(UtilityObjective::kDiversity, grid).value();
+  SweepOptions cold_options;
+  cold_options.warm_start = false;
+  const SweepResult cold =
+      session.SweepBudgets(UtilityObjective::kDiversity, grid, cold_options)
+          .value();
+
+  ASSERT_EQ(warm.cells.size(), grid.size());
+  ASSERT_EQ(cold.cells.size(), grid.size());
+  for (size_t i = 0; i < grid.size(); ++i) {
+    const UmpSolution& cell = warm.cells[i];
+    EXPECT_EQ(cell.output_size, cold.cells[i].output_size) << "cell " << i;
+    const DpConstraintSystem rows =
+        DpConstraintSystem::Build(session.log(), grid[i].privacy).value();
+    EXPECT_TRUE(rows.IsSatisfied(cell.x)) << "cell " << i;
+    EXPECT_GT(cold.cells[i].stats.root_iterations, 0u) << "cell " << i;
+  }
+  for (size_t i = 0; i < 4; ++i) {
+    const UmpSolution& cell = warm.cells[i];
+    EXPECT_LE(grid[i].privacy.Budget(), 0.224) << "cell " << i;
+    EXPECT_EQ(cell.stats.root_iterations, 0u) << "cell " << i;
+    EXPECT_TRUE(cell.basis.empty()) << "cell " << i;
+    if (i == 0) continue;
+    EXPECT_TRUE(cell.stats.warm_started) << "cell " << i;
+    EXPECT_EQ(cell.stats.warm_solves, 1u) << "cell " << i;
+    EXPECT_EQ(cell.stats.simplex_iterations, 0u) << "cell " << i;
+    EXPECT_EQ(cell.stats.refactorizations, 0u) << "cell " << i;
+  }
+  // The first cell paid for the session's O-UMP solve: its effort is that
+  // cold solve's.
+  SanitizerSession fresh = SanitizerSession::Create(raw).value();
+  const UmpSolution oump =
+      fresh.Solve(UtilityObjective::kOutputSize, grid[0]).value();
+  EXPECT_FALSE(warm.cells[0].stats.warm_started);
+  EXPECT_EQ(warm.cells[0].stats.warm_solves, 0u);
+  EXPECT_GT(oump.stats.simplex_iterations, 0u);
+  EXPECT_EQ(warm.cells[0].stats.simplex_iterations,
+            oump.stats.simplex_iterations);
+  EXPECT_EQ(warm.cells[0].stats.refactorizations,
+            oump.stats.refactorizations);
+  // B = ln 2: the relaxation runs warm, and the repeated budget starts from
+  // the first one's D-UMP basis.
+  for (size_t i = 4; i < grid.size(); ++i) {
+    const UmpSolution& cell = warm.cells[i];
+    EXPECT_TRUE(cell.stats.warm_started) << "cell " << i;
+    EXPECT_EQ(cell.stats.warm_solves, 1u) << "cell " << i;  // its LP alone
+    EXPECT_GT(cell.stats.refactorizations, 0u) << "cell " << i;
+    EXPECT_FALSE(cell.basis.empty()) << "cell " << i;
+    EXPECT_LT(cell.stats.root_iterations,
+              cold.cells[i].stats.root_iterations)
+        << "cell " << i;
+  }
+  EXPECT_GT(warm.cells[4].stats.root_iterations, 0u);
+  EXPECT_LE(warm.cells[5].stats.root_iterations,
+            warm.cells[4].stats.root_iterations);
+  EXPECT_EQ(warm.warm_cells(), grid.size() - 1);
+
+  // A fresh session's first request at B = ln 2 pays for both LPs: the
+  // cold O-UMP solve, then the relaxation from the O-UMP basis.
+  SanitizerSession second = SanitizerSession::Create(raw).value();
+  const UmpSolution both =
+      second.Solve(UtilityObjective::kDiversity, grid[4]).value();
+  const UmpSolution oump_cold =
+      fresh
+          .SweepBudgets(UtilityObjective::kOutputSize, {grid[4]},
+                        cold_options)
+          .value()
+          .cells.front();
+  EXPECT_FALSE(both.stats.warm_started);
+  EXPECT_EQ(both.stats.warm_solves, 1u);
+  EXPECT_GT(both.stats.root_iterations, 0u);
+  EXPECT_EQ(both.stats.simplex_iterations,
+            oump_cold.stats.simplex_iterations + both.stats.root_iterations);
+  EXPECT_EQ(both.output_size, cold.cells[4].output_size);
+}
+
+// Capped O-UMP is not homogeneous in B, so a capped session's LP rounding
+// never waits for O-UMP: every warm cell runs its own relaxation.
+TEST(SessionSweepTest, CappedSessionsChainTheDumpLpOnly) {
+  SessionOptions options;
+  options.oump.cap_counts_at_input = true;
+  SanitizerSession session =
+      SanitizerSession::Create(SmallSyntheticRaw(), options).value();
+  std::vector<UmpQuery> grid;
+  for (double delta : {1e-2, 0.2, 0.8}) {
+    grid.push_back(Query(2.0, delta));
+    grid.back().solver = DumpSolverKind::kLpRounding;
+  }
+  const SweepResult warm =
+      session.SweepBudgets(UtilityObjective::kDiversity, grid).value();
+  for (size_t i = 0; i < grid.size(); ++i) {
+    const UmpStats& stats = warm.cells[i].stats;
+    EXPECT_GT(stats.refactorizations, 0u) << "cell " << i;
+    EXPECT_EQ(stats.simplex_iterations, stats.root_iterations) << "cell " << i;
+  }
+}
+
+// An O-UMP failure never fails a D-UMP answer: with an iteration budget no
+// LP meets, the O-UMP solve fails, the relaxation runs as it would without
+// it, hits the same limit, and the rounding degrades to the greedy order.
+TEST(SessionSweepTest, DumpLpRoundingSurvivesAFailedOumpSolve) {
+  SessionOptions options;
+  options.simplex.max_iterations = 3;
+  SanitizerSession session =
+      SanitizerSession::Create(GenerateSearchLog(BenchScaleConfig()).value(),
+                               options)
+          .value();
+  UmpQuery query = Query(2.0, 0.5);
+  query.solver = DumpSolverKind::kLpRounding;
+  const Result<UmpSolution> rounded =
+      session.Solve(UtilityObjective::kDiversity, query);
+  ASSERT_TRUE(rounded.ok()) << rounded.status();
+  EXPECT_FALSE(session.Solve(UtilityObjective::kOutputSize, query).ok());
+  query.solver = DumpSolverKind::kGreedy;
+  const UmpSolution greedy =
+      session.Solve(UtilityObjective::kDiversity, query).value();
+  EXPECT_GT(rounded->output_size, 0u);
+  EXPECT_EQ(rounded->x, greedy.x);
+  EXPECT_FALSE(rounded->stats.warm_started);
+}
+
 // λ is the rounded relaxed optimum, so it never exceeds the LP bound; the
 // session refuses an answer that does (Internal) before releasing it. The
 // paper's Table 4 grid, warm-chained (scaled answers) and cold.
