@@ -77,6 +77,16 @@ double DpConstraintSystem::MaxRowLhs(std::span<const uint64_t> x) const {
   return max_lhs;
 }
 
+std::vector<double> DpConstraintSystem::PairMaxWeights() const {
+  std::vector<double> max_weight(num_pairs_, 0.0);
+  for (const auto& row : rows_) {
+    for (const DpConstraintEntry& e : row) {
+      max_weight[e.pair] = std::max(max_weight[e.pair], e.log_t);
+    }
+  }
+  return max_weight;
+}
+
 bool DpConstraintSystem::IsSatisfied(std::span<const uint64_t> x,
                                      double tol) const {
   for (size_t r = 0; r < rows_.size(); ++r) {

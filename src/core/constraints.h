@@ -71,6 +71,11 @@ class DpConstraintSystem {
   // max_r RowLhs(r, x); 0 when there are no rows.
   double MaxRowLhs(std::span<const uint64_t> x) const;
 
+  // Each pair's largest coefficient over its rows (0 for a pair in no
+  // row), indexed by PairId. Row k alone caps x_p at B / log t_pk, so the
+  // largest weight gives the tightest such implied bound.
+  std::vector<double> PairMaxWeights() const;
+
   // Whether all rows satisfy LHS <= budget + tol.
   static constexpr double kTolerance = 1e-9;
   bool IsSatisfied(std::span<const uint64_t> x,

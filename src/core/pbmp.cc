@@ -24,7 +24,7 @@ Result<PbmpResult> SolvePbmp(const SearchLog& log,
   for (PairId p = 0; p < log.num_pairs(); ++p) {
     model.AddVariable(0.0, lp::kInfinity, 0.0);
   }
-  const int z = model.AddVariable(0.0, lp::kInfinity, 1.0, "z");
+  const int z = model.AddVariable(0.0, lp::kInfinity, 1.0);
 
   for (size_t r = 0; r < system.num_rows(); ++r) {
     // sum x log t − z <= 0.
@@ -37,7 +37,7 @@ Result<PbmpResult> SolvePbmp(const SearchLog& log,
   {
     const int row = model.AddConstraint(
         lp::ConstraintSense::kGreaterEqual,
-        static_cast<double>(options.required_output_size), "utility_floor");
+        static_cast<double>(options.required_output_size));
     for (PairId p = 0; p < log.num_pairs(); ++p) {
       model.AddCoefficient(row, static_cast<int>(p), 1.0);
     }

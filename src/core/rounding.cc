@@ -42,13 +42,9 @@ std::vector<uint64_t> FloorCounts(const DpConstraintSystem& system,
 RoundingIndex::RoundingIndex(const DpConstraintSystem& system)
     : pair_begin(system.num_pairs() + 1, 0) {
   const size_t n = system.num_pairs();
-  std::vector<double> max_weight(n, 0.0);
   size_t nnz = 0;
   for (size_t r = 0; r < system.num_rows(); ++r) {
-    for (const DpConstraintEntry& e : system.Row(r)) {
-      ++pair_begin[e.pair + 1];
-      max_weight[e.pair] = std::max(max_weight[e.pair], e.log_t);
-    }
+    for (const DpConstraintEntry& e : system.Row(r)) ++pair_begin[e.pair + 1];
     nnz += system.Row(r).size();
   }
   PRIVSAN_CHECK(nnz <= UINT32_MAX && system.num_rows() <= UINT32_MAX);
@@ -63,6 +59,7 @@ RoundingIndex::RoundingIndex(const DpConstraintSystem& system)
       weights[k] = e.log_t;
     }
   }
+  const std::vector<double> max_weight = system.PairMaxWeights();
   fill_order.resize(n);
   std::iota(fill_order.begin(), fill_order.end(), 0);
   std::stable_sort(fill_order.begin(), fill_order.end(),

@@ -151,13 +151,9 @@ struct SanitizerSession::State {
   // supports only rebuilds when a solve actually needs the other model.
   double fump_min_support = 0.0;
   double fump_problem_support = -1.0;
-  // Which objectives had a built model before the last rebuild — the set
-  // PrewarmProblems() restores so a flusher can move model construction
-  // off the query path.
-  bool had_problem[kNumObjectives] = {false, false, false};
   // Cached by RecomputeResidentBase(): bytes of raw + log + system, the
   // parts whose measurement walks every dictionary string. Refreshed on
-  // every rebuild/restore; bases and models are added per ResidentBytes()
+  // every rebuild/restore; bases and problems are added per ResidentBytes()
   // call (they are cheap to size).
   size_t resident_base_bytes = 0;
   size_t system_bytes = 0;
@@ -205,8 +201,9 @@ size_t SanitizerSession::ResidentBytes() const {
              basis->state.capacity() * sizeof(lp::VarStatus);
   }
   for (const auto& problem : s.problems) {
-    // Each built model carries (roughly) its own copy of the DP rows as an
-    // LP constraint matrix; one system's worth per problem is the estimate.
+    // Each built problem keeps (roughly) one copy of the DP rows: O-UMP's
+    // rounding index, the F-UMP model, the D-UMP BIP. One system's worth
+    // per problem is the estimate.
     if (problem != nullptr) bytes += s.system_bytes;
   }
   return bytes;
@@ -285,10 +282,7 @@ Status SanitizerSession::RebuildFromRaw(bool remap_bases) {
   s.log = std::move(preprocessed.log);
   s.stats = preprocessed.stats;
   PRIVSAN_ASSIGN_OR_RETURN(s.system, DpConstraintSystem::BuildRows(s.log));
-  for (int i = 0; i < kNumObjectives; ++i) {
-    s.had_problem[i] = s.problems[i] != nullptr;
-    s.problems[i].reset();
-  }
+  for (auto& problem : s.problems) problem.reset();
   s.fump_problem_support = -1.0;
 
   // Carry the O-UMP / D-UMP optimal bases over to the resized model (the
@@ -491,18 +485,6 @@ Status SanitizerSession::EnsureProblem(UtilityObjective objective) {
                                          s.options.simplex));
       break;
     }
-  }
-  return Status::OK();
-}
-
-Status SanitizerSession::PrewarmProblems() {
-  internal::NonConcurrentScope scope(&state_->checker);
-  State& s = *state_;
-  if (s.log.num_pairs() == 0) return Status::OK();
-  for (int i = 0; i < kNumObjectives; ++i) {
-    if (!s.had_problem[i] || s.problems[i] != nullptr) continue;
-    PRIVSAN_RETURN_IF_ERROR(
-        EnsureProblem(static_cast<UtilityObjective>(i)));
   }
   return Status::OK();
 }

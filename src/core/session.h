@@ -6,9 +6,9 @@
 //   * the accumulated raw input and its Condition-1 preprocessed form;
 //   * the shared DP constraint rows (built once per preprocessed log — the
 //     coefficients never depend on (ε, δ));
-//   * one cached UmpProblem per objective (LP/BIP models built once, only
-//     right-hand sides rebound per query; O-UMP scales one LP optimum to
-//     every budget of the log version, see core/ump.h);
+//   * one UmpProblem per objective, built at its first solve and kept for
+//     the log version with only what its later answers read (O-UMP scales
+//     one LP optimum to every budget of the log version, see core/ump.h);
 //   * the last optimal O-UMP and D-UMP bases, chained as warm-start hints
 //     into the next solve (F-UMP cells solve cold).
 //
@@ -212,21 +212,13 @@ class SanitizerSession {
   // What the most recent RemoveUsers did; zeros before the first removal.
   const RemoveStats& last_remove_stats() const;
 
-  // Rebuilds the cached solver models that the last AppendUsers
-  // invalidated (only objectives that had a built model before the
-  // append). Model construction depends on the rows alone — never on the
-  // query — so a flusher can run it off the query path: the next Solve
-  // then only rebinds the budget and dual-repairs the remapped basis
-  // instead of paying the model build. Purely an optimization; Solve
-  // builds lazily either way.
-  Status PrewarmProblems();
-
   // Estimated resident heap footprint of the session: the raw and
   // preprocessed logs, the DP rows, the stored bases, plus one DP-system's
-  // worth per cached solver model (the LP constraint matrix mirrors the
-  // rows and dominates the model's memory). The log/system part is cached
-  // at rebuild time, so this is O(#objectives) per call — the serve layer
-  // reads it after every state change to enforce its global memory budget.
+  // worth per built problem (each keeps one copy of the rows: an O-UMP
+  // rounding index, the F-UMP model, the D-UMP BIP). The log/system part
+  // is cached at rebuild time, so this is O(#objectives) per call — the
+  // serve layer reads it after every state change to enforce its global
+  // memory budget.
   size_t ResidentBytes() const;
 
   // Algorithm 1 end to end at `privacy`, using options().objective: solve

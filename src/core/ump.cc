@@ -44,42 +44,37 @@ const char* DumpSolverKindToString(DumpSolverKind kind) {
 
 namespace {
 
-// Appends one <= row per DP constraint (rhs rebound per query) and records
-// each pair's largest coefficient — the source of the implied bound
-// x_p <= B / max_weight[p] that keeps every variable finitely bounded.
-void AddDpRows(const DpConstraintSystem& system, lp::LpModel* model,
-               std::vector<double>* max_weight) {
-  max_weight->assign(system.num_pairs(), 0.0);
+// Appends one <= row per DP constraint at right-hand side `rhs`.
+void AddDpRows(const DpConstraintSystem& system, double rhs,
+               lp::LpModel* model) {
   for (size_t r = 0; r < system.num_rows(); ++r) {
-    const int row = model->AddConstraint(lp::ConstraintSense::kLessEqual, 1.0);
+    const int row = model->AddConstraint(lp::ConstraintSense::kLessEqual, rhs);
     for (const DpConstraintEntry& e : system.Row(r)) {
       model->AddCoefficient(row, static_cast<int>(e.pair), e.log_t);
-      (*max_weight)[e.pair] = std::max((*max_weight)[e.pair], e.log_t);
     }
   }
 }
 
 // ---- O-UMP ------------------------------------------------------------------
 
+// The LP is built where the simplex runs: a hinted request on an uncapped
+// problem scales the last optimum and needs no model, so the problem keeps
+// only what its answers read.
 class OumpProblem final : public UmpProblem {
  public:
   OumpProblem(const SearchLog& log, DpConstraintSystem* system, OumpSpec spec,
               lp::SimplexOptions simplex)
-      : log_(&log), system_(system), spec_(spec), solver_(simplex) {}
-
-  Status Build() {
-    model_ = lp::LpModel(lp::ObjectiveSense::kMaximize);
-    for (PairId p = 0; p < log_->num_pairs(); ++p) {
-      model_.AddVariable(0.0, lp::kInfinity, 1.0);
-    }
-    AddDpRows(*system_, &model_, &max_weight_);
+      : log_(&log),
+        system_(system),
+        spec_(spec),
+        solver_(simplex),
+        max_weight_(system->PairMaxWeights()) {
     if (spec_.cap_counts_at_input) {
       caps_.resize(log_->num_pairs());
       for (PairId p = 0; p < log_->num_pairs(); ++p) {
         caps_[p] = log_->pair_total(p);
       }
     }
-    return model_.Validate();
   }
 
   UtilityObjective objective() const override {
@@ -98,23 +93,23 @@ class OumpProblem final : public UmpProblem {
     solution.objective = UtilityObjective::kOutputSize;
     const bool warm = hint != nullptr && !hint->empty();
     if (!warm || optimum_budget_ == 0.0 || spec_.cap_counts_at_input) {
-      for (int r = 0; r < model_.num_constraints(); ++r) {
-        model_.set_constraint_rhs(r, budget);
-      }
-      // Implied finite bounds: row k alone caps x_p at B / log t_pk. Finite
+      // One variable per pair in PairId order over the DP rows at B, with
+      // implied finite bounds: row k alone caps x_p at B / log t_pk. Finite
       // bounds on every variable let a warm start repair dual infeasibility
       // by bound flips — without them a remapped basis with a newly
       // attractive column (AppendUsers) would force a cold fallback.
+      lp::LpModel model(lp::ObjectiveSense::kMaximize);
       for (PairId p = 0; p < log_->num_pairs(); ++p) {
         double upper = max_weight_[p] > 0.0 ? budget / max_weight_[p]
                                             : lp::kInfinity;
         if (spec_.cap_counts_at_input) {
           upper = std::min(upper, static_cast<double>(caps_[p]));
         }
-        model_.mutable_variable(static_cast<int>(p)).upper = upper;
+        model.AddVariable(0.0, upper, 1.0);
       }
-      lp::LpSolution lp =
-          solver_.Solve(model_, warm ? &hint->basis : nullptr);
+      AddDpRows(*system_, budget, &model);
+      PRIVSAN_RETURN_IF_ERROR(model.Validate());
+      lp::LpSolution lp = solver_.Solve(model, warm ? &hint->basis : nullptr);
       if (lp.status != lp::SolveStatus::kOptimal) {
         return Status::Internal(std::string("O-UMP LP solve failed: ") +
                                 lp::SolveStatusToString(lp.status));
@@ -142,16 +137,11 @@ class OumpProblem final : public UmpProblem {
     RoundingOptions rounding;
     if (spec_.cap_counts_at_input) rounding.caps = caps_;
     // The rows stay fixed for the problem's life (the session drops it with
-    // its log version), so one index serves every later budget. It is kept
-    // from the second answer on: a problem answered once (a one-shot
-    // release) holds no second copy of its rows.
-    ++answers_;
-    if (!rounding_index_ && answers_ > 1) rounding_index_.emplace(*system_);
-    std::optional<RoundingIndex> first_answer_index;
-    const RoundingIndex& index = rounding_index_
-                                     ? *rounding_index_
-                                     : first_answer_index.emplace(*system_);
-    solution.x = RoundCounts(*system_, index, solution.x_relaxed, rounding);
+    // its log version), so the index built at the first answer serves every
+    // later budget.
+    if (!rounding_index_) rounding_index_.emplace(*system_);
+    solution.x =
+        RoundCounts(*system_, *rounding_index_, solution.x_relaxed, rounding);
     for (uint64_t v : solution.x) solution.output_size += v;
     solution.stats.wall_seconds = timer.ElapsedSeconds();
     return solution;
@@ -162,7 +152,6 @@ class OumpProblem final : public UmpProblem {
   DpConstraintSystem* system_;
   OumpSpec spec_;
   lp::SimplexSolver solver_;
-  lp::LpModel model_;
   std::vector<uint64_t> caps_;
   std::vector<double> max_weight_;  // per pair, max log t over its DP rows
   // The last simplex optimum and its budget (0 = none yet). It answers warm
@@ -170,9 +159,7 @@ class OumpProblem final : public UmpProblem {
   // log version.
   lp::LpSolution optimum_;
   double optimum_budget_ = 0.0;
-  // The rounding index of the problem's rows, kept from its second answer.
   std::optional<RoundingIndex> rounding_index_;
-  int64_t answers_ = 0;
 };
 
 // ---- F-UMP ------------------------------------------------------------------
@@ -234,9 +221,9 @@ class FumpProblem final : public UmpProblem {
     }
     const int y_base = static_cast<int>(log_->num_pairs());
 
-    AddDpRows(*system_, &model_, &max_weight_);
-    output_row_ = model_.AddConstraint(lp::ConstraintSense::kEqual, 1.0,
-                                       "output_size");
+    AddDpRows(*system_, 1.0, &model_);
+    max_weight_ = system_->PairMaxWeights();
+    output_row_ = model_.AddConstraint(lp::ConstraintSense::kEqual, 1.0);
     for (PairId p = 0; p < log_->num_pairs(); ++p) {
       model_.AddCoefficient(output_row_, static_cast<int>(p), 1.0);
     }
@@ -433,22 +420,11 @@ class DumpProblem final : public UmpProblem {
  public:
   DumpProblem(const SearchLog& log, DpConstraintSystem* system, DumpSpec spec,
               lp::SimplexOptions simplex)
-      : log_(&log), system_(system), spec_(spec), simplex_(simplex) {}
-
-  Status Build() {
-    bip_ = BipFromConstraintRows(*system_);
-    bip_.rhs.assign(bip_.num_rows, 1.0);  // rebound per query
-    col_max_weight_.resize(log_->num_pairs());
-    for (PairId p = 0; p < log_->num_pairs(); ++p) {
-      double max_weight = 0.0;
-      for (const lp::SparseEntry& e : bip_.columns[p]) {
-        max_weight = std::max(max_weight, e.value);
-      }
-      col_max_weight_[p] = max_weight;
-    }
-    bnb_model_ = bip_.ToLpModel();
-    return bnb_model_.Validate();
-  }
+      : log_(&log),
+        system_(system),
+        spec_(spec),
+        simplex_(simplex),
+        bip_(BipFromConstraintRows(*system)) {}
 
   UtilityObjective objective() const override {
     return UtilityObjective::kDiversity;
@@ -501,24 +477,26 @@ class DumpProblem final : public UmpProblem {
         break;
       }
       case DumpSolverKind::kBranchAndBound: {
+        // The tree's LP is built per call from the BIP at B, as LP rounding
+        // builds its relaxation.
+        lp::LpModel model = bip_.ToLpModel();
+        PRIVSAN_RETURN_IF_ERROR(model.Validate());
         // Integer presolve: a single entry w_j > B already overruns row j's
         // budget, so y_j = 1 is integrally infeasible — fix the variable
         // before the tree search (the LP relaxation only sees y_j <= B/w_j).
         int fixed = 0;
-        for (PairId p = 0; p < log_->num_pairs(); ++p) {
-          const bool fix = spec_.integer_presolve &&
-                           col_max_weight_[p] > budget + 1e-12;
-          bnb_model_.mutable_variable(static_cast<int>(p)).upper =
-              fix ? 0.0 : 1.0;
-          if (fix) ++fixed;
-        }
-        for (int r = 0; r < bip_.num_rows; ++r) {
-          bnb_model_.set_constraint_rhs(r, budget);
+        if (spec_.integer_presolve) {
+          const std::vector<double> max_weight = system_->PairMaxWeights();
+          for (PairId p = 0; p < log_->num_pairs(); ++p) {
+            if (max_weight[p] <= budget + 1e-12) continue;
+            model.mutable_variable(static_cast<int>(p)).upper = 0.0;
+            ++fixed;
+          }
         }
         // The node LPs run on the problem's simplex options, like every
         // other solve of this session.
         lp::BnbResult bnb =
-            SolveBranchAndBound(bnb_model_, spec_.bnb, simplex_, basis_hint);
+            SolveBranchAndBound(model, spec_.bnb, simplex_, basis_hint);
         if (!bnb.has_incumbent) {
           return Status::Internal("branch & bound found no incumbent");
         }
@@ -550,9 +528,7 @@ class DumpProblem final : public UmpProblem {
   DpConstraintSystem* system_;
   DumpSpec spec_;
   lp::SimplexOptions simplex_;
-  lp::BipProblem bip_;
-  lp::LpModel bnb_model_;
-  std::vector<double> col_max_weight_;
+  lp::BipProblem bip_;  // its rhs is rebound per query
 };
 
 }  // namespace
@@ -560,9 +536,8 @@ class DumpProblem final : public UmpProblem {
 Result<std::unique_ptr<UmpProblem>> MakeOumpProblem(
     const SearchLog& log, DpConstraintSystem* system, OumpSpec spec,
     lp::SimplexOptions simplex) {
-  auto problem = std::make_unique<OumpProblem>(log, system, spec, simplex);
-  PRIVSAN_RETURN_IF_ERROR(problem->Build());
-  return std::unique_ptr<UmpProblem>(std::move(problem));
+  return std::unique_ptr<UmpProblem>(
+      std::make_unique<OumpProblem>(log, system, spec, simplex));
 }
 
 Result<std::unique_ptr<UmpProblem>> MakeFumpProblem(
@@ -576,9 +551,8 @@ Result<std::unique_ptr<UmpProblem>> MakeFumpProblem(
 Result<std::unique_ptr<UmpProblem>> MakeDumpProblem(
     const SearchLog& log, DpConstraintSystem* system, DumpSpec spec,
     lp::SimplexOptions simplex) {
-  auto problem = std::make_unique<DumpProblem>(log, system, spec, simplex);
-  PRIVSAN_RETURN_IF_ERROR(problem->Build());
-  return std::unique_ptr<UmpProblem>(std::move(problem));
+  return std::unique_ptr<UmpProblem>(
+      std::make_unique<DumpProblem>(log, system, spec, simplex));
 }
 
 }  // namespace privsan

@@ -8,9 +8,13 @@
 //
 //   * it is bound to one preprocessed log and one shared DpConstraintSystem
 //     whose rows are built once and reused by every solve;
-//   * its LP / BIP model is built once and cached; a new query rebinds only
-//     the right-hand sides and bounds (the privacy budget B, and for F-UMP
-//     the output size |O| — the F-UMP LP here is formulated with scaled
+//   * it keeps only what its later answers read and builds every other LP
+//     where the simplex runs: O-UMP keeps its last optimum and builds its
+//     LP only for a simplex run; D-UMP keeps its BIP and builds LP
+//     rounding's relaxation and branch & bound's LP from it per call;
+//     F-UMP, whose every cell runs the simplex, keeps its model and rebinds
+//     only the right-hand sides and bounds (the privacy budget B and the
+//     output size |O| — the F-UMP LP here is formulated with scaled
 //     deviation variables y'_f = |O|·y_f precisely so that |O| never
 //     appears in a coefficient);
 //   * Solve() accepts an optional WarmStartHint (the optimal basis of a
@@ -107,9 +111,10 @@ struct DumpSpec {
   bool integer_presolve = true;
 };
 
-// Per-solve parameters. Only right-hand sides and variable bounds of the
-// cached model depend on a query, so any previous basis of the same
-// UmpProblem stays a valid warm-start hint across queries.
+// Per-solve parameters. A query moves only right-hand sides and variable
+// bounds, never the columns or rows of a problem's LP, so any previous
+// basis of the same UmpProblem stays a valid warm-start hint across
+// queries.
 struct UmpQuery {
   PrivacyParams privacy;
   // F-UMP only: the fixed output size |O| in (0, λ]. Must be > 0 there
@@ -178,7 +183,7 @@ struct UmpSolution {
 // problem. The shared `system`'s budget is rebound on every Solve, so one
 // DpConstraintSystem can back several problems (as SanitizerSession does).
 //
-// Thread-compatibility contract: a UmpProblem mutates its cached model (and
+// Thread-compatibility contract: a UmpProblem mutates its kept state (and
 // the shared system's budget) in place, so concurrent Solve calls on one
 // instance — or on two instances sharing a DpConstraintSystem — are data
 // races. Serialize access (debug builds assert overlapping calls), or go

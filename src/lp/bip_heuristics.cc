@@ -48,13 +48,10 @@ bool BipProblem::IsFeasible(const std::vector<uint8_t>& y, double tol) const {
 LpModel BipProblem::ToLpModel() const {
   LpModel model(ObjectiveSense::kMaximize);
   for (int j = 0; j < num_vars(); ++j) {
-    std::string name = "y";
-    name += std::to_string(j);
-    model.AddVariable(0.0, 1.0, 1.0, std::move(name), /*is_integer=*/true);
+    model.AddVariable(0.0, 1.0, 1.0, /*is_integer=*/true);
   }
   for (int r = 0; r < num_rows; ++r) {
-    model.AddConstraint(ConstraintSense::kLessEqual, rhs[r],
-                        "row" + std::to_string(r));
+    model.AddConstraint(ConstraintSense::kLessEqual, rhs[r]);
   }
   for (int j = 0; j < num_vars(); ++j) {
     for (const SparseEntry& e : columns[j]) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/logging.h"
 
@@ -9,24 +10,13 @@ namespace privsan {
 namespace lp {
 
 int LpModel::AddVariable(double lower, double upper, double objective,
-                         std::string name, bool is_integer) {
-  Variable v;
-  v.lower = lower;
-  v.upper = upper;
-  v.objective = objective;
-  v.is_integer = is_integer;
-  v.name = std::move(name);
-  variables_.push_back(std::move(v));
+                         bool is_integer) {
+  variables_.push_back(Variable{lower, upper, objective, is_integer});
   return static_cast<int>(variables_.size()) - 1;
 }
 
-int LpModel::AddConstraint(ConstraintSense sense, double rhs,
-                           std::string name) {
-  Constraint c;
-  c.sense = sense;
-  c.rhs = rhs;
-  c.name = std::move(name);
-  constraints_.push_back(std::move(c));
+int LpModel::AddConstraint(ConstraintSense sense, double rhs) {
+  constraints_.push_back(Constraint{sense, rhs, {}});
   return static_cast<int>(constraints_.size()) - 1;
 }
 

@@ -6,14 +6,13 @@
 // the simplex solver (lp/simplex.h) and branch & bound (lp/branch_and_bound.h).
 //
 //   LpModel model(ObjectiveSense::kMaximize);
-//   int x = model.AddVariable(0, kInfinity, /*objective=*/1.0, "x");
-//   int r = model.AddConstraint(ConstraintSense::kLessEqual, 4.0, "cap");
+//   int x = model.AddVariable(0, kInfinity, /*objective=*/1.0);
+//   int r = model.AddConstraint(ConstraintSense::kLessEqual, 4.0);
 //   model.AddCoefficient(r, x, 2.0);
 #ifndef PRIVSAN_LP_MODEL_H_
 #define PRIVSAN_LP_MODEL_H_
 
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "util/result.h"
@@ -31,7 +30,6 @@ struct Variable {
   double upper = kInfinity;
   double objective = 0.0;
   bool is_integer = false;
-  std::string name;
 };
 
 struct Coefficient {
@@ -43,7 +41,6 @@ struct Constraint {
   ConstraintSense sense = ConstraintSense::kLessEqual;
   double rhs = 0.0;
   std::vector<Coefficient> entries;  // column indices strictly increasing
-  std::string name;
 };
 
 class LpModel {
@@ -56,18 +53,18 @@ class LpModel {
 
   // Returns the new variable's index.
   int AddVariable(double lower, double upper, double objective,
-                  std::string name = "", bool is_integer = false);
+                  bool is_integer = false);
 
   // Returns the new constraint's index.
-  int AddConstraint(ConstraintSense sense, double rhs, std::string name = "");
+  int AddConstraint(ConstraintSense sense, double rhs);
 
   // Accumulates `value` onto A[row][col]. Entries may be added in any order;
   // duplicates are summed at Validate()/solve time.
   void AddCoefficient(int row, int col, double value);
 
   // Rebinds row r's right-hand side in place. The sparsity pattern is
-  // untouched, so a model stays Validate()d across rhs changes — the cached
-  // UMP models rebind the privacy budget this way between solves.
+  // untouched, so a model stays Validate()d across rhs changes — the kept
+  // F-UMP model rebinds the privacy budget and |O| this way between solves.
   void set_constraint_rhs(int r, double rhs) { constraints_[r].rhs = rhs; }
 
   int num_variables() const { return static_cast<int>(variables_.size()); }

@@ -164,12 +164,12 @@ PresolveInfo BuildPresolve(const LpModel& model, LpModel* reduced) {
     if (var_removed[j]) continue;
     const Variable& v = model.variable(j);
     info.var_map[j] =
-        reduced->AddVariable(lb[j], ub[j], v.objective, v.name, v.is_integer);
+        reduced->AddVariable(lb[j], ub[j], v.objective, v.is_integer);
   }
   for (int r = 0; r < m; ++r) {
     if (row_removed[r]) continue;
     const Constraint& c = model.constraint(r);
-    info.row_map[r] = reduced->AddConstraint(c.sense, rhs[r], c.name);
+    info.row_map[r] = reduced->AddConstraint(c.sense, rhs[r]);
     for (const Coefficient& e : c.entries) {
       if (e.value == 0.0 || var_removed[e.variable]) continue;
       reduced->AddCoefficient(info.row_map[r], info.var_map[e.variable],

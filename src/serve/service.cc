@@ -423,18 +423,16 @@ ServeResponse SanitizerService::Execute(Tenant& tenant, ServeRequest& request,
         std::lock_guard<std::mutex> lock(tenant.cmu);
         ++tenant.stats.maintenance_flushes;
       }
-      // Only maintenance flushes prewarm and refresh: this work is an
-      // optimization precisely because it runs off the query path — an
-      // inline pre-solve flush must not pay model builds for objectives
-      // the pending solve does not need.
+      // Only maintenance flushes refresh: this work is an optimization
+      // precisely because it runs off the query path — an inline pre-solve
+      // flush must not pay a solve the client did not ask for.
       //
-      // Rebuild the solver models the append invalidated, then re-solve
-      // the last served query (hot-query refresh): the flush-invalidated
-      // cache entry is repopulated and the remapped basis re-optimized
-      // before the next client solve. Best-effort — a failure leaves the
-      // lazy solve path intact. The refresh's time and pivots land on this
-      // flush's trace.
-      (void)tenant.session->PrewarmProblems();
+      // Re-solve the last served query (hot-query refresh): the
+      // flush-invalidated cache entry is repopulated, the remapped basis
+      // re-optimized and the problem that query needs rebuilt before the
+      // next client solve. Best-effort — a failure leaves the lazy solve
+      // path intact. The refresh's time and pivots land on this flush's
+      // trace.
       if (tenant.last_solve_query.has_value()) {
         const auto [objective, query] = *tenant.last_solve_query;
         if (ExecuteSolve(tenant, objective, query, trace, /*charge=*/false)

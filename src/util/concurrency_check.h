@@ -1,7 +1,7 @@
 // Debug-only non-concurrency assertions for single-threaded state.
 //
 // UmpProblem, SanitizerSession and the DpConstraintSystem they rebind are
-// deliberately single-threaded: solves mutate cached models in place, so
+// deliberately single-threaded: solves mutate kept problem state in place, so
 // two concurrent calls on one instance corrupt state. The supported way to
 // use them from many threads is serialization behind a lock — which is
 // exactly what serve::SanitizerService does per tenant.

@@ -30,9 +30,9 @@ TEST(BnbTest, SimpleIntegerKnapsack) {
   // max 5a + 4b + 3c, 2a + 3b + c <= 5, binary -> a=1,c=1 (val 8)? Check:
   // a+c: weight 3 value 8; a+b: weight 5 value 9. Optimal {a,b} = 9.
   LpModel model(ObjectiveSense::kMaximize);
-  int a = model.AddVariable(0, 1, 5.0, "a", true);
-  int b = model.AddVariable(0, 1, 4.0, "b", true);
-  int c = model.AddVariable(0, 1, 3.0, "c", true);
+  int a = model.AddVariable(0, 1, 5.0, true);
+  int b = model.AddVariable(0, 1, 4.0, true);
+  int c = model.AddVariable(0, 1, 3.0, true);
   int r = model.AddConstraint(ConstraintSense::kLessEqual, 5.0);
   model.AddCoefficient(r, a, 2.0);
   model.AddCoefficient(r, b, 3.0);
@@ -51,8 +51,8 @@ TEST(BnbTest, GeneralIntegerVariables) {
   // max x + y, 3x + 5y <= 15, x,y >= 0 integer. LP opt (5,0) -> already
   // integral: 5.
   LpModel model(ObjectiveSense::kMaximize);
-  int x = model.AddVariable(0, kInfinity, 1.0, "x", true);
-  int y = model.AddVariable(0, kInfinity, 1.0, "y", true);
+  int x = model.AddVariable(0, kInfinity, 1.0, true);
+  int y = model.AddVariable(0, kInfinity, 1.0, true);
   int r = model.AddConstraint(ConstraintSense::kLessEqual, 15.0);
   model.AddCoefficient(r, x, 3.0);
   model.AddCoefficient(r, y, 5.0);
@@ -70,7 +70,7 @@ TEST(BnbTest, FractionalLpForcesBranching) {
   const double weights[] = {5, 7, 4, 3};
   std::vector<int> vars;
   for (int j = 0; j < 4; ++j) {
-    vars.push_back(model.AddVariable(0, 1, values[j], "", true));
+    vars.push_back(model.AddVariable(0, 1, values[j], true));
   }
   int r = model.AddConstraint(ConstraintSense::kLessEqual, 14.0);
   for (int j = 0; j < 4; ++j) model.AddCoefficient(r, vars[j], weights[j]);
@@ -85,7 +85,7 @@ TEST(BnbTest, FractionalLpForcesBranching) {
 TEST(BnbTest, InfeasibleIntegerProblem) {
   // 2x = 3 with x integer in [0, 5]: LP feasible (x = 1.5), IP infeasible.
   LpModel model(ObjectiveSense::kMaximize);
-  int x = model.AddVariable(0, 5, 1.0, "x", true);
+  int x = model.AddVariable(0, 5, 1.0, true);
   int r = model.AddConstraint(ConstraintSense::kEqual, 3.0);
   model.AddCoefficient(r, x, 2.0);
   ASSERT_TRUE(model.Validate().ok());
@@ -96,7 +96,7 @@ TEST(BnbTest, InfeasibleIntegerProblem) {
 
 TEST(BnbTest, LpInfeasibleProblem) {
   LpModel model(ObjectiveSense::kMaximize);
-  int x = model.AddVariable(0, 1, 1.0, "x", true);
+  int x = model.AddVariable(0, 1, 1.0, true);
   int r1 = model.AddConstraint(ConstraintSense::kGreaterEqual, 2.0);
   model.AddCoefficient(r1, x, 1.0);
   ASSERT_TRUE(model.Validate().ok());
@@ -109,8 +109,8 @@ TEST(BnbTest, MinimizationSense) {
   // min 3x + 2y s.t. x + y >= 3.5, x,y >= 0 integer -> (0,4) value 8 or
   // (1,3) value 9, (2,2) 10, (3,1) 11, (0,4) 8. Optimal 8.
   LpModel model(ObjectiveSense::kMinimize);
-  int x = model.AddVariable(0, kInfinity, 3.0, "x", true);
-  int y = model.AddVariable(0, kInfinity, 2.0, "y", true);
+  int x = model.AddVariable(0, kInfinity, 3.0, true);
+  int y = model.AddVariable(0, kInfinity, 2.0, true);
   int r = model.AddConstraint(ConstraintSense::kGreaterEqual, 3.5);
   model.AddCoefficient(r, x, 1.0);
   model.AddCoefficient(r, y, 1.0);
@@ -128,7 +128,7 @@ TEST(BnbTest, NodeBudgetReturnsIncumbent) {
   Rng rng(9);
   int r = model.AddConstraint(ConstraintSense::kLessEqual, 10.0);
   for (int j = 0; j < 20; ++j) {
-    int v = model.AddVariable(0, 1, rng.NextDouble(1.0, 5.0), "", true);
+    int v = model.AddVariable(0, 1, rng.NextDouble(1.0, 5.0), true);
     model.AddCoefficient(r, v, rng.NextDouble(0.5, 4.0));
   }
   ASSERT_TRUE(model.Validate().ok());
@@ -157,7 +157,7 @@ TEST_P(BnbBruteForceTest, MatchesBruteForce) {
   const double capacity2 = rng.NextDouble(2.0, 8.0);
 
   LpModel model(ObjectiveSense::kMaximize);
-  for (int j = 0; j < n; ++j) model.AddVariable(0, 1, values[j], "", true);
+  for (int j = 0; j < n; ++j) model.AddVariable(0, 1, values[j], true);
   int r1 = model.AddConstraint(ConstraintSense::kLessEqual, capacity);
   int r2 = model.AddConstraint(ConstraintSense::kLessEqual, capacity2);
   for (int j = 0; j < n; ++j) {

@@ -8,15 +8,15 @@ namespace {
 
 TEST(LpModelTest, BuildBasicModel) {
   LpModel model(ObjectiveSense::kMaximize);
-  int x = model.AddVariable(0.0, kInfinity, 3.0, "x");
-  int y = model.AddVariable(0.0, 10.0, 2.0, "y");
-  int r = model.AddConstraint(ConstraintSense::kLessEqual, 4.0, "cap");
+  int x = model.AddVariable(0.0, kInfinity, 3.0);
+  int y = model.AddVariable(0.0, 10.0, 2.0);
+  int r = model.AddConstraint(ConstraintSense::kLessEqual, 4.0);
   model.AddCoefficient(r, x, 1.0);
   model.AddCoefficient(r, y, 1.0);
   ASSERT_TRUE(model.Validate().ok());
   EXPECT_EQ(model.num_variables(), 2);
   EXPECT_EQ(model.num_constraints(), 1);
-  EXPECT_EQ(model.variable(x).name, "x");
+  EXPECT_EQ(model.variable(y).upper, 10.0);
   EXPECT_EQ(model.constraint(r).entries.size(), 2u);
 }
 
@@ -106,7 +106,7 @@ TEST(LpModelTest, IsFeasibleChecksAllSenses) {
 
 TEST(LpModelTest, IntegerFlag) {
   LpModel model;
-  int x = model.AddVariable(0.0, 1.0, 1.0, "b", /*is_integer=*/true);
+  int x = model.AddVariable(0.0, 1.0, 1.0, /*is_integer=*/true);
   EXPECT_TRUE(model.variable(x).is_integer);
 }
 

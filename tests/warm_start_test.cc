@@ -256,7 +256,7 @@ TEST(WarmStartTest, BranchAndBoundWarmBeatsCold) {
   int r1 = model.AddConstraint(ConstraintSense::kLessEqual, 9.0);
   int r2 = model.AddConstraint(ConstraintSense::kLessEqual, 7.5);
   for (int j = 0; j < n; ++j) {
-    int v = model.AddVariable(0, 1, rng.NextDouble(1.0, 6.0), "", true);
+    int v = model.AddVariable(0, 1, rng.NextDouble(1.0, 6.0), true);
     model.AddCoefficient(r1, v, rng.NextDouble(0.3, 3.0));
     model.AddCoefficient(r2, v, rng.NextDouble(0.3, 3.0));
   }
